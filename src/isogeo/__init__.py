@@ -8,6 +8,7 @@ from .errors import (
     HorizonMismatch,
     IncompatibleRotation,
     InexactLength,
+    InvariantViolation,
     IsogeoError,
     MalformedRelation,
     MixedBases,
@@ -23,6 +24,7 @@ from .lengths import (
     Exact,
     LengthValue,
     Numeric,
+    cluster_index,
     cluster_lengths,
     exact_ratio,
     integer_ratio,
@@ -49,6 +51,7 @@ from .spectrum import (
     total_weight,
     validate_surface,
     weight,
+    weight_function,
 )
 from .scenario import (
     ScenarioSolution,

@@ -24,13 +24,13 @@ from . import flat, interchange, scenario
 from .dirichlet import dirichlet_partial_sum
 from .errors import IsogeoError
 from .hyperbolic import EnumConfig, enumerate_geodesics
-from .lengths import DEFAULT_TOLERANCE, cluster_lengths, representative
+from .lengths import DEFAULT_TOLERANCE
 from .spectrum import (
     LengthTwistSpectrum,
-    _clustered_weights,
     almost_conjugate,
     compare_weights,
     discrepancy,
+    weight_function,
 )
 
 EXIT_OK = 0
@@ -218,12 +218,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_weights(args) -> int:
     spec = _load_spectrum(args.spectrum, args.epsilon)
-    clusters = cluster_lengths([e.length for e in spec.entries], spec.tolerance)
-    weights = _clustered_weights(spec, clusters, spec.tolerance)
     print(f"total weight function up to horizon {spec.horizon}:")
     rows = []
-    for c, w in zip(clusters, weights):
-        rep = representative(c)
+    for rep, w in weight_function(spec):
         print(f"  l={rep}: W={_rational_str(w)}")
         rows.append(
             [json.dumps(interchange.length_to_json(rep), sort_keys=True), _rational_str(w)]

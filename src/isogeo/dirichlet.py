@@ -25,8 +25,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .lengths import cluster_lengths, representative
-from .spectrum import LengthTwistSpectrum, _clustered_weights, weight
+from .spectrum import LengthTwistSpectrum, weight, weight_function
 
 ORTHOGONALITY_TOLERANCE = 1e-12
 
@@ -148,9 +147,7 @@ def dirichlet_partial_sum_grouped(
     """
     z = _as_complex(s)
     _warn_if_diverging(z)
-    clusters = cluster_lengths([e.length for e in spec.entries], spec.tolerance)
-    weights = _clustered_weights(spec, clusters, spec.tolerance)
     acc = 0j
-    for c, w in zip(clusters, weights):
-        acc += float(w) * _series_term(representative(c).approx(), z)
+    for rep, w in weight_function(spec):
+        acc += float(w) * _series_term(rep.approx(), z)
     return acc

@@ -55,3 +55,7 @@ class NotTranslating(IsogeoError):
 
 class EmptyGenerators(IsogeoError):
     """Word enumeration needs at least one generator."""
+
+
+class InvariantViolation(IsogeoError):
+    """An internal invariant failed: a defect in the toolkit, not in the input."""

@@ -75,8 +75,8 @@ def spectrum_from_json(
         GeodesicEntry(
             length=length_from_json(e["length"]),
             orientation=Orientation(e["orientation"]),
-            nu=int(e.get("nu", 1)),
-            multiplicity=int(e.get("multiplicity", 1)),
+            nu=e.get("nu", 1),
+            multiplicity=e.get("multiplicity", 1),
         )
         for e in doc["entries"]
     ]

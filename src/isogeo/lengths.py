@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -147,26 +147,36 @@ def _sort_key(l: LengthValue) -> tuple:
     return (l.approx(), 1, 0, l.value)
 
 
-def cluster_lengths(
-    values: Iterable[LengthValue], tol: float = DEFAULT_TOLERANCE
-) -> List[List[LengthValue]]:
+def cluster_index(
+    values: Sequence[LengthValue], tol: float = DEFAULT_TOLERANCE
+) -> Tuple[List[List[LengthValue]], List[int]]:
     """Group length values whose chained gaps are within tol.
 
     Deterministic sorted sweep: values are ordered by magnitude and a new
     cluster starts whenever the gap to the previous value exceeds tol
     (equivalent to union-find with links between eps-close neighbours).
+    Returns the clusters in ascending order and, for each input value, the
+    position of its cluster: ``values[i]`` is in ``clusters[index[i]]``.
     """
-    ordered = sorted(values, key=_sort_key)
+    keys = [_sort_key(v) for v in values]
     clusters: List[List[LengthValue]] = []
+    index = [0] * len(keys)
     prev: float | None = None
-    for v in ordered:
-        x = v.approx()
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        x = keys[i][0]
         if prev is None or x - prev > tol:
-            clusters.append([v])
-        else:
-            clusters[-1].append(v)
+            clusters.append([])
+        clusters[-1].append(values[i])
+        index[i] = len(clusters) - 1
         prev = x
-    return clusters
+    return clusters, index
+
+
+def cluster_lengths(
+    values: Iterable[LengthValue], tol: float = DEFAULT_TOLERANCE
+) -> List[List[LengthValue]]:
+    """The clusters of :func:`cluster_index`, without the per-value index."""
+    return cluster_index(list(values), tol)[0]
 
 
 def representative(cluster: Sequence[LengthValue]) -> LengthValue:

@@ -9,23 +9,29 @@ qualified "up to the horizon".
 
 The weight of a geodesic is 1/nu when orientation-preserving and
 (1/nu)*tanh(l/2) when orientation-reversing; the total weight function
-W(l) sums multiplicity*weight over the types of length l.  Two spectra
-with equal W everywhere need not have matching geodesic counts, and the
-discrepancy functions a(l), b(l) quantify how primitive counts can trade
-off against each other under W-equality.
+W(l) sums multiplicity*weight over the types in the length cluster of l
+(lengths chained within the tolerance, see lengths.cluster_index).  Two
+spectra with equal W everywhere need not have matching geodesic counts,
+and the discrepancy functions a(l), b(l) quantify how primitive counts
+can trade off against each other under W-equality.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from itertools import accumulate
+from numbers import Integral
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .errors import (
     HorizonMismatch,
     InexactLength,
+    InvariantViolation,
     MixedBases,
     NotMinimal,
     PrimeCollision,
@@ -36,7 +42,7 @@ from .lengths import (
     DEFAULT_TOLERANCE,
     Exact,
     LengthValue,
-    cluster_lengths,
+    cluster_index,
     exact_ratio,
     length_le,
     lengths_equal,
@@ -63,6 +69,12 @@ class GeodesicEntry:
     multiplicity: int = 1
 
     def __post_init__(self):
+        if type(self.nu) is not int or type(self.multiplicity) is not int:
+            for name in ("nu", "multiplicity"):
+                v = getattr(self, name)
+                if not (isinstance(v, Integral) or isinstance(v, float) and v.is_integer()):
+                    raise ValueError(f"{name} must be an integer, got {v!r}")
+                object.__setattr__(self, name, int(v))
         if self.nu < 1:
             raise ValueError(f"imprimitivity index must be >= 1, got {self.nu}")
         if self.multiplicity < 1:
@@ -140,9 +152,7 @@ class LengthTwistSpectrum:
 
     def union(self, other: "LengthTwistSpectrum") -> "LengthTwistSpectrum":
         """Disjoint union (models a disconnected surface); horizons must agree."""
-        tol = max(self.tolerance, other.tolerance)
-        if not lengths_equal(self.horizon, other.horizon, tol):
-            raise HorizonMismatch(f"{self.horizon} vs {other.horizon}")
+        tol = _require_common_horizon(self, other)
         return LengthTwistSpectrum(self.entries + other.entries, self.horizon, tol)
 
 
@@ -179,40 +189,55 @@ def weight(entry: GeodesicEntry) -> Fraction | float:
 
 
 def total_weight(spec: LengthTwistSpectrum, l: LengthValue) -> Fraction | float:
-    """W(l): sum of multiplicity*weight over types of length l; 0 if none."""
+    """W(l) as in :func:`weight_function`: the W of the first length cluster
+    whose span, widened by the tolerance on each side, contains l; 0 if none.
+    """
     if not length_le(l, spec.horizon, spec.tolerance):
         raise QueryBeyondHorizon(f"query {l} exceeds horizon {spec.horizon}")
-    acc: Fraction | float = Fraction(0)
-    for e in spec.entries:
-        if lengths_equal(e.length, l, spec.tolerance):
-            acc = acc + e.multiplicity * weight(e)
-    return acc
+    entries, tol, x = spec.entries, spec.tolerance, l.approx()
 
+    def at(k: int) -> float:
+        return entries[k].length.approx()
 
-def _common_tolerance(a: LengthTwistSpectrum, b: LengthTwistSpectrum) -> float:
-    return max(a.tolerance, b.tolerance)
+    # the first entry whose cluster's widened span reaches up to x
+    j = bisect_left(range(len(entries)), x, key=lambda k: at(k) + tol)
+    if j == len(entries):
+        return Fraction(0)
+    lo, hi = j, j + 1
+    while lo > 0 and at(lo) - at(lo - 1) <= tol:
+        lo -= 1
+    while hi < len(entries) and at(hi) - at(hi - 1) <= tol:
+        hi += 1
+    if at(lo) - tol > x:
+        return Fraction(0)
+    return sum((e.multiplicity * weight(e) for e in entries[lo:hi]), Fraction(0))
 
 
 def _require_common_horizon(a: LengthTwistSpectrum, b: LengthTwistSpectrum) -> float:
-    tol = _common_tolerance(a, b)
+    tol = max(a.tolerance, b.tolerance)
     if not lengths_equal(a.horizon, b.horizon, tol):
         raise HorizonMismatch(f"{a.horizon} vs {b.horizon}")
     return tol
 
 
-def _clustered_weights(
-    spec: LengthTwistSpectrum, clusters: Sequence[Sequence[LengthValue]], tol: float
-) -> List[Fraction | float]:
-    """W at each cluster, summing every entry whose length joins the cluster."""
-    sums: List[Fraction | float] = [Fraction(0)] * len(clusters)
-    spans = [(min(v.approx() for v in c), max(v.approx() for v in c)) for c in clusters]
-    for e in spec.entries:
-        x = e.length.approx()
-        for i, (lo, hi) in enumerate(spans):
-            if lo - tol <= x <= hi + tol:
-                sums[i] = sums[i] + e.multiplicity * weight(e)
-                break
+def _weight_sums(placed: Iterable[Tuple[GeodesicEntry, int]], size: int) -> List[Fraction | float]:
+    """W at each of size clusters; entries add in the order given."""
+    sums: List[Fraction | float] = [Fraction(0)] * size
+    for e, i in placed:
+        sums[i] = sums[i] + e.multiplicity * weight(e)
     return sums
+
+
+def weight_function(spec: LengthTwistSpectrum) -> List[Tuple[LengthValue, Fraction | float]]:
+    """The total weight function: (representative, W) per length cluster.
+
+    Clusters are the spectrum's lengths chained within its tolerance, in
+    ascending order; W sums multiplicity*weight over every entry of the
+    cluster, exactly when all of them are exact rationals.
+    """
+    clusters, index = cluster_index([e.length for e in spec.entries], spec.tolerance)
+    sums = _weight_sums(zip(spec.entries, index), len(clusters))
+    return [(representative(c), w) for c, w in zip(clusters, sums)]
 
 
 def compare_weights(
@@ -225,12 +250,9 @@ def compare_weights(
     spectrum.
     """
     tol = _require_common_horizon(a, b)
-    every = [e.length for e in a.entries] + [e.length for e in b.entries]
-    if not every:
-        return []
-    clusters = cluster_lengths(every, tol)
-    wa = _clustered_weights(a, clusters, tol)
-    wb = _clustered_weights(b, clusters, tol)
+    clusters, index = cluster_index([e.length for e in a.entries + b.entries], tol)
+    wa = _weight_sums(zip(a.entries, index), len(clusters))
+    wb = _weight_sums(zip(b.entries, index[len(a.entries) :]), len(clusters))
     out = []
     for c, va, vb in zip(clusters, wa, wb):
         if isinstance(va, Fraction) and isinstance(vb, Fraction):
@@ -264,22 +286,10 @@ def almost_conjugate(
     used throughout.
     """
     tol = _require_common_horizon(a, b)
-    every = [e.length for e in a.entries] + [e.length for e in b.entries]
-    clusters = cluster_lengths(every, tol)
-    spans = [(min(v.approx() for v in c), max(v.approx() for v in c)) for c in clusters]
-
-    def bucket(spec: LengthTwistSpectrum) -> Dict[tuple, int]:
-        out: Dict[tuple, int] = {}
-        for e in spec.entries:
-            x = e.length.approx()
-            for i, (lo, hi) in enumerate(spans):
-                if lo - tol <= x <= hi + tol:
-                    key = (i, e.orientation.value, e.nu)
-                    out[key] = out.get(key, 0) + e.multiplicity
-                    break
-        return out
-
-    ma, mb = bucket(a), bucket(b)
+    clusters, index = cluster_index([e.length for e in a.entries + b.entries], tol)
+    ma, mb = Counter(), Counter()
+    for k, (e, i) in enumerate(zip(a.entries + b.entries, index)):
+        (ma if k < len(a.entries) else mb)[i, e.orientation.value, e.nu] += e.multiplicity
     for key in sorted(set(ma) | set(mb)):
         va, vb = ma.get(key, 0), mb.get(key, 0)
         if va != vb:
@@ -345,36 +355,17 @@ def discrepancy(a: LengthTwistSpectrum, b: LengthTwistSpectrum) -> DiscrepancyTa
     swapping the spectra negates both functions.
     """
     tol = _require_common_horizon(a, b)
-    prims = [e.length for e in a.primitives()] + [e.length for e in b.primitives()]
-    clusters = cluster_lengths(prims, tol)
-    spans = [(min(v.approx() for v in c), max(v.approx() for v in c)) for c in clusters]
-
-    def counts(spec: LengthTwistSpectrum, orient: Orientation) -> List[int]:
-        out = [0] * len(clusters)
-        for e in spec.primitives():
-            if e.orientation is not orient:
-                continue
-            x = e.length.approx()
-            for i, (lo, hi) in enumerate(spans):
-                if lo - tol <= x <= hi + tol:
-                    out[i] += e.multiplicity
-                    break
-        return out
-
-    alpha_a = counts(a, Orientation.PRESERVING)
-    alpha_b = counts(b, Orientation.PRESERVING)
-    beta_a = counts(a, Orientation.REVERSING)
-    beta_b = counts(b, Orientation.REVERSING)
-
-    table_a: Dict[LengthValue, int] = {}
-    table_b: Dict[LengthValue, int] = {}
-    for i, c in enumerate(clusters):
-        rep = representative(c)
-        if alpha_a[i] != alpha_b[i]:
-            table_a[rep] = alpha_a[i] - alpha_b[i]
-        if beta_b[i] != beta_a[i]:
-            table_b[rep] = beta_b[i] - beta_a[i]
-    return DiscrepancyTable(table_a, table_b, a.horizon)
+    pa, pb = a.primitives(), b.primitives()
+    clusters, index = cluster_index([e.length for e in pa + pb], tol)
+    da, db = [0] * len(clusters), [0] * len(clusters)
+    for k, (e, i) in enumerate(zip(pa + pb, index)):
+        m = e.multiplicity if k < len(pa) else -e.multiplicity
+        if e.orientation is Orientation.PRESERVING:
+            da[i] += m
+        else:
+            db[i] -= m
+    reps = [representative(c) for c in clusters]
+    return DiscrepancyTable(dict(zip(reps, da)), dict(zip(reps, db)), a.horizon)
 
 
 def _exact_support(table: DiscrepancyTable) -> List[Exact]:
@@ -410,9 +401,10 @@ def support_sets(table: DiscrepancyTable) -> Tuple[set, set]:
         if minimal:
             L0.add(l)
     for l in L:
-        assert any(
+        if not any(
             (r := exact_ratio(l, m)) is not None and r.denominator == 1 for m in L0
-        ), f"{l} not a multiple of any minimal length"
+        ):
+            raise InvariantViolation(f"{l} not a multiple of any minimal length")
     return L, L0
 
 
@@ -538,48 +530,37 @@ class CountingFunction:
     function whose jumps sum to F(horizon).
     """
 
-    __slots__ = ("_reps", "_jumps", "_cums", "horizon", "tolerance")
+    __slots__ = ("_reps", "_xs", "_jumps", "_cums", "horizon", "tolerance")
 
     def __init__(self, spec: LengthTwistSpectrum):
         self.horizon = spec.horizon
         self.tolerance = spec.tolerance
-        clusters = cluster_lengths([e.length for e in spec.entries], spec.tolerance)
-        spans = [(min(v.approx() for v in c), max(v.approx() for v in c)) for c in clusters]
+        clusters, index = cluster_index([e.length for e in spec.entries], spec.tolerance)
         jumps = [0] * len(clusters)
-        for e in spec.entries:
-            x = e.length.approx()
-            for i, (lo, hi) in enumerate(spans):
-                if lo - self.tolerance <= x <= hi + self.tolerance:
-                    jumps[i] += e.multiplicity
-                    break
+        for e, i in zip(spec.entries, index):
+            jumps[i] += e.multiplicity
         self._reps = [representative(c) for c in clusters]
+        # strictly ascending: clusters are more than tol apart
+        self._xs = [rep.approx() for rep in self._reps]
         self._jumps = jumps
-        cums = []
-        running = 0
-        for j in jumps:
-            running += j
-            cums.append(running)
-        self._cums = cums
+        self._cums = list(accumulate(jumps))
 
     def jumps(self) -> List[Tuple[LengthValue, int]]:
         return list(zip(self._reps, self._jumps))
 
     def jump(self, l: LengthValue) -> int:
+        """f(l): the jump at the first representative within tol of l, else 0."""
         x = l.approx()
-        for rep, j in zip(self._reps, self._jumps):
-            if abs(rep.approx() - x) <= self.tolerance:
-                return j
+        # rep - x is monotone in rep, so the reps within tol form one run
+        i = bisect_left(self._xs, -self.tolerance, key=lambda r: r - x)
+        if i < len(self._xs) and abs(self._xs[i] - x) <= self.tolerance:
+            return self._jumps[i]
         return 0
 
     def count_up_to(self, l: LengthValue) -> int:
-        x = l.approx() + self.tolerance
-        total = 0
-        for rep, c in zip(self._reps, self._cums):
-            if rep.approx() <= x:
-                total = c
-            else:
-                break
-        return total
+        """F(l): the oriented geodesics in clusters represented at or below l + tol."""
+        i = bisect_right(self._xs, l.approx() + self.tolerance)
+        return self._cums[i - 1] if i else 0
 
     def total(self) -> int:
         return self._cums[-1] if self._cums else 0

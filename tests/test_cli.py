@@ -183,6 +183,20 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fractional_nu_is_usage_error(tmp_path, capsys):
+    doc = {
+        "horizon": {"numeric": 4.0},
+        "entries": [{"length": {"numeric": 1.0}, "orientation": "preserving", "nu": 1.5}],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["weights", "--spectrum", str(path)]) == 2
+    assert main(["compare", "--a", str(path), "--b", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: nu must be an integer, got 1.5"] * 2
+
+
 def test_flat_verify_output_deterministic(tmp_path, capsys):
     blobs = []
     for name in ("x.csv", "y.csv"):

@@ -1,0 +1,270 @@
+"""Property tests: the sorted-sweep cluster index against a span-scan oracle.
+
+The oracle below is the O(N * clusters) bucketing the comparison layer used
+before every consumer read one cluster index: an independent sort-and-sweep
+clustering, then, for each entry, a scan of every cluster span widened by the
+tolerance, taking the first that contains the entry.  Every consumer must
+give exactly what the oracle gives, floats included, since both add a
+cluster's weights in canonical entry order.
+"""
+
+from fractions import Fraction
+from typing import Dict, List
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from isogeo.lengths import Exact, Numeric, cluster_index, cluster_lengths, representative
+from isogeo.spectrum import (
+    ConjugacyWitness,
+    CountingFunction,
+    DiscrepancyTable,
+    GeodesicEntry,
+    LengthTwistSpectrum,
+    Orientation,
+    almost_conjugate,
+    compare_weights,
+    discrepancy,
+    total_weight,
+    weight,
+    weight_function,
+)
+
+P = Orientation.PRESERVING
+R = Orientation.REVERSING
+HORIZON = Numeric(30.0)
+
+
+# --- oracle: span scans over independently swept clusters ----------------------
+
+
+def oracle_clusters(values, tol):
+    def key(l):
+        if isinstance(l, Exact):
+            return (l.approx(), 0, l.base, l.mult)
+        return (l.approx(), 1, 0, l.value)
+
+    ordered = sorted(values, key=key)
+    clusters = []
+    prev = None
+    for v in ordered:
+        x = v.approx()
+        if prev is None or x - prev > tol:
+            clusters.append([v])
+        else:
+            clusters[-1].append(v)
+        prev = x
+    return clusters
+
+
+def spans_of(clusters):
+    return [(min(v.approx() for v in c), max(v.approx() for v in c)) for c in clusters]
+
+
+def oracle_clustered_weights(spec, clusters, tol):
+    sums = [Fraction(0)] * len(clusters)
+    spans = spans_of(clusters)
+    for e in spec.entries:
+        x = e.length.approx()
+        for i, (lo, hi) in enumerate(spans):
+            if lo - tol <= x <= hi + tol:
+                sums[i] = sums[i] + e.multiplicity * weight(e)
+                break
+    return sums
+
+
+def oracle_weight_function(spec):
+    clusters = oracle_clusters([e.length for e in spec.entries], spec.tolerance)
+    weights = oracle_clustered_weights(spec, clusters, spec.tolerance)
+    return [(representative(c), w) for c, w in zip(clusters, weights)]
+
+
+def oracle_total_weight(spec, clusters, weights, l):
+    x = l.approx()
+    for (lo, hi), w in zip(spans_of(clusters), weights):
+        if lo - spec.tolerance <= x <= hi + spec.tolerance:
+            return w
+    return Fraction(0)
+
+
+def oracle_compare_weights(a, b, tol):
+    every = [e.length for e in a.entries] + [e.length for e in b.entries]
+    clusters = oracle_clusters(every, tol)
+    wa = oracle_clustered_weights(a, clusters, tol)
+    wb = oracle_clustered_weights(b, clusters, tol)
+    out = []
+    for c, va, vb in zip(clusters, wa, wb):
+        if isinstance(va, Fraction) and isinstance(vb, Fraction):
+            differ = va != vb
+        else:
+            differ = abs(float(va) - float(vb)) > tol
+        if differ:
+            out.append((representative(c), va, vb))
+    return out
+
+
+def oracle_almost_conjugate(a, b, tol):
+    every = [e.length for e in a.entries] + [e.length for e in b.entries]
+    clusters = oracle_clusters(every, tol)
+    spans = spans_of(clusters)
+
+    def bucket(spec) -> Dict[tuple, int]:
+        out: Dict[tuple, int] = {}
+        for e in spec.entries:
+            x = e.length.approx()
+            for i, (lo, hi) in enumerate(spans):
+                if lo - tol <= x <= hi + tol:
+                    key = (i, e.orientation.value, e.nu)
+                    out[key] = out.get(key, 0) + e.multiplicity
+                    break
+        return out
+
+    ma, mb = bucket(a), bucket(b)
+    for key in sorted(set(ma) | set(mb)):
+        va, vb = ma.get(key, 0), mb.get(key, 0)
+        if va != vb:
+            i, orient, nu = key
+            return False, ConjugacyWitness(representative(clusters[i]), Orientation(orient), nu, va, vb)
+    return True, None
+
+
+def oracle_discrepancy(a, b, tol):
+    prims = [e.length for e in a.primitives()] + [e.length for e in b.primitives()]
+    clusters = oracle_clusters(prims, tol)
+    spans = spans_of(clusters)
+
+    def counts(spec, orient) -> List[int]:
+        out = [0] * len(clusters)
+        for e in spec.primitives():
+            if e.orientation is not orient:
+                continue
+            x = e.length.approx()
+            for i, (lo, hi) in enumerate(spans):
+                if lo - tol <= x <= hi + tol:
+                    out[i] += e.multiplicity
+                    break
+        return out
+
+    alpha_a, alpha_b = counts(a, P), counts(b, P)
+    beta_a, beta_b = counts(a, R), counts(b, R)
+    table_a, table_b = {}, {}
+    for i, c in enumerate(clusters):
+        rep = representative(c)
+        if alpha_a[i] != alpha_b[i]:
+            table_a[rep] = alpha_a[i] - alpha_b[i]
+        if beta_b[i] != beta_a[i]:
+            table_b[rep] = beta_b[i] - beta_a[i]
+    return DiscrepancyTable(table_a, table_b, a.horizon)
+
+
+class OracleCounting:
+    def __init__(self, spec):
+        self.tolerance = spec.tolerance
+        clusters = oracle_clusters([e.length for e in spec.entries], spec.tolerance)
+        spans = spans_of(clusters)
+        jumps = [0] * len(clusters)
+        for e in spec.entries:
+            x = e.length.approx()
+            for i, (lo, hi) in enumerate(spans):
+                if lo - self.tolerance <= x <= hi + self.tolerance:
+                    jumps[i] += e.multiplicity
+                    break
+        self._reps = [representative(c) for c in clusters]
+        self._jumps = jumps
+        cums = []
+        running = 0
+        for j in jumps:
+            running += j
+            cums.append(running)
+        self._cums = cums
+
+    def jump(self, l):
+        x = l.approx()
+        for rep, j in zip(self._reps, self._jumps):
+            if abs(rep.approx() - x) <= self.tolerance:
+                return j
+        return 0
+
+    def count_up_to(self, l):
+        x = l.approx() + self.tolerance
+        total = 0
+        for rep, c in zip(self._reps, self._cums):
+            if rep.approx() <= x:
+                total = c
+            else:
+                break
+        return total
+
+
+# --- strategies -----------------------------------------------------------------
+
+anchors = st.one_of(
+    st.builds(Exact, st.sampled_from([2, 3, 4, 5]), st.integers(1, 6)),
+    st.builds(Exact, st.sampled_from([2, 3]), st.integers(1, 24).map(lambda n: Fraction(n, 4))),
+    st.floats(0.1, 20.0).map(Numeric),
+)
+
+
+@st.composite
+def spectrum_pair(draw):
+    """Two spectra over one shared pool of lengths.
+
+    Each anchor length, exact or numeric, may carry a chain of numeric
+    near-duplicates 0.75*tol apart, so the ends of a chain are more than tol
+    apart and only the chain joins them.  Both sides draw from the pool, so
+    lengths repeat within and across the spectra."""
+    tol = draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+    pool = []
+    for a in draw(st.lists(anchors, min_size=1, max_size=8)):
+        pool.append(a)
+        for k in range(1, draw(st.integers(0, 3)) + 1):
+            pool.append(Numeric(a.approx() + k * 0.75 * tol))
+    entry = st.builds(
+        GeodesicEntry,
+        st.sampled_from(pool),
+        st.sampled_from([P, R]),
+        st.integers(1, 3),
+        st.integers(1, 4),
+    )
+    sides = [LengthTwistSpectrum(draw(st.lists(entry, max_size=14)), HORIZON, tol) for _ in "ab"]
+    queries = pool + [Numeric(v.approx() + d * tol) for v in pool for d in (-1.5, 0.5, 1.9)]
+    return sides[0], sides[1], tol, [q for q in queries if q.approx() <= HORIZON.approx()]
+
+
+# --- properties -----------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectrum_pair())
+def test_comparisons_match_the_span_scan(case):
+    a, b, tol, _ = case
+    assert compare_weights(a, b) == oracle_compare_weights(a, b, tol)
+    assert almost_conjugate(a, b) == oracle_almost_conjugate(a, b, tol)
+    assert discrepancy(a, b) == oracle_discrepancy(a, b, tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectrum_pair())
+def test_single_spectrum_queries_match_the_span_scan(case):
+    a, b, _, queries = case
+    for spec in (a, b, a.union(b)):
+        assert weight_function(spec) == oracle_weight_function(spec)
+        counting, oracle = CountingFunction(spec), OracleCounting(spec)
+        clusters = oracle_clusters([e.length for e in spec.entries], spec.tolerance)
+        weights = oracle_clustered_weights(spec, clusters, spec.tolerance)
+        for q in queries:
+            assert total_weight(spec, q) == oracle_total_weight(spec, clusters, weights, q)
+            assert counting.jump(q) == oracle.jump(q)
+            assert counting.count_up_to(q) == oracle.count_up_to(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spectrum_pair())
+def test_cluster_index_places_every_value_in_its_cluster(case):
+    a, b, tol, _ = case
+    values = [e.length for e in a.entries + b.entries]
+    clusters, index = cluster_index(values, tol)
+    assert clusters == oracle_clusters(values, tol) == cluster_lengths(values, tol)
+    for v, i in zip(values, index):
+        assert any(m is v for m in clusters[i])
+    assert sum(len(c) for c in clusters) == len(values)

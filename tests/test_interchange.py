@@ -77,6 +77,13 @@ def test_spectrum_from_json_defaults_and_errors():
     }
     with pytest.raises(ValueError):
         spectrum_from_json(bad)
+    for field in ("nu", "multiplicity"):
+        fractional = {
+            "horizon": {"numeric": 4.0},
+            "entries": [{"length": {"numeric": 1.0}, "orientation": "preserving", field: 1.5}],
+        }
+        with pytest.raises(ValueError, match=field):
+            spectrum_from_json(fractional)
 
 
 def test_discrepancy_roundtrip():

@@ -7,6 +7,7 @@ from isogeo.lengths import (
     Exact,
     Numeric,
     canonical_power_root,
+    cluster_index,
     cluster_lengths,
     exact_ratio,
     integer_ratio,
@@ -100,6 +101,11 @@ def test_cluster_lengths_sweep():
     vals = [Numeric(1.0), Numeric(1.0 + 8e-10), Numeric(1.0 + 1.6e-9)]
     assert len(cluster_lengths(vals, 1e-9)) == 1
     assert cluster_lengths([], 1e-9) == []
+    # the index names each input value's cluster, in input order
+    clusters, index = cluster_index([Numeric(2.0), Numeric(1.0), Numeric(1.0 + 5e-10)], 1e-9)
+    assert clusters == [[Numeric(1.0), Numeric(1.0 + 5e-10)], [Numeric(2.0)]]
+    assert index == [1, 0, 0]
+    assert cluster_index([], 1e-9) == ([], [])
 
 
 def test_cluster_representative_prefers_exact():

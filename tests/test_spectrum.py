@@ -18,6 +18,7 @@ from isogeo.spectrum import (
     total_weight,
     validate_surface,
     weight,
+    weight_function,
 )
 
 P = Orientation.PRESERVING
@@ -71,6 +72,30 @@ def test_total_weight_beyond_horizon():
     s = spec_of([GeodesicEntry(Numeric(1.0), P)], horizon=Numeric(2.0))
     with pytest.raises(QueryBeyondHorizon):
         total_weight(s, Numeric(3.0))
+
+
+def test_total_weight_reads_the_clustered_w():
+    # 1.0 and 1+1.6e-9 are more than tol apart, but the middle value chains them
+    s = spec_of([GeodesicEntry(Numeric(1.0 + k * 0.8e-9), P) for k in range(3)])
+    assert weight_function(s) == [(Numeric(1.0), 3)]
+    assert total_weight(s, Numeric(1.0)) == 3
+    assert total_weight(s, Numeric(1.0 + 1.6e-9)) == 3
+    # the span [1, 1+1.6e-9] widened by tol on each side, and nothing outside it
+    assert total_weight(s, Numeric(1.0 - 0.9e-9)) == 3
+    assert total_weight(s, Numeric(1.0 + 2.5e-9)) == 3
+    assert total_weight(s, Numeric(1.0 - 1.1e-9)) == 0
+    assert total_weight(s, Numeric(1.0 + 2.7e-9)) == 0
+    assert total_weight(s, Numeric(5.0)) == 0
+
+
+def test_entry_counts_must_be_integral():
+    for field in ("nu", "multiplicity"):
+        for bad in (1.5, "2", Fraction(3, 2)):
+            with pytest.raises(ValueError, match=field):
+                GeodesicEntry(Numeric(1.0), P, **{field: bad})
+    e = GeodesicEntry(Numeric(1.0), P, nu=2.0, multiplicity=3.0)
+    assert (e.nu, e.multiplicity) == (2, 3)
+    assert type(e.nu) is int and type(e.multiplicity) is int
 
 
 def test_total_weight_additive_over_union():

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from isogeo import spectrum
 from isogeo.errors import (
     InexactLength,
+    InvariantViolation,
     MixedBases,
     NotMinimal,
     PrimeCollision,
@@ -31,6 +33,15 @@ def table(a, b, horizon):
 def test_support_sets_empty():
     t = table({}, {}, Exact(2, 10))
     assert support_sets(t) == (set(), set())
+
+
+def test_support_sets_invariant_raises(monkeypatch):
+    # with every ratio undecidable each length is minimal, and then no length
+    # is a checked multiple of one: the invariant check must fire, even under -O
+    t = table({Exact(2, 1): 1, Exact(2, 2): 1}, {}, Exact(2, 10))
+    monkeypatch.setattr(spectrum, "exact_ratio", lambda a, b: None)
+    with pytest.raises(InvariantViolation):
+        support_sets(t)
 
 
 def test_support_sets_scenario():
