@@ -6,7 +6,7 @@ output (CSV or JSON, chosen by --format) is written to --out.  Exit codes:
 0 success / all checks pass, 1 at least one verification failed, 2 usage
 or input error.  Machine output is deterministic: identical invocations
 produce byte-identical bytes, and rationals are printed as num/den, never
-decimalized.  ISOGEO_THREADS caps internal parallelism (default 1).
+decimalized.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Any, List, Sequence
 
@@ -36,14 +34,6 @@ from .spectrum import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-
-def thread_cap() -> int:
-    raw = os.environ.get("ISOGEO_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _rational_str(x) -> str:
@@ -100,18 +90,10 @@ def _cmd_flat_verify(args) -> int:
     else:
         relations = list(flat.relations_for_family(family))
 
-    workers = min(thread_cap(), len(relations)) if relations else 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda r: flat.verify_relation(r, args.max_norm), relations)
-            )
-    else:
-        results = [flat.verify_relation(r, args.max_norm) for r in relations]
-
     rows = []
     failures = 0
-    for rel, (ok, witness) in zip(relations, results):
+    for rel in relations:
+        ok, witness = flat.verify_relation(rel, args.max_norm)
         if ok:
             print(f"PASS  {rel}  (all n <= {args.max_norm})")
             rows.append([str(rel), "PASS", "", "", ""])
@@ -348,7 +330,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except IsogeoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, json.JSONDecodeError, OverflowError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

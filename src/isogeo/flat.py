@@ -15,6 +15,8 @@ nontrivial lattice rotation, giving
     mult_k(n) = (census(n) + (k - 1) * [n == 0]) / k,
 
 an exact integer because the order-k rotation acts freely off the origin.
+Every orbifold of a relation shares its lattice, so a relation is checked
+against a single census of that lattice.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Tuple
+
+import numpy as np
 
 from .errors import IncompatibleRotation, MalformedRelation
 
@@ -74,23 +78,12 @@ def norm_census(lattice: LatticeKind, max_norm: int) -> List[int]:
     """
     if max_norm < 0:
         raise ValueError(f"max_norm must be >= 0, got {max_norm}")
-    census = [0] * (max_norm + 1)
-    if lattice is LatticeKind.SQUARE:
-        m = math.isqrt(max_norm)
-        for x in range(-m, m + 1):
-            for y in range(-m, m + 1):
-                v = x * x + y * y
-                if v <= max_norm:
-                    census[v] += 1
-    else:
-        # a^2 + ab + b^2 >= (a^2 + b^2)/2 bounds the box
-        m = math.isqrt(2 * max_norm) + 1
-        for x in range(-m, m + 1):
-            for y in range(-m, m + 1):
-                v = x * x + x * y + y * y
-                if v <= max_norm:
-                    census[v] += 1
-    return census
+    # both forms are >= 3y^2/4 (x^2 + xy + y^2 = (x + y/2)^2 + 3y^2/4), and
+    # symmetric in x and y, so |x|, |y| <= sqrt(4n/3) bounds the box
+    m = math.isqrt(4 * max_norm // 3)
+    r = np.arange(-m, m + 1, dtype=np.int64)
+    v = lattice.norm(r[:, None], r[None, :])
+    return np.bincount(v[v <= max_norm], minlength=max_norm + 1).tolist()
 
 
 def vectors_with_norm(lattice: LatticeKind, n: int) -> List[Tuple[int, int]]:
@@ -134,9 +127,13 @@ def orbit_multiplicity(lattice: LatticeKind, order: int, n: int) -> int:
     """
     if order not in lattice.rotation_orders:
         raise IncompatibleRotation(f"order {order} does not act on {lattice.value} lattice")
+    return _quotient_mult(len(vectors_with_norm(lattice, n)), order, n)
+
+
+def _quotient_mult(census: int, order: int, n: int) -> int:
+    """mult_k(n) from census(n): 1 at the origin, census(n)/k elsewhere."""
     if n == 0:
         return 1
-    census = len(vectors_with_norm(lattice, n))
     if census % order != 0:
         raise ArithmeticError(f"census {census} at n={n} not divisible by {order}")
     return census // order
@@ -199,13 +196,7 @@ class OrbifoldSpectrum:
 def orbifold_spectrum(orbifold: OrbifoldId, max_norm: int) -> OrbifoldSpectrum:
     """Quotient spectrum via one census pass; zero multiplicities omitted."""
     census = norm_census(orbifold.lattice, max_norm)
-    mult: Dict[int, int] = {0: 1}
-    k = orbifold.order
-    for n in range(1, max_norm + 1):
-        if census[n]:
-            if census[n] % k != 0:
-                raise ArithmeticError(f"census {census[n]} at n={n} not divisible by {k}")
-            mult[n] = census[n] // k
+    mult = {n: _quotient_mult(c, orbifold.order, n) for n, c in enumerate(census) if c}
     return OrbifoldSpectrum(orbifold=orbifold, max_norm=max_norm, multiplicities=mult)
 
 
@@ -278,13 +269,12 @@ def verify_relation(
     rel: SpectralRelation, max_norm: int
 ) -> Tuple[bool, RelationWitness | None]:
     """Check coefficient-weighted multiplicity equality for every n <= cutoff."""
-    spectra: Dict[OrbifoldId, OrbifoldSpectrum] = {}
-    for _, oid in rel.left + rel.right:
-        if oid not in spectra:
-            spectra[oid] = orbifold_spectrum(oid, max_norm)
-    for n in range(0, max_norm + 1):
-        lhs = sum(c * spectra[oid].mult_at(n) for c, oid in rel.left)
-        rhs = sum(c * spectra[oid].mult_at(n) for c, oid in rel.right)
+    census = norm_census(rel.lattice, max_norm)
+    for n, count in enumerate(census):
+        if not count:  # no modes of norm n: both sides are 0
+            continue
+        lhs = sum(c * _quotient_mult(count, oid.order, n) for c, oid in rel.left)
+        rhs = sum(c * _quotient_mult(count, oid.order, n) for c, oid in rel.right)
         if lhs != rhs:
             return False, RelationWitness(n=n, left_total=lhs, right_total=rhs)
     return True, None

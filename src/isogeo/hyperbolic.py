@@ -167,13 +167,6 @@ def _mul4(m: Mat4, n: Mat4) -> Mat4:
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def _canonical_cyclic(word: Tuple[int, ...]) -> bool:
-    first = word[0]
-    if any(x < first for x in word):
-        return False
-    return all(word <= word[i:] + word[:i] for i in range(1, len(word)))
-
-
 def _iterate_canonical_words(
     letter_mats: Dict[int, Mat4], max_len: int
 ) -> Iterable[Tuple[Tuple[int, ...], Mat4]]:
@@ -181,21 +174,29 @@ def _iterate_canonical_words(
 
     Words are tuples of letters (+i for generator i, -i for its inverse);
     the class representative is the lexicographically minimal rotation.
-    Matrices are carried along the depth-first walk, one multiply per
-    extension.
+    The depth-first walk only visits prenecklaces (prefixes of minimal
+    rotations), carrying the period p of the Fredricksen-Kessler-Maiorana
+    necklace algorithm: a letter extends a prenecklace of length n exactly
+    when it is >= word[n - p], and the word is a minimal rotation exactly
+    when p divides n.  Matrices are carried along the walk, one multiply
+    per extension.
     """
     letters = sorted(letter_mats)
-    stack: List[Tuple[Tuple[int, ...], Mat4]] = [((l,), letter_mats[l]) for l in letters]
+    stack: List[Tuple[Tuple[int, ...], int, Mat4]] = [
+        ((l,), 1, letter_mats[l]) for l in letters
+    ]
     while stack:
-        word, mat = stack.pop()
-        cyclically_reduced = len(word) == 1 or word[0] != -word[-1]
-        if cyclically_reduced and _canonical_cyclic(word):
+        word, p, mat = stack.pop()
+        n = len(word)
+        if n % p == 0 and (n == 1 or word[0] != -word[-1]):
             yield word, mat
-        if len(word) < max_len:
-            last = word[-1]
+        if n < max_len:
+            last, floor = word[-1], word[n - p]
             for nl in letters:
-                if nl != -last:
-                    stack.append((word + (nl,), _mul4(mat, letter_mats[nl])))
+                if nl >= floor and nl != -last:
+                    stack.append(
+                        (word + (nl,), p if nl == floor else n + 1, _mul4(mat, letter_mats[nl]))
+                    )
 
 
 def enumerate_geodesics(

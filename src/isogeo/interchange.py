@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import IO, Any, Dict, List
 
 from .hyperbolic import Isometry
-from .lengths import DEFAULT_TOLERANCE, Exact, LengthValue, Numeric
+from .lengths import DEFAULT_TOLERANCE, Exact, LengthValue, Numeric, as_integer
 from .spectrum import (
     DiscrepancyTable,
     GeodesicEntry,
@@ -45,7 +45,8 @@ def length_to_json(l: LengthValue) -> Dict[str, Any]:
 def length_from_json(doc: Dict[str, Any]) -> LengthValue:
     if "exact" in doc:
         e = doc["exact"]
-        return Exact(int(e["q"]), Fraction(int(e["num"]), int(e.get("den", 1))))
+        num, den = as_integer(e["num"], "num"), as_integer(e.get("den", 1), "den")
+        return Exact(e["q"], Fraction(num, den))
     if "numeric" in doc:
         return Numeric(float(doc["numeric"]))
     raise ValueError(f"length must have an 'exact' or 'numeric' key, got {doc}")

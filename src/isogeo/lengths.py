@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import Iterable, List, Sequence, Tuple, Union
 
 DEFAULT_TOLERANCE = 1e-9
@@ -25,16 +26,39 @@ DEFAULT_TOLERANCE = 1e-9
 RationalLike = Union[int, str, Fraction]
 
 
+def as_integer(v, name: str) -> int:
+    """``v`` as an int: integral floats convert, anything else raises ValueError."""
+    if type(v) is int:
+        return v
+    if isinstance(v, Integral) or isinstance(v, float) and v.is_integer():
+        return int(v)
+    raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
+def _integer_root(q: int, e: int) -> int:
+    """floor(q ** (1/e)) in integer arithmetic, for q >= 1 and e >= 2."""
+    if e == 2:
+        return math.isqrt(q)
+    x = 1 << -(-q.bit_length() // e)  # 2**ceil(bits/e) > q ** (1/e)
+    while True:  # Newton's method decreases monotonically onto the floor
+        y = ((e - 1) * x + q // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
 def canonical_power_root(q: int) -> tuple[int, int]:
-    """Return ``(g, e)`` with ``q == g**e`` and ``g`` not a perfect power."""
+    """Return ``(g, e)`` with ``q == g**e`` and ``g`` not a perfect power.
+
+    Exponents are tried from the largest down, so the first hit's root is
+    not itself a perfect power.
+    """
     if q < 2:
         raise ValueError(f"base must be an integer >= 2, got {q}")
-    for e in range(q.bit_length(), 1, -1):
-        g = round(q ** (1.0 / e))
-        for cand in (g - 1, g, g + 1):
-            if cand >= 2 and cand**e == q:
-                root, inner = canonical_power_root(cand)
-                return root, inner * e
+    for e in range(q.bit_length() - 1, 1, -1):
+        g = _integer_root(q, e)
+        if g**e == q:
+            return g, e
     return q, 1
 
 
@@ -52,7 +76,7 @@ class Exact:
         r = Fraction(mult)
         if r <= 0:
             raise ValueError(f"length multiplier must be positive, got {r}")
-        g, e = canonical_power_root(int(base))
+        g, e = canonical_power_root(as_integer(base, "base"))
         object.__setattr__(self, "base", g)
         object.__setattr__(self, "mult", r * e)
 

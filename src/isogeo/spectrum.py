@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
-from numbers import Integral
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .errors import (
@@ -42,6 +41,7 @@ from .lengths import (
     DEFAULT_TOLERANCE,
     Exact,
     LengthValue,
+    as_integer,
     cluster_index,
     exact_ratio,
     length_le,
@@ -71,10 +71,7 @@ class GeodesicEntry:
     def __post_init__(self):
         if type(self.nu) is not int or type(self.multiplicity) is not int:
             for name in ("nu", "multiplicity"):
-                v = getattr(self, name)
-                if not (isinstance(v, Integral) or isinstance(v, float) and v.is_integer()):
-                    raise ValueError(f"{name} must be an integer, got {v!r}")
-                object.__setattr__(self, name, int(v))
+                object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if self.nu < 1:
             raise ValueError(f"imprimitivity index must be >= 1, got {self.nu}")
         if self.multiplicity < 1:

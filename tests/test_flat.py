@@ -28,7 +28,10 @@ def test_norm_census_values():
     assert norm_census(SQ, 12) == SQUARE_CENSUS_12
     assert norm_census(HEX, 12) == HEX_CENSUS_12
     assert norm_census(SQ, 25)[25] == 12
-    assert norm_census(SQ, 0) == [1]
+    # the smallest boxes, where an off-by-one in the box bound would show
+    for m in (0, 1, 2, 3):
+        assert norm_census(SQ, m) == SQUARE_CENSUS_12[: m + 1]
+        assert norm_census(HEX, m) == HEX_CENSUS_12[: m + 1]
 
 
 def test_census_matches_vector_solver():
@@ -162,6 +165,9 @@ def test_false_relation_witness():
     assert not ok
     assert witness.n == 1
     assert (witness.left_total, witness.right_total) == (4, 2)
+    ok, witness = verify_relation(parse_relation("S1=S2+S4"), 100)
+    assert not ok
+    assert (witness.n, witness.left_total, witness.right_total) == (0, 1, 2)
 
 
 def test_parse_relation_roundtrip():

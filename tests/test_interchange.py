@@ -84,6 +84,15 @@ def test_spectrum_from_json_defaults_and_errors():
         }
         with pytest.raises(ValueError, match=field):
             spectrum_from_json(fractional)
+    for exact, field in (({"q": 2.7, "num": 1}, "base"), ({"q": 2, "num": 1.5}, "num")):
+        truncated = {
+            "horizon": {"numeric": 4.0},
+            "entries": [{"length": {"exact": exact}, "orientation": "preserving"}],
+        }
+        with pytest.raises(ValueError, match=field):
+            spectrum_from_json(truncated)
+    integral = {"horizon": {"exact": {"q": 4.0, "num": 3.0, "den": 1.0}}, "entries": []}
+    assert spectrum_from_json(integral).horizon == Exact(2, 6)
 
 
 def test_discrepancy_roundtrip():

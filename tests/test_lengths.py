@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isogeo.lengths import (
     Exact,
@@ -27,6 +29,18 @@ def test_canonical_power_root():
     assert canonical_power_root(64) == (2, 6)
     assert canonical_power_root(12) == (12, 1)
     assert canonical_power_root(36) == (6, 2)
+    # past float precision (a big square) and past float range (a base over 1e308)
+    big = 10**17 + 3
+    assert Exact(big**2, 1) == Exact(big, 2)
+    assert canonical_power_root(10**400) == (10, 400)
+    assert Exact(10**400, 1) == Exact(10, 400)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 10**20), st.integers(1, 12))
+def test_canonical_power_root_round_trip(g, e):
+    root, k = canonical_power_root(g)
+    assert canonical_power_root(g**e) == (root, k * e)
 
 
 def test_exact_normalizes_base():
@@ -46,6 +60,11 @@ def test_exact_validation():
     with pytest.raises(TypeError):
         Exact(2, 0.1)
     assert Exact(2, "1/2") == Exact(2, Fraction(1, 2))
+    with pytest.raises(ValueError, match="base"):
+        Exact(2.7, 1)
+    with pytest.raises(ValueError, match="base"):
+        Exact("2", 1)
+    assert Exact(4.0, 1) == Exact(2, 2)
 
 
 def test_numeric_validation():
