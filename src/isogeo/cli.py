@@ -49,10 +49,8 @@ def _write_rows(path: str, fmt: str, header: List[str], rows: List[List[Any]]):
             writer.writerow(header)
             writer.writerows(rows)
     else:
-        docs = [dict(zip(header, row)) for row in rows]
         with open(path, "w") as fp:
-            json.dump(docs, fp, sort_keys=True, separators=(",", ":"))
-            fp.write("\n")
+            interchange.dump_json([dict(zip(header, row)) for row in rows], fp)
 
 
 def _cmd_scenario(args) -> int:
@@ -183,15 +181,10 @@ def _cmd_compare(args) -> int:
         }
         if args.format == "json":
             with open(args.out, "w") as fp:
-                json.dump(doc, fp, sort_keys=True, separators=(",", ":"))
-                fp.write("\n")
+                interchange.dump_json(doc, fp)
         else:
             rows = [
-                [
-                    json.dumps(interchange.length_to_json(l), sort_keys=True),
-                    table.a_at(l),
-                    table.b_at(l),
-                ]
+                [interchange.length_cell(l), table.a_at(l), table.b_at(l)]
                 for l in table.support()
             ]
             _write_rows(args.out, "csv", ["length", "a", "b"], rows)
@@ -204,9 +197,7 @@ def _cmd_weights(args) -> int:
     rows = []
     for rep, w in weight_function(spec):
         print(f"  l={rep}: W={_rational_str(w)}")
-        rows.append(
-            [json.dumps(interchange.length_to_json(rep), sort_keys=True), _rational_str(w)]
-        )
+        rows.append([interchange.length_cell(rep), _rational_str(w)])
     if args.out:
         _write_rows(args.out, args.format, ["length", "weight"], rows)
     return EXIT_OK
@@ -249,12 +240,7 @@ def _cmd_enumerate(args) -> int:
                 interchange.dump_spectrum(spec, fp)
         else:
             rows = [
-                [
-                    json.dumps(interchange.length_to_json(e.length), sort_keys=True),
-                    e.orientation.value,
-                    e.nu,
-                    e.multiplicity,
-                ]
+                [interchange.length_cell(e.length), e.orientation.value, e.nu, e.multiplicity]
                 for e in spec.entries
             ]
             _write_rows(args.out, "csv", ["length", "orientation", "nu", "multiplicity"], rows)

@@ -21,6 +21,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
 import numpy as np
@@ -83,18 +84,27 @@ class TwistData:
         return cls(dimension=2, matrix=((-1.0,),))
 
 
+def _one_minus_sech(l: float) -> float:
+    """1 - 1/cosh(l) = (cosh l - 1)/cosh l, without the cancellation near 0."""
+    return math.tanh(l / 2.0) * math.tanh(l)
+
+
 def q_factor(l: float, twist: TwistData) -> float:
     """Q(l, A): determinant weight of the twist on the normal bundle.
 
     Specializes at d=2 to (cosh l/(cosh l - 1))**(1/2) for twist [1] and
     (cosh l/(cosh l + 1))**(1/2) for twist [-1]; their ratio is tanh(l/2).
+    I - sym/cosh(l) is evaluated as (1 - sech l)*I + sech(l)*(I - sym), with
+    sech l = 2e^-l/(1 + e^-2l), so no length overflows or cancels.
     """
     if l <= 0:
         raise ValueError(f"length must be positive, got {l}")
     d = twist.dimension
     a = np.asarray(twist.matrix, dtype=float)
-    sym = (a + a.T) / 2.0
-    det = float(np.linalg.det(np.eye(d - 1) - sym / math.cosh(l)))
+    eye = np.eye(d - 1)
+    e = math.exp(-l)
+    sech = 2.0 * e / (1.0 + e * e)
+    det = float(np.linalg.det(_one_minus_sech(l) * eye + sech * (eye - (a + a.T) / 2.0)))
     return abs(det) ** (-(d - 1) / 2.0)
 
 
@@ -114,9 +124,21 @@ def _warn_if_diverging(s: complex, dimension: int = 2):
         )
 
 
-def _series_term(l: float, s: complex) -> complex:
-    c = math.cosh(l)
-    return l * math.sqrt(c / (c - 1.0)) * cmath.exp(-s * cmath.log(c))
+def _series_term(l: float, s: complex, log_weight: float = 0.0) -> complex:
+    # cosh(l)**-s in log space: log cosh l = l + log1p(e^-2l) - log 2
+    log_cosh = l + math.log1p(math.exp(-2.0 * l)) - math.log(2.0)
+    return l / math.sqrt(_one_minus_sech(l)) * cmath.exp(-s * log_cosh + log_weight)
+
+
+def _weighted_term(m: int, w: Fraction | float, l: float, s: complex) -> complex:
+    """m * w times the series term at l.  An exact m * w past the float range
+    (a necklace count near q**n) joins the exponent as its log instead."""
+    try:
+        mw = m * float(w)
+    except OverflowError:
+        big = m * Fraction(w)
+        return _series_term(l, s, math.log(big.numerator) - math.log(big.denominator))
+    return mw * _series_term(l, s)
 
 
 def dirichlet_partial_sum(
@@ -132,8 +154,7 @@ def dirichlet_partial_sum(
     _warn_if_diverging(z)
     acc = 0j
     for e in spec.entries:
-        l = e.length.approx()
-        acc += e.multiplicity * float(weight(e)) * _series_term(l, z)
+        acc += _weighted_term(e.multiplicity, weight(e), e.length.approx(), z)
     return acc
 
 
@@ -149,5 +170,5 @@ def dirichlet_partial_sum_grouped(
     _warn_if_diverging(z)
     acc = 0j
     for rep, w in weight_function(spec):
-        acc += float(w) * _series_term(rep.approx(), z)
+        acc += _weighted_term(1, w, rep.approx(), z)
     return acc

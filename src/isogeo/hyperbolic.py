@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import EmptyGenerators, NotTranslating
-from .lengths import Numeric
+from .lengths import Numeric, cluster_index
 from .spectrum import GeodesicEntry, LengthTwistSpectrum, Orientation
 
 DET_TOLERANCE = 1e-12
@@ -98,37 +98,39 @@ class IsometryClass(Enum):
     GLIDE_REFLECTION = "glide_reflection"
 
 
-def classify(g: Isometry, tol: float = CLASSIFY_TOLERANCE) -> IsometryClass:
-    """Trace/determinant classification, with tolerance at the boundaries."""
-    if g.det() > 0:
-        t = abs(g.trace())
+def _classify(a: float, b: float, c: float, d: float, tol: float) -> IsometryClass:
+    """Trace/determinant classification of the matrix (a, b; c, d)."""
+    if a * d - b * c > 0:
+        t = abs(a + d)
         if abs(t - 2.0) <= tol:
-            is_id = (
-                abs(abs(g.a) - 1.0) <= tol
-                and abs(abs(g.d) - 1.0) <= tol
-                and abs(g.b) <= tol
-                and abs(g.c) <= tol
-            )
-            return IsometryClass.IDENTITY if is_id else IsometryClass.PARABOLIC
+            off_identity = max(abs(abs(a) - 1.0), abs(abs(d) - 1.0), abs(b), abs(c))
+            return IsometryClass.IDENTITY if off_identity <= tol else IsometryClass.PARABOLIC
         return IsometryClass.ELLIPTIC if t < 2.0 else IsometryClass.HYPERBOLIC
-    t = g.trace()
-    return IsometryClass.REFLECTION if abs(t) <= tol else IsometryClass.GLIDE_REFLECTION
+    return IsometryClass.REFLECTION if abs(a + d) <= tol else IsometryClass.GLIDE_REFLECTION
 
 
-def translation_length(g: Isometry, tol: float = CLASSIFY_TOLERANCE) -> float:
-    """Translation length along the axis of a hyperbolic or glide isometry.
+def _axis_length(kind: IsometryClass, trace: float) -> float:
+    """Translation length of a matrix of the given class from its trace.
 
     Hyperbolic: 2*arccosh(|tr|/2).  Glide reflection: half the length of
     the square, where g^2 = tr(g)*g + I for det g = -1, so the square's
     trace is tr(g)^2 + 2.
     """
-    kind = classify(g, tol)
     if kind is IsometryClass.HYPERBOLIC:
-        return 2.0 * math.acosh(abs(g.trace()) / 2.0)
+        return 2.0 * math.acosh(abs(trace) / 2.0)
     if kind is IsometryClass.GLIDE_REFLECTION:
-        square_trace = g.trace() ** 2 + 2.0
-        return math.acosh(square_trace / 2.0)
+        return math.acosh((trace**2 + 2.0) / 2.0)
     raise NotTranslating(f"{kind.value} isometry has no translation length")
+
+
+def classify(g: Isometry, tol: float = CLASSIFY_TOLERANCE) -> IsometryClass:
+    """Trace/determinant classification, with tolerance at the boundaries."""
+    return _classify(g.a, g.b, g.c, g.d, tol)
+
+
+def translation_length(g: Isometry, tol: float = CLASSIFY_TOLERANCE) -> float:
+    """Translation length along the axis of a hyperbolic or glide isometry."""
+    return _axis_length(classify(g, tol), g.trace())
 
 
 @dataclass(frozen=True)
@@ -138,7 +140,6 @@ class EnumConfig:
     max_word_length: int
     length_cutoff: float
     dedup_tolerance: float = 1e-9
-    include_reversing: bool = True
 
     def __post_init__(self):
         if self.max_word_length < 1:
@@ -210,13 +211,18 @@ def enumerate_geodesics(
     oriented counts: a word and its inverse are distinct canonical words,
     so each unoriented geodesic contributes twice.
 
+    Each word is classified once, from its product matrix: hyperbolic
+    words preserve orientation and glide reflections reverse it.  A
+    translating product is not re-checked for |det| = 1: that check is for
+    input matrices, and the rounding drift of a product grows with its word.
+
     Deduplication beyond cyclic rotation is heuristic: identical matrices
     (up to sign, on a dedup_tolerance grid) collapse, and surviving words
-    aggregate into entries keyed by (length within tolerance, determinant
-    sign, nu), which may merge genuinely distinct geodesics of equal
-    length.  Discreteness of the group is the caller's responsibility;
-    elliptic and reflection words land in the side channel, identity and
-    parabolic words are counted as dropped.
+    aggregate into entries keyed by (length cluster, orientation, nu), at
+    the least length of the bucket, which may merge genuinely distinct
+    geodesics of equal length.  Discreteness of the group is the caller's
+    responsibility; elliptic and reflection words land in the side
+    channel, identity and parabolic words are counted as dropped.
 
     The imprimitivity index is detected by length ratios: nu = k when a
     previously seen primitive of length l/k (within tolerance) has
@@ -251,32 +257,32 @@ def enumerate_geodesics(
             continue
         seen_matrices.add(key)
 
-        g = Isometry(a, b, c, d)
-        kind = classify(g, tol)
+        kind = _classify(a, b, c, d, tol)
         if kind in (IsometryClass.ELLIPTIC, IsometryClass.REFLECTION):
-            elliptic.append((word, g))
+            elliptic.append((word, Isometry(a, b, c, d)))
             continue
         if kind in (IsometryClass.IDENTITY, IsometryClass.PARABOLIC):
             dropped += 1
             continue
-        length = translation_length(g, tol)
+        length = _axis_length(kind, a + d)
         if length > config.length_cutoff + tol:
             continue
-        det_sign = 1 if g.det() > 0 else -1
-        if det_sign < 0 and not config.include_reversing:
-            continue
-        records.append((length, det_sign, abs(g.trace()), word))
+        det_sign = 1 if kind is IsometryClass.HYPERBOLIC else -1
+        records.append((length, det_sign, abs(a + d), word))
 
     records.sort(key=lambda r: (r[0], r[1], r[3]))
+    values = [Numeric(r[0]) for r in records]
+    _, cluster = cluster_index(values, tol)
     primitives: List[Tuple[float, int]] = []
-    assigned: List[Tuple[float, int, int]] = []
+    least: Dict[Tuple[int, int, int], Numeric] = {}
+    entries = []
     min_len = records[0][0] if records else 0.0
 
     def power_trace(k: int, base_len: float, base_det: int) -> float:
         half = k * base_len / 2.0
         return 2.0 * math.cosh(half) if base_det**k > 0 else 2.0 * math.sinh(half)
 
-    for length, det_sign, trace_abs, _word in records:
+    for (length, det_sign, trace_abs, _word), value, idx in zip(records, values, cluster):
         nu = 1
         kmax = int(length / max(min_len, tol) + 0.5) if min_len > 0 else 1
         for k in range(kmax, 1, -1):
@@ -296,29 +302,10 @@ def enumerate_geodesics(
                 break
         if nu == 1:
             primitives.append((length, det_sign))
-        assigned.append((length, det_sign, nu))
-
-    buckets: Dict[Tuple[int, int, int], List[float]] = {}
-    cluster_count = 0
-    prev_length = None
-    for length, det_sign, nu in sorted(assigned):
-        if prev_length is None or length - prev_length > tol:
-            cluster_count += 1
-        prev_length = length
-        buckets.setdefault((cluster_count - 1, det_sign, nu), []).append(length)
-
-    entries = []
-    for (idx, det_sign, nu), lengths in buckets.items():
+        # records ascend in length, so a bucket's first word has its least length
+        bucket_length = least.setdefault((idx, det_sign, nu), value)
         orientation = Orientation.PRESERVING if det_sign > 0 else Orientation.REVERSING
-        entries.append(
-            GeodesicEntry(
-                Numeric(min(lengths)), orientation, nu=nu, multiplicity=len(lengths)
-            )
-        )
+        entries.append(GeodesicEntry(bucket_length, orientation, nu=nu))
 
-    spectrum = LengthTwistSpectrum(
-        entries, horizon=Numeric(config.length_cutoff), tolerance=tol
-    )
-    return EnumerationResult(
-        spectrum=spectrum, elliptic=tuple(elliptic), dropped=dropped
-    )
+    spectrum = LengthTwistSpectrum(entries, Numeric(config.length_cutoff), tol)
+    return EnumerationResult(spectrum, tuple(elliptic), dropped)

@@ -42,6 +42,11 @@ def length_to_json(l: LengthValue) -> Dict[str, Any]:
     return {"numeric": l.value}
 
 
+def length_cell(l: LengthValue) -> str:
+    """A length as one CSV cell: its JSON encoding with sorted keys."""
+    return json.dumps(length_to_json(l), sort_keys=True)
+
+
 def length_from_json(doc: Dict[str, Any]) -> LengthValue:
     if "exact" in doc:
         e = doc["exact"]
@@ -99,9 +104,9 @@ def discrepancy_from_json(doc: Dict[str, Any]) -> DiscrepancyTable:
     for row in doc["entries"]:
         l = length_from_json(row["length"])
         if row.get("a"):
-            a[l] = int(row["a"])
+            a[l] = as_integer(row["a"], "a")
         if row.get("b"):
-            b[l] = int(row["b"])
+            b[l] = as_integer(row["b"], "b")
     return DiscrepancyTable(a, b, length_from_json(doc["horizon"]))
 
 
@@ -109,9 +114,14 @@ def load_spectrum(fp: IO[str], tolerance: float = DEFAULT_TOLERANCE) -> LengthTw
     return spectrum_from_json(json.load(fp), tolerance)
 
 
-def dump_spectrum(spec: LengthTwistSpectrum, fp: IO[str]):
-    json.dump(spectrum_to_json(spec), fp, sort_keys=True, separators=(",", ":"))
+def dump_json(doc: Any, fp: IO[str]):
+    """Canonical machine output: sorted keys, no spaces, one final newline."""
+    json.dump(doc, fp, sort_keys=True, separators=(",", ":"))
     fp.write("\n")
+
+
+def dump_spectrum(spec: LengthTwistSpectrum, fp: IO[str]):
+    dump_json(spectrum_to_json(spec), fp)
 
 
 def load_generators(fp: IO[str]) -> List[Isometry]:
@@ -122,6 +132,4 @@ def load_generators(fp: IO[str]) -> List[Isometry]:
 
 
 def dump_generators(generators: List[Isometry], fp: IO[str]):
-    doc = {"generators": [[list(row) for row in g.rows()] for g in generators]}
-    json.dump(doc, fp, sort_keys=True, separators=(",", ":"))
-    fp.write("\n")
+    dump_json({"generators": [[list(row) for row in g.rows()] for g in generators]}, fp)

@@ -120,13 +120,6 @@ class Numeric:
 LengthValue = Union[Exact, Numeric]
 
 
-def as_length(x: "LengthValue | float | int") -> LengthValue:
-    """Coerce a bare number to Numeric; pass length values through."""
-    if isinstance(x, (Exact, Numeric)):
-        return x
-    return Numeric(float(x))
-
-
 def lengths_equal(a: LengthValue, b: LengthValue, tol: float = DEFAULT_TOLERANCE) -> bool:
     if isinstance(a, Exact) and isinstance(b, Exact) and a.base == b.base:
         return a.mult == b.mult

@@ -1,5 +1,6 @@
 import json
 
+import mpmath
 import pytest
 
 from isogeo.cli import main
@@ -203,7 +204,11 @@ def test_fractional_nu_is_usage_error(tmp_path, capsys):
         ({"q": 2.7, "num": 1}, ["weights"], "error: base must be an integer, got 2.7"),
         ({"q": 2, "num": 1.5}, ["weights"], "error: num must be an integer, got 1.5"),
         ({"q": 2, "num": 1, "den": 0}, ["weights"], "error: Fraction(1, 0)"),
-        ({"q": 2, "num": 2000}, ["dirichlet", "--sigma", "1.5"], "error: math range error"),
+        (
+            {"q": 2, "num": 10**400},
+            ["dirichlet", "--sigma", "1.5"],
+            "error: integer division result too large for a float",
+        ),
     ],
 )
 def test_bad_exact_length_is_usage_error(tmp_path, capsys, length, command, message):
@@ -218,6 +223,33 @@ def test_bad_exact_length_is_usage_error(tmp_path, capsys, length, command, mess
     capsys.readouterr()
     assert main(command + ["--spectrum", str(path)]) == 2
     assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("nums", [[2000], [1, 2000]])
+def test_dirichlet_long_exact_length(tmp_path, capsys, nums):
+    # cosh(l) at l = 2000*log(2) is past the float range; the series term is not
+    doc = {
+        "horizon": {"exact": {"q": 2, "num": 3000}},
+        "entries": [
+            {"length": {"exact": {"q": 2, "num": n}}, "orientation": "preserving"} for n in nums
+        ],
+    }
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["dirichlet", "--spectrum", str(path), "--sigma", "1.5", "--t", "2.0"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = dict(line.split(": ") for line in out.splitlines()[1:])
+    got = complex(float(lines["real"]), float(lines["imag"]))
+    with mpmath.workdps(30):
+        ref = 0
+        for n in nums:
+            l = n * mpmath.log(2)
+            c = mpmath.cosh(l)
+            ref += l * mpmath.sqrt(c / (c - 1)) * mpmath.power(c, -mpmath.mpc(1.5, 2.0))
+        ref = complex(ref)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 def test_flat_verify_output_deterministic(tmp_path, capsys):

@@ -1,18 +1,23 @@
 import math
 import random
+import sys
 import warnings
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isogeo.dirichlet import (
     ConvergenceWarning,
     SeriesPoint,
     TwistData,
+    _series_term,
     dirichlet_partial_sum,
     dirichlet_partial_sum_grouped,
     q_factor,
 )
-from isogeo.lengths import Numeric
+from isogeo.lengths import Exact, Numeric
 from isogeo.scenario import build_scenario, to_spectra
 from isogeo.spectrum import GeodesicEntry, LengthTwistSpectrum, Orientation
 
@@ -50,6 +55,62 @@ def test_q_factor_ratio_is_tanh():
     for l in (0.5, 1.0, 5.0):
         ratio = q_factor(l, TwistData.reversing()) / q_factor(l, TwistData.preserving())
         assert ratio == pytest.approx(math.tanh(l / 2.0), abs=1e-12)
+
+
+# lengths spread evenly in magnitude over [1e-12, 1e4]
+LENGTHS = st.floats(-12.0, 4.0).map(lambda x: 10.0**x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LENGTHS)
+@example(1e-12)
+@example(1.5e-8)
+@example(710.0)
+@example(1e4)
+def test_q_factor_ratio_is_tanh_over_the_length_range(l):
+    ratio = q_factor(l, TwistData.reversing()) / q_factor(l, TwistData.preserving())
+    assert ratio == pytest.approx(math.tanh(l / 2.0), rel=1e-12, abs=0)
+
+
+def _reference_term(l, s):
+    # the defining formula at 30 significant digits; cosh(l) - 1 loses about
+    # 2*log10(1/l) digits to cancellation, so the working precision adds them
+    with mpmath.workdps(30 + max(0, math.ceil(-2 * math.log10(l)))):
+        x = mpmath.mpf(l)
+        c = mpmath.cosh(x)
+        return complex(x * mpmath.sqrt(c / (c - 1)) * mpmath.power(c, -mpmath.mpc(s.real, s.imag)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(LENGTHS, st.floats(1.5, 3.0), st.floats(-8.0, 8.0))
+@example(1e-12, 2.0, 0.0)
+@example(1.5e-8, 2.0, 5.0)
+@example(400.0, 1.5, 8.0)
+def test_series_term_matches_mpmath(l, sigma, t):
+    s = complex(sigma, t)
+    ref = _reference_term(l, s)
+    got = _series_term(l, s)
+    if abs(ref) >= sys.float_info.min:  # where the value is a normal float
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+    else:
+        assert abs(got) < 2 * sys.float_info.min
+
+
+@pytest.mark.parametrize("orientation", [P, R])
+def test_partial_sums_with_multiplicity_past_float_range(orientation):
+    # c_n for q = 10 near n = 312 exceeds the float range; the term does not
+    spec = LengthTwistSpectrum(
+        [GeodesicEntry(Exact(10, 312), orientation, multiplicity=10**330)], Exact(10, 320)
+    )
+    s = complex(1.5, 2.0)
+    with mpmath.workdps(30):
+        l = 312 * mpmath.log(10)
+        c = mpmath.cosh(l)
+        wt = 1 if orientation is P else mpmath.tanh(l / 2)
+        ref = complex(10**330 * wt * l * mpmath.sqrt(c / (c - 1)) * mpmath.power(c, -s))
+    assert abs(ref) > 1e-140
+    for form in (dirichlet_partial_sum, dirichlet_partial_sum_grouped):
+        assert abs(form(spec, s) - ref) <= 1e-12 * abs(ref)
 
 
 def test_q_factor_ordering_and_limit():

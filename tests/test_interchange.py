@@ -127,3 +127,24 @@ def test_dump_determinism():
         bufs.append(buf.getvalue())
     assert bufs[0] == bufs[1]
     json.loads(bufs[0])
+
+
+@pytest.mark.parametrize("field", ["a", "b"])
+@pytest.mark.parametrize("value", [1.5, "3", [2]])
+def test_discrepancy_rejects_non_integral_counts(field, value):
+    doc = {
+        "horizon": {"exact": {"q": 2, "num": 10}},
+        "entries": [{"length": {"exact": {"q": 2, "num": 1}}, field: value}],
+    }
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        discrepancy_from_json(doc)
+
+
+def test_discrepancy_accepts_integral_floats():
+    doc = {
+        "horizon": {"exact": {"q": 2, "num": 10}},
+        "entries": [{"length": {"exact": {"q": 2, "num": 1}}, "a": 2.0, "b": 3}],
+    }
+    table = discrepancy_from_json(doc)
+    assert table.a_at(Exact(2, 1)) == 2 and table.b_at(Exact(2, 1)) == 3
+    assert type(table.a_at(Exact(2, 1))) is int
