@@ -38,7 +38,7 @@ class RatioIsInteger(IsogeoError):
 
 
 class TooLarge(IsogeoError):
-    """The requested brute-force enumeration is over the configured cap."""
+    """The requested enumeration is over the configured cap."""
 
 
 class IncompatibleRotation(IsogeoError):

@@ -12,9 +12,10 @@ procedure (see enumerate_geodesics for the precise caveats).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple, TypeVar
 
 from .errors import EmptyGenerators, NotTranslating
 from .lengths import Numeric, cluster_index
@@ -114,12 +115,13 @@ def _axis_length(kind: IsometryClass, trace: float) -> float:
 
     Hyperbolic: 2*arccosh(|tr|/2).  Glide reflection: half the length of
     the square, where g^2 = tr(g)*g + I for det g = -1, so the square's
-    trace is tr(g)^2 + 2.
+    trace is tr(g)^2 + 2 and the length arccosh(1 + tr^2/2), evaluated
+    without cancellation as 2*arcsinh(|tr|/2).
     """
     if kind is IsometryClass.HYPERBOLIC:
         return 2.0 * math.acosh(abs(trace) / 2.0)
     if kind is IsometryClass.GLIDE_REFLECTION:
-        return math.acosh((trace**2 + 2.0) / 2.0)
+        return 2.0 * math.asinh(abs(trace) / 2.0)
     raise NotTranslating(f"{kind.value} isometry has no translation length")
 
 
@@ -150,16 +152,17 @@ class EnumConfig:
             raise ValueError("dedup_tolerance must be positive")
 
 
+Mat4 = Tuple[float, float, float, float]
+V = TypeVar("V")
+
+
 @dataclass(frozen=True)
 class EnumerationResult:
     """Spectrum plus the torsion side channel from one enumeration run."""
 
     spectrum: LengthTwistSpectrum
-    elliptic: Tuple[Tuple[Tuple[int, ...], Isometry], ...]
+    elliptic: Tuple[Tuple[Tuple[int, ...], Mat4], ...]  # (word, sign-normalised matrix)
     dropped: int
-
-
-Mat4 = Tuple[float, float, float, float]
 
 
 def _mul4(m: Mat4, n: Mat4) -> Mat4:
@@ -168,35 +171,32 @@ def _mul4(m: Mat4, n: Mat4) -> Mat4:
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def _iterate_canonical_words(
-    letter_mats: Dict[int, Mat4], max_len: int
-) -> Iterable[Tuple[Tuple[int, ...], Mat4]]:
-    """All cyclically reduced words up to max_len, one per cyclic class.
+def necklace_walk(
+    letter_values: Dict[int, V], max_len: int, step: Callable[[V, V], V]
+) -> Iterator[Tuple[Tuple[int, ...], int, V]]:
+    """Every prenecklace up to max_len, with its period and folded value.
 
-    Words are tuples of letters (+i for generator i, -i for its inverse);
-    the class representative is the lexicographically minimal rotation.
-    The depth-first walk only visits prenecklaces (prefixes of minimal
-    rotations), carrying the period p of the Fredricksen-Kessler-Maiorana
-    necklace algorithm: a letter extends a prenecklace of length n exactly
-    when it is >= word[n - p], and the word is a minimal rotation exactly
-    when p divides n.  Matrices are carried along the walk, one multiply
-    per extension.
+    A letter never follows its negative: over letters +i/-i (generator i
+    and its inverse) the words are freely reduced, over positive letters
+    they are all words.  The depth-first walk is the necklace algorithm of
+    Fredricksen, Kessler and Maiorana: a letter extends a prenecklace of
+    length n when it is no less than the letter p places back, p being the
+    period.  A word is a minimal rotation when p divides n and a Lyndon
+    word (aperiodic necklace) when p == n.  The value is folded once per
+    extension: value = step(value, letter_values[letter]).
     """
-    letters = sorted(letter_mats)
-    stack: List[Tuple[Tuple[int, ...], int, Mat4]] = [
-        ((l,), 1, letter_mats[l]) for l in letters
-    ]
+    letters = sorted(letter_values)
+    stack = [((l,), 1, letter_values[l]) for l in letters]
     while stack:
-        word, p, mat = stack.pop()
+        word, p, value = stack.pop()
+        yield word, p, value
         n = len(word)
-        if n % p == 0 and (n == 1 or word[0] != -word[-1]):
-            yield word, mat
         if n < max_len:
             last, floor = word[-1], word[n - p]
             for nl in letters:
                 if nl >= floor and nl != -last:
                     stack.append(
-                        (word + (nl,), p if nl == floor else n + 1, _mul4(mat, letter_mats[nl]))
+                        (word + (nl,), p if nl == floor else n + 1, step(value, letter_values[nl]))
                     )
 
 
@@ -236,16 +236,17 @@ def enumerate_geodesics(
 
     letter_mats: Dict[int, Mat4] = {}
     for i, g in enumerate(generators, start=1):
-        letter_mats[i] = (g.a, g.b, g.c, g.d)
         inv = g.inverse()
-        letter_mats[-i] = (inv.a, inv.b, inv.c, inv.d)
+        letter_mats[i], letter_mats[-i] = (g.a, g.b, g.c, g.d), (inv.a, inv.b, inv.c, inv.d)
 
     seen_matrices = set()
     records: List[Tuple[float, int, float, Tuple[int, ...]]] = []
-    elliptic: List[Tuple[Tuple[int, ...], Isometry]] = []
+    elliptic: List[Tuple[Tuple[int, ...], Mat4]] = []
     dropped = 0
 
-    for word, mat in _iterate_canonical_words(letter_mats, config.max_word_length):
+    for word, p, mat in necklace_walk(letter_mats, config.max_word_length, _mul4):
+        if len(word) % p or word[0] == -word[-1]:
+            continue  # not a minimal rotation, or not cyclically reduced
         a, b, c, d = mat
         for x in (a, b, c, d):
             if abs(x) > tol:
@@ -259,7 +260,7 @@ def enumerate_geodesics(
 
         kind = _classify(a, b, c, d, tol)
         if kind in (IsometryClass.ELLIPTIC, IsometryClass.REFLECTION):
-            elliptic.append((word, Isometry(a, b, c, d)))
+            elliptic.append((word, (a, b, c, d)))
             continue
         if kind in (IsometryClass.IDENTITY, IsometryClass.PARABOLIC):
             dropped += 1
@@ -273,33 +274,34 @@ def enumerate_geodesics(
     records.sort(key=lambda r: (r[0], r[1], r[3]))
     values = [Numeric(r[0]) for r in records]
     _, cluster = cluster_index(values, tol)
-    primitives: List[Tuple[float, int]] = []
+    primitives: List[Tuple[float, int]] = []  # (length, det sign), ascending as records are
     least: Dict[Tuple[int, int, int], Numeric] = {}
     entries = []
-    min_len = records[0][0] if records else 0.0
 
-    def power_trace(k: int, base_len: float, base_det: int) -> float:
-        half = k * base_len / 2.0
-        return 2.0 * math.cosh(half) if base_det**k > 0 else 2.0 * math.sinh(half)
+    def root_index(length: float, det_sign: int, trace_abs: float) -> int:
+        """The largest k > 1 with a primitive k-th root of this word, else 1."""
+        k = int(length / max(records[0][0], tol) + 0.5)
+        while k > 1:
+            target = length / k
+            # the primitives within tol of length/k are one run of the sorted lengths
+            lo = j = bisect_left(primitives, -tol, key=lambda pr: pr[0] - target)
+            if lo == len(primitives):
+                return 1  # all shorter than length/k - tol, and length/k grows as k falls
+            while j < len(primitives) and primitives[j][0] - target <= tol:
+                base_len, base_det = primitives[j]
+                if base_det**k == det_sign:
+                    cosh_or_sinh = math.cosh if det_sign > 0 else math.sinh
+                    expected = 2.0 * cosh_or_sinh(k * base_len / 2.0)
+                    if abs(trace_abs - expected) <= 1e-7 * max(1.0, expected):
+                        return k
+                j += 1
+            # the next k whose window length/k +- tol can reach primitives[lo]
+            reach = primitives[lo][0] - tol
+            k = min(k - 1, int(length / reach) + 1) if reach > 0 else k - 1
+        return 1
 
     for (length, det_sign, trace_abs, _word), value, idx in zip(records, values, cluster):
-        nu = 1
-        kmax = int(length / max(min_len, tol) + 0.5) if min_len > 0 else 1
-        for k in range(kmax, 1, -1):
-            target = length / k
-            hit = False
-            for base_len, base_det in primitives:
-                if abs(base_len - target) > tol:
-                    continue
-                if base_det**k != det_sign:
-                    continue
-                expected = power_trace(k, base_len, base_det)
-                if abs(trace_abs - expected) <= 1e-7 * max(1.0, expected):
-                    hit = True
-                    break
-            if hit:
-                nu = k
-                break
+        nu = root_index(length, det_sign, trace_abs)
         if nu == 1:
             primitives.append((length, det_sign))
         # records ascend in length, so a bucket's first word has its least length

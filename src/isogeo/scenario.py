@@ -13,19 +13,20 @@ weight-equality constraint system at every grid length.  The catch is the
 growth: for odd n the values are asymptotic to q**n / n, which is what
 rules the family out as an actual pair of surfaces.
 
-Everything here is exact integer/rational arithmetic; the brute-force
-necklace oracle is the independent cross-check for c_n.
+Everything here is exact integer/rational arithmetic; the necklace
+oracle, which enumerates the Lyndon words of length n on the necklace
+walk of the word enumerator, is the independent cross-check for c_n.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .errors import BeyondHorizon, TooLarge
-from .lengths import Exact
+from .hyperbolic import necklace_walk
+from .lengths import Exact, tanh_half
 from .spectrum import (
     DiscrepancyTable,
     GeodesicEntry,
@@ -83,20 +84,19 @@ def necklace_count(q: int, n: int) -> int:
 
 
 def necklace_count_oracle(q: int, n: int) -> int:
-    """Brute-force necklace count: enumerate all q**n strings.
+    """Necklace count by enumeration, refused above ORACLE_CAP = q**n strings.
 
-    Counts the strings that are aperiodic (all n rotations distinct) and
-    lexicographically minimal among their rotations, which picks exactly
-    one representative per cyclic class.
+    Walks the prenecklaces over the letters 1..q and counts the Lyndon
+    words of length n (period n): exactly one aperiodic string per cyclic
+    class.  Letter 0 is left out because the walk never puts a letter
+    after its negative.
     """
+    if n < 1:
+        raise ValueError(f"string length must be >= 1, got {n}")
     if q**n > ORACLE_CAP:
         raise TooLarge(f"q**n = {q**n} exceeds enumeration cap {ORACLE_CAP}")
-    count = 0
-    for s in itertools.product(range(q), repeat=n):
-        rotations = [s[i:] + s[:i] for i in range(n)]
-        if len(set(rotations)) == n and s == min(rotations):
-            count += 1
-    return count
+    walk = necklace_walk(dict.fromkeys(range(1, q + 1)), n, lambda v, _: v)
+    return sum(len(word) == p == n for word, p, _ in walk)
 
 
 @dataclass(frozen=True)
@@ -155,8 +155,7 @@ def verify_constraint(sol: ScenarioSolution, n: int) -> Fraction:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > sol.horizon:
         raise BeyondHorizon(f"n={n} exceeds scenario horizon {sol.horizon}")
-    qn = sol.q**n
-    t = Fraction(qn - 1, qn + 1)
+    t = tanh_half(sol.grid_length(n))
     lhs = Fraction(0)
     rhs = Fraction(0)
     for k in _divisors(n):

@@ -426,12 +426,11 @@ def lemma1_residual(table: DiscrepancyTable, l: LengthValue) -> Fraction:
     are rejected, since cancellation of imprimitive mass is not given
     there.
     """
-    q, n = _integer_grid_point(l)
+    _integer_grid_point(l)
     L, l0_set = support_sets(table)
     if l in L and l not in l0_set:
         raise NotMinimal(f"{l} is not minimal in the support")
-    qn = q**n
-    t = Fraction(qn - 1, qn + 1)
+    t = tanh_half(l)
     return Fraction(table.a_at(l)) - t * Fraction(table.b_at(l))
 
 
@@ -512,12 +511,11 @@ def forced_growth(table: DiscrepancyTable, l: LengthValue, p: int) -> ForcedGrow
     pl = Exact(q, p * n)
     if not length_le(pl, table.horizon):
         raise QueryBeyondHorizon(f"p*l = {pl} exceeds table horizon {table.horizon}")
-    qpn = q ** (p * n)
-    t = Fraction(qpn - 1, qpn + 1)
+    t = tanh_half(pl)
     residue = Fraction(table.b_at(pl) - table.a_at(pl))
     numerator = Fraction(1, p) * (t * table.b_at(l) - table.a_at(l)) + residue
     value = numerator / (1 - t)
-    return ForcedGrowth(value=value, bound=Fraction(qpn, 2 * p))
+    return ForcedGrowth(value=value, bound=Fraction(q ** (p * n), 2 * p))
 
 
 class CountingFunction:

@@ -1,7 +1,10 @@
 import math
 import random
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isogeo.errors import EmptyGenerators, NotTranslating
 from isogeo.hyperbolic import (
@@ -119,6 +122,28 @@ def test_glide_square_law_and_parity():
             assert classify(gk) is expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-12, 1e3), st.sampled_from([1.0, -1.0]))
+@example(1e-8, 1.0)
+@example(1e-7, -1.0)
+def test_glide_length_against_mpmath(t, sign):
+    # (t, 1; 1, 0) has det -1 exactly; its length is arccosh(1 + t^2/2)
+    tr = sign * t
+    got = translation_length(Isometry(tr, 1.0, 1.0, 0.0), tol=0.0)
+    with mpmath.workdps(30 + max(0, math.ceil(-2 * math.log10(t)))):
+        want = mpmath.acosh(1 + mpmath.mpf(tr) ** 2 / 2)
+        assert abs(got - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("trace", [1e-8, 1e-7])
+def test_enumerate_glide_with_small_trace(trace):
+    x = (trace + math.sqrt(trace**2 + 4)) / 2  # x - 1/x = trace
+    g = Isometry.diag(x, -1 / x)
+    res = enumerate_geodesics([g], EnumConfig(3, 4.0))
+    primitive = [e.length.approx() for e in res.spectrum.entries if e.nu == 1]
+    assert primitive and all(l == pytest.approx(abs(g.trace()), rel=1e-12) for l in primitive)
+
+
 def test_enumerate_single_generator():
     g = Isometry.diag(2.0, 0.5)
     res = enumerate_geodesics([g], EnumConfig(max_word_length=3, length_cutoff=10.0))
@@ -211,3 +236,33 @@ def test_enumerate_badly_conditioned_conjugate(free_spectrum, k, theta):
     moved = enumerate_geodesics([conjugate(g, h) for g in free_schottky_pair()], FREE_CONFIG)
     assert almost_conjugate(free_spectrum, moved.spectrum) == (True, None)
     assert moved.elliptic == () and moved.dropped == 0
+
+
+def affine_conjugate(alpha, k, beta):
+    h = rotation(alpha) @ Isometry.diag(k, 1 / k) @ rotation(beta)
+    return [conjugate(g, h) for g in schottky_pair()]
+
+
+def long_types(result):
+    return {(round(e.length.approx(), 6), e.orientation, e.nu)
+            for e in result.spectrum.entries if e.length.approx() > 1e-3}
+
+
+@pytest.mark.parametrize("alpha, max_len", [(0.2, 9), (0.9, 8)])
+def test_enumerate_near_parabolic_words_return(alpha, max_len):
+    # rounding makes near-parabolic words of this conjugate hyperbolic, of
+    # length ~7e-5; the root search must not try every k up to 14 / 7e-5
+    config = EnumConfig(max_len, 14.0)
+    moved = enumerate_geodesics(affine_conjugate(alpha, 8.0, 2 * alpha), config)
+    assert min(e.length.approx() for e in moved.spectrum.entries) < 1e-3
+    assert long_types(moved) == long_types(enumerate_geodesics(schottky_pair(), config))
+
+
+def test_enumerate_side_channel_keeps_drifted_matrices():
+    # words of this conjugate drift off |det| = 1 and land in the side channel
+    res = enumerate_geodesics(affine_conjugate(1.1, 6.0, 2.2), EnumConfig(9, 14.0))
+    assert res.elliptic
+    for word, mat in res.elliptic:
+        assert all(type(x) is int for x in word)
+        assert len(mat) == 4 and all(type(x) is float for x in mat)
+        assert next(x for x in mat if abs(x) > 1e-9) > 0  # sign-normalised
