@@ -84,28 +84,27 @@ class TwistData:
         return cls(dimension=2, matrix=((-1.0,),))
 
 
-def _one_minus_sech(l: float) -> float:
-    """1 - 1/cosh(l) = (cosh l - 1)/cosh l, without the cancellation near 0."""
-    return math.tanh(l / 2.0) * math.tanh(l)
-
-
 def q_factor(l: float, twist: TwistData) -> float:
     """Q(l, A): determinant weight of the twist on the normal bundle.
 
     Specializes at d=2 to (cosh l/(cosh l - 1))**(1/2) for twist [1] and
     (cosh l/(cosh l + 1))**(1/2) for twist [-1]; their ratio is tanh(l/2).
-    I - sym/cosh(l) is evaluated as (1 - sech l)*I + sech(l)*(I - sym), with
-    sech l = 2e^-l/(1 + e^-2l), so no length overflows or cancels.
+    I - sym/cosh(l) is u*I + sech(l)*(I - sym) with u = 1 - sech l =
+    tanh(l/2)*tanh(l) and sech l = 2e^-l/(1 + e^-2l).  u underflows below
+    l ~ 1e-154, so the determinant is summed in log space over the
+    eigenvalues beta >= 0 of I - sym, as log(u + sech*beta) with
+    log u = log tanh(l/2) + log tanh(l); no length down to 1e-300 underflows.
     """
     if l <= 0:
         raise ValueError(f"length must be positive, got {l}")
     d = twist.dimension
     a = np.asarray(twist.matrix, dtype=float)
-    eye = np.eye(d - 1)
     e = math.exp(-l)
-    sech = 2.0 * e / (1.0 + e * e)
-    det = float(np.linalg.det(_one_minus_sech(l) * eye + sech * (eye - (a + a.T) / 2.0)))
-    return abs(det) ** (-(d - 1) / 2.0)
+    x = 2.0 * e / (1.0 + e * e) * np.linalg.eigvalsh(np.eye(d - 1) - (a + a.T) / 2.0)
+    log_x = np.log(x, out=np.full_like(x, -np.inf), where=x > 0)  # a beta rounded below 0 is 0
+    log_u = math.log(math.tanh(l / 2.0)) + math.log(math.tanh(l))
+    log_det = float(np.sum(np.logaddexp(log_u, log_x)))
+    return math.exp(-(d - 1) / 2.0 * log_det)
 
 
 def _as_complex(s: Union[SeriesPoint, complex, float]) -> complex:
@@ -127,7 +126,9 @@ def _warn_if_diverging(s: complex, dimension: int = 2):
 def _series_term(l: float, s: complex, log_weight: float = 0.0) -> complex:
     # cosh(l)**-s in log space: log cosh l = l + log1p(e^-2l) - log 2
     log_cosh = l + math.log1p(math.exp(-2.0 * l)) - math.log(2.0)
-    return l / math.sqrt(_one_minus_sech(l)) * cmath.exp(-s * log_cosh + log_weight)
+    # (cosh l - 1)/cosh l = tanh(l/2)*tanh(l), a product that underflows below l ~ 1e-154
+    root = math.sqrt(math.tanh(l / 2.0)) * math.sqrt(math.tanh(l))
+    return l / root * cmath.exp(-s * log_cosh + log_weight)
 
 
 def _weighted_term(m: int, w: Fraction | float, l: float, s: complex) -> complex:

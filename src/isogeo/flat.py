@@ -32,21 +32,26 @@ from .errors import IncompatibleRotation, MalformedRelation
 
 
 class LatticeKind(Enum):
-    """The two planar lattices with extra rotational symmetry."""
+    """The two planar lattices with extra rotational symmetry.
 
-    SQUARE = "square"
-    HEXAGONAL = "hexagonal"
+    Each is its norm form x^2 + cxy + y^2 in lattice coordinates, with cross
+    coefficient c = 0 (square) or 1 (hexagonal); the rotations fixing the
+    form are the powers of (0, -1; 1, c), a turn by 2pi/(4 + 2c).
+    """
+
+    SQUARE = ("square", 0)
+    HEXAGONAL = ("hexagonal", 1)
+
+    def __new__(cls, value: str, cross: int):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.cross = cross
+        turn = 4 + 2 * cross
+        member.rotation_orders = tuple(k for k in range(1, turn + 1) if turn % k == 0)
+        return member
 
     def norm(self, x: int, y: int) -> int:
-        if self is LatticeKind.SQUARE:
-            return x * x + y * y
-        return x * x + x * y + y * y
-
-    @property
-    def rotation_orders(self) -> Tuple[int, ...]:
-        if self is LatticeKind.SQUARE:
-            return (1, 2, 4)
-        return (1, 2, 3, 6)
+        return x * x + self.cross * x * y + y * y
 
     def rotation(self, order: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
         """Integer matrix of the minimal rotation of the given order.
@@ -54,17 +59,21 @@ class LatticeKind(Enum):
         Rows act on column vectors of lattice coordinates; each matrix
         preserves the lattice's norm form.
         """
-        if order not in self.rotation_orders:
-            raise IncompatibleRotation(f"order {order} does not act on {self.value} lattice")
-        if order == 1:
-            return ((1, 0), (0, 1))
-        if order == 2:
-            return ((-1, 0), (0, -1))
-        if self is LatticeKind.SQUARE:  # order 4: quarter turn
-            return ((0, -1), (1, 0))
-        if order == 6:  # sixth turn on the hexagonal lattice
-            return ((0, -1), (1, 1))
-        return ((-1, -1), (1, 0))  # order 3
+        _require_order(self, order)
+        c, (top, bottom) = self.cross, ((1, 0), (0, 1))
+        for _ in range(self.rotation_orders[-1] // order):  # left-multiply by (0, -1; 1, c)
+            top, bottom = (-bottom[0], -bottom[1]), (top[0] + c * bottom[0], top[1] + c * bottom[1])
+        return (top, bottom)
+
+
+def _coordinate_bound(lattice: LatticeKind, n: int) -> int:
+    """Bounds |x| and |y| over norm <= n: the form is (x + cy/2)^2 + (4 - c)y^2/4."""
+    return math.isqrt(4 * n // (4 - lattice.cross))
+
+
+def _require_order(lattice: LatticeKind, order: int):
+    if order not in lattice.rotation_orders:
+        raise IncompatibleRotation(f"order {order} does not act on {lattice.value} lattice")
 
 
 def _apply(m: Tuple[Tuple[int, int], Tuple[int, int]], v: Tuple[int, int]) -> Tuple[int, int]:
@@ -78,9 +87,7 @@ def norm_census(lattice: LatticeKind, max_norm: int) -> List[int]:
     """
     if max_norm < 0:
         raise ValueError(f"max_norm must be >= 0, got {max_norm}")
-    # both forms are >= 3y^2/4 (x^2 + xy + y^2 = (x + y/2)^2 + 3y^2/4), and
-    # symmetric in x and y, so |x|, |y| <= sqrt(4n/3) bounds the box
-    m = math.isqrt(4 * max_norm // 3)
+    m = _coordinate_bound(lattice, max_norm)
     r = np.arange(-m, m + 1, dtype=np.int64)
     v = lattice.norm(r[:, None], r[None, :])
     return np.bincount(v[v <= max_norm], minlength=max_norm + 1).tolist()
@@ -90,31 +97,15 @@ def vectors_with_norm(lattice: LatticeKind, n: int) -> List[Tuple[int, int]]:
     """All lattice vectors of norm exactly n, by per-coordinate solving."""
     if n < 0:
         raise ValueError(f"norm must be >= 0, got {n}")
-    if n == 0:
-        return [(0, 0)]
-    out = []
-    if lattice is LatticeKind.SQUARE:
-        m = math.isqrt(n)
-        for x in range(-m, m + 1):
-            rest = n - x * x
-            s = math.isqrt(rest)
-            if s * s == rest:
-                out.append((x, s))
-                if s != 0:
-                    out.append((x, -s))
-    else:
-        # solve y^2 + xy + (x^2 - n) = 0: y = (-x +- sqrt(4n - 3x^2)) / 2
-        m = math.isqrt(4 * n // 3)
-        for x in range(-m - 1, m + 2):
-            disc = 4 * n - 3 * x * x
-            if disc < 0:
-                continue
-            s = math.isqrt(disc)
-            if s * s != disc or (s - x) % 2 != 0:
-                continue
-            out.append((x, (-x + s) // 2))
+    c, m, out = lattice.cross, _coordinate_bound(lattice, n), []
+    # solve y^2 + cxy + (x^2 - n) = 0: y = (-cx +- sqrt(4n - (4 - c)x^2)) / 2
+    for x in range(-m, m + 1):
+        disc = 4 * n - (4 - c) * x * x
+        s = math.isqrt(disc)
+        if s * s == disc and (s - c * x) % 2 == 0:
+            out.append((x, (s - c * x) // 2))
             if s != 0:
-                out.append((x, (-x - s) // 2))
+                out.append((x, (-s - c * x) // 2))
     return sorted(out)
 
 
@@ -125,8 +116,7 @@ def orbit_multiplicity(lattice: LatticeKind, order: int, n: int) -> int:
     orbifold.  Off the origin the rotation acts freely, so the count is
     census(n)/k, exactly divisible.
     """
-    if order not in lattice.rotation_orders:
-        raise IncompatibleRotation(f"order {order} does not act on {lattice.value} lattice")
+    _require_order(lattice, order)
     return _quotient_mult(len(vectors_with_norm(lattice, n)), order, n)
 
 
@@ -141,8 +131,6 @@ def _quotient_mult(census: int, order: int, n: int) -> int:
 
 def orbit_multiplicity_oracle(lattice: LatticeKind, order: int, n: int) -> int:
     """Independent orbit count: explicit partition under repeated rotation."""
-    if order not in lattice.rotation_orders:
-        raise IncompatibleRotation(f"order {order} does not act on {lattice.value} lattice")
     rot = lattice.rotation(order)
     remaining = set(vectors_with_norm(lattice, n))
     orbits = 0

@@ -148,8 +148,8 @@ class EnumConfig:
             raise ValueError("max_word_length must be >= 1")
         if self.length_cutoff <= 0:
             raise ValueError("length_cutoff must be positive")
-        if self.dedup_tolerance <= 0:
-            raise ValueError("dedup_tolerance must be positive")
+        if not 0 < self.dedup_tolerance < math.inf:
+            raise ValueError(f"dedup_tolerance must be positive and finite, got {self.dedup_tolerance}")
 
 
 Mat4 = Tuple[float, float, float, float]
@@ -169,6 +169,18 @@ def _mul4(m: Mat4, n: Mat4) -> Mat4:
     a, b, c, d = m
     e, f, g, h = n
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _commute(m: Mat4, n: Mat4, tol: float) -> bool:
+    """||mn - nm|| <= tol * ||m|| * ||n|| in the Frobenius norm.
+
+    mn - nm = (x, y; z, -x) is formed without the products a*e and d*h
+    that cancel in it.
+    """
+    a, b, c, d = m
+    e, f, g, h = n
+    x, y, z = b * g - c * f, f * (a - d) - b * (e - h), c * (e - h) - g * (a - d)
+    return math.hypot(x, x, y, z) <= tol * math.hypot(*m) * math.hypot(*n)
 
 
 def necklace_walk(
@@ -226,9 +238,9 @@ def enumerate_geodesics(
 
     The imprimitivity index is detected by length ratios: nu = k when a
     previously seen primitive of length l/k (within tolerance) has
-    consistent determinant parity and the trace matches the power
-    relation |tr| = 2*cosh(k*l/2) (det +1) or 2*sinh(k*l/2) (det -1);
-    ties break toward the largest k.
+    consistent determinant parity and commutes with the word, so shares
+    its axis (commuting hyperbolic elements share their axis, and a k-th
+    root commutes with its power); ties break toward the largest k.
     """
     if not generators:
         raise EmptyGenerators("need at least one generator")
@@ -240,7 +252,7 @@ def enumerate_geodesics(
         letter_mats[i], letter_mats[-i] = (g.a, g.b, g.c, g.d), (inv.a, inv.b, inv.c, inv.d)
 
     seen_matrices = set()
-    records: List[Tuple[float, int, float, Tuple[int, ...]]] = []
+    records: List[Tuple[float, int, Tuple[int, ...], Mat4]] = []
     elliptic: List[Tuple[Tuple[int, ...], Mat4]] = []
     dropped = 0
 
@@ -269,41 +281,45 @@ def enumerate_geodesics(
         if length > config.length_cutoff + tol:
             continue
         det_sign = 1 if kind is IsometryClass.HYPERBOLIC else -1
-        records.append((length, det_sign, abs(a + d), word))
+        records.append((length, det_sign, word, (a, b, c, d)))
 
-    records.sort(key=lambda r: (r[0], r[1], r[3]))
+    records.sort(key=lambda r: r[:3])
     values = [Numeric(r[0]) for r in records]
     _, cluster = cluster_index(values, tol)
-    primitives: List[Tuple[float, int]] = []  # (length, det sign), ascending as records are
+    primitives: List[Tuple[float, int, Mat4]] = []  # (length, det sign, matrix), ascending
     least: Dict[Tuple[int, int, int], Numeric] = {}
     entries = []
 
-    def root_index(length: float, det_sign: int, trace_abs: float) -> int:
+    def root_index(length: float, det_sign: int, mat: Mat4) -> int:
         """The largest k > 1 with a primitive k-th root of this word, else 1."""
         k = int(length / max(records[0][0], tol) + 0.5)
         while k > 1:
             target = length / k
             # the primitives within tol of length/k are one run of the sorted lengths
-            lo = j = bisect_left(primitives, -tol, key=lambda pr: pr[0] - target)
-            if lo == len(primitives):
-                return 1  # all shorter than length/k - tol, and length/k grows as k falls
+            j = bisect_left(primitives, -tol, key=lambda pr: pr[0] - target)
+            shares_axis = False
             while j < len(primitives) and primitives[j][0] - target <= tol:
-                base_len, base_det = primitives[j]
-                if base_det**k == det_sign:
-                    cosh_or_sinh = math.cosh if det_sign > 0 else math.sinh
-                    expected = 2.0 * cosh_or_sinh(k * base_len / 2.0)
-                    if abs(trace_abs - expected) <= 1e-7 * max(1.0, expected):
+                _, base_det, base = primitives[j]
+                if _commute(mat, base, tol):
+                    if base_det**k == det_sign:
                         return k
+                    shares_axis = True
                 j += 1
-            # the next k whose window length/k +- tol can reach primitives[lo]
-            reach = primitives[lo][0] - tol
-            k = min(k - 1, int(length / reach) + 1) if reach > 0 else k - 1
+            if shares_axis:
+                k -= 1
+            elif j == len(primitives):
+                return 1  # length/k grows as k falls, and no primitive is left to reach
+            else:
+                # the window met only other axes: skip to the next k whose
+                # window length/k +- tol can reach primitives[j]
+                reach = primitives[j][0] - tol
+                k = min(k - 1, int(length / reach) + 1) if reach > 0 else k - 1
         return 1
 
-    for (length, det_sign, trace_abs, _word), value, idx in zip(records, values, cluster):
-        nu = root_index(length, det_sign, trace_abs)
+    for (length, det_sign, _word, mat), value, idx in zip(records, values, cluster):
+        nu = root_index(length, det_sign, mat)
         if nu == 1:
-            primitives.append((length, det_sign))
+            primitives.append((length, det_sign, mat))
         # records ascend in length, so a bucket's first word has its least length
         bucket_length = least.setdefault((idx, det_sign, nu), value)
         orientation = Orientation.PRESERVING if det_sign > 0 else Orientation.REVERSING

@@ -22,9 +22,10 @@ Generator document:
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
-from typing import IO, Any, Dict, List
+from typing import IO, Any, Callable, Dict, List
 
 from .hyperbolic import Isometry
 from .lengths import DEFAULT_TOLERANCE, Exact, LengthValue, Numeric, as_integer
@@ -34,6 +35,22 @@ from .spectrum import (
     LengthTwistSpectrum,
     Orientation,
 )
+
+
+def _document(parse: Callable) -> Callable:
+    """Report a document of the wrong shape (a missing key, a value of the
+    wrong type) as a ValueError, like any other malformed input."""
+
+    @functools.wraps(parse)
+    def checked(*args, **kwargs):
+        try:
+            return parse(*args, **kwargs)
+        except KeyError as exc:
+            raise ValueError(f"malformed document: missing key {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed document: {exc}") from None
+
+    return checked
 
 
 def length_to_json(l: LengthValue) -> Dict[str, Any]:
@@ -72,6 +89,7 @@ def spectrum_to_json(spec: LengthTwistSpectrum) -> Dict[str, Any]:
     }
 
 
+@_document
 def spectrum_from_json(
     doc: Dict[str, Any], tolerance: float = DEFAULT_TOLERANCE
 ) -> LengthTwistSpectrum:
@@ -98,6 +116,7 @@ def discrepancy_to_json(table: DiscrepancyTable) -> Dict[str, Any]:
     return {"horizon": length_to_json(table.horizon), "entries": rows}
 
 
+@_document
 def discrepancy_from_json(doc: Dict[str, Any]) -> DiscrepancyTable:
     a: Dict[LengthValue, int] = {}
     b: Dict[LengthValue, int] = {}
@@ -124,6 +143,7 @@ def dump_spectrum(spec: LengthTwistSpectrum, fp: IO[str]):
     dump_json(spectrum_to_json(spec), fp)
 
 
+@_document
 def load_generators(fp: IO[str]) -> List[Isometry]:
     doc = json.load(fp)
     if "generators" not in doc:

@@ -108,8 +108,8 @@ class LengthTwistSpectrum:
         horizon: LengthValue,
         tolerance: float = DEFAULT_TOLERANCE,
     ):
-        if tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
         merged: Dict[tuple, GeodesicEntry] = {}
         for e in entries:
             key = (e.length, e.orientation, e.nu)
@@ -384,35 +384,33 @@ def support_sets(table: DiscrepancyTable) -> Tuple[set, set]:
     integer multiple of something in L0.
     """
     support = _exact_support(table)
-    L = set(support)
-    L0 = set()
+
+    def multiple(l: Exact, m: Exact) -> bool:  # is l an integer multiple of m?
+        r = exact_ratio(l, m)
+        return r is not None and r.denominator == 1
+
+    L0 = {l for l in support if not any(m != l and multiple(l, m) for m in support)}
     for l in support:
-        minimal = True
-        for m in support:
-            if m is l or m == l:
-                continue
-            r = exact_ratio(l, m)
-            if r is not None and r.denominator == 1 and r > 1:
-                minimal = False
-                break
-        if minimal:
-            L0.add(l)
-    for l in L:
-        if not any(
-            (r := exact_ratio(l, m)) is not None and r.denominator == 1 for m in L0
-        ):
+        if not any(multiple(l, m) for m in L0):
             raise InvariantViolation(f"{l} not a multiple of any minimal length")
-    return L, L0
+    return set(support), L0
 
 
-def _integer_grid_point(l: LengthValue) -> Tuple[int, int]:
-    """(q, n) with l = n*log(q), n a positive integer; InexactLength otherwise."""
+def _minimal_grid_point(table: DiscrepancyTable, l: LengthValue) -> Tuple[int, set]:
+    """(n, L0) for l = n*log(q), n a positive integer, and L0 of support_sets.
+
+    InexactLength unless l is such a grid point; NotMinimal if l is in the
+    support above another support length.
+    """
     if not isinstance(l, Exact):
         raise InexactLength(f"{l} is not an exact length")
     n = l.integer_mult()
     if n is None:
         raise InexactLength(f"{l} is not an integer multiple of log({l.base})")
-    return l.base, n
+    L, L0 = support_sets(table)
+    if l in L and l not in L0:
+        raise NotMinimal(f"{l} is not minimal in the support")
+    return n, L0
 
 
 def lemma1_residual(table: DiscrepancyTable, l: LengthValue) -> Fraction:
@@ -426,10 +424,7 @@ def lemma1_residual(table: DiscrepancyTable, l: LengthValue) -> Fraction:
     are rejected, since cancellation of imprimitive mass is not given
     there.
     """
-    _integer_grid_point(l)
-    L, l0_set = support_sets(table)
-    if l in L and l not in l0_set:
-        raise NotMinimal(f"{l} is not minimal in the support")
+    _minimal_grid_point(table, l)
     t = tanh_half(l)
     return Fraction(table.a_at(l)) - t * Fraction(table.b_at(l))
 
@@ -453,24 +448,13 @@ def odd_prime_multiples(l: LengthValue, l1: LengthValue, bound: int) -> set:
     if r.denominator == 1:
         raise RatioIsInteger(f"{l} = {r} * {l1}")
     v = r.denominator
-    if v % 2 == 1 and v <= bound and _is_prime(v):
+    if v <= bound and _is_odd_prime(v):
         return {v}
     return set()
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+def _is_odd_prime(n: int) -> bool:
+    return n > 2 and n % 2 == 1 and all(n % f for f in range(3, math.isqrt(n) + 1, 2))
 
 
 @dataclass(frozen=True)
@@ -497,25 +481,20 @@ def forced_growth(table: DiscrepancyTable, l: LengthValue, p: int) -> ForcedGrow
     without full matching demands unboundedly many equal-length
     geodesics.
     """
-    if p < 3 or p % 2 == 0 or not _is_prime(p):
+    if not _is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    q, n = _integer_grid_point(l)
-    L, l0_set = support_sets(table)
-    if l in L and l not in l0_set:
-        raise NotMinimal(f"{l} is not minimal in the support")
-    for other in l0_set:
-        if other == l:
-            continue
+    n, l0_set = _minimal_grid_point(table, l)
+    for other in l0_set - {l}:
         if odd_prime_multiples(l, other, p) == {p}:
             raise PrimeCollision(f"p={p}: p*l is also a multiple of {other}")
-    pl = Exact(q, p * n)
+    pl = l.scaled(p)
     if not length_le(pl, table.horizon):
         raise QueryBeyondHorizon(f"p*l = {pl} exceeds table horizon {table.horizon}")
     t = tanh_half(pl)
     residue = Fraction(table.b_at(pl) - table.a_at(pl))
     numerator = Fraction(1, p) * (t * table.b_at(l) - table.a_at(l)) + residue
     value = numerator / (1 - t)
-    return ForcedGrowth(value=value, bound=Fraction(q ** (p * n), 2 * p))
+    return ForcedGrowth(value=value, bound=Fraction(l.base ** (p * n), 2 * p))
 
 
 class CountingFunction:

@@ -209,6 +209,7 @@ def test_fractional_nu_is_usage_error(tmp_path, capsys):
             ["dirichlet", "--sigma", "1.5"],
             "error: integer division result too large for a float",
         ),
+        ({"q": 2}, ["weights"], "error: malformed document: missing key 'num'"),
     ],
 )
 def test_bad_exact_length_is_usage_error(tmp_path, capsys, length, command, message):
@@ -223,6 +224,70 @@ def test_bad_exact_length_is_usage_error(tmp_path, capsys, length, command, mess
     capsys.readouterr()
     assert main(command + ["--spectrum", str(path)]) == 2
     assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [{"length": 5, "orientation": "preserving"}],
+        [{"orientation": "preserving"}],
+        {"a": 1},
+        [{"length": {"numeric": None}, "orientation": "preserving"}],
+    ],
+    ids=["length-not-an-object", "no-length", "entries-not-a-list", "numeric-null"],
+)
+def test_malformed_document_is_usage_error(tmp_path, capsys, entries):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"horizon": {"numeric": 5.0}, "entries": entries}))
+    capsys.readouterr()
+    assert main(["weights", "--spectrum", str(path)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: malformed document: ")
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["weights", "--epsilon", "inf"], "error: tolerance must be positive and finite, got inf"),
+        (["weights", "--epsilon", "nan"], "error: tolerance must be positive and finite, got nan"),
+        (
+            ["enumerate", "--epsilon", "inf"],
+            "error: dedup_tolerance must be positive and finite, got inf",
+        ),
+    ],
+)
+def test_non_finite_epsilon_is_usage_error(tmp_path, capsys, command, message):
+    spec = tmp_path / "spec.json"
+    with open(spec, "w") as fp:
+        entries = [GeodesicEntry(Numeric(l), Orientation.PRESERVING) for l in (1.0, 3.0)]
+        dump_spectrum(LengthTwistSpectrum(entries, Numeric(5.0)), fp)
+    gens = tmp_path / "gens.json"
+    with open(gens, "w") as fp:
+        dump_generators([Isometry(2.0, 1.0, 1.0, 1.0)], fp)
+    inputs = ["--spectrum", str(spec)] if command[0] == "weights" else ["--generators", str(gens)]
+    capsys.readouterr()
+    assert main(command + inputs) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("l", [1e-160, 1e-170, 1e-300])
+def test_dirichlet_tiny_numeric_length(tmp_path, capsys, l):
+    # (cosh l - 1)/cosh l underflows below l ~ 1e-154; the series term does not
+    path = tmp_path / "tiny.json"
+    entry = GeodesicEntry(Numeric(l), Orientation.PRESERVING)
+    with open(path, "w") as fp:
+        dump_spectrum(LengthTwistSpectrum([entry], Numeric(1.0)), fp)
+    capsys.readouterr()
+    assert main(["dirichlet", "--spectrum", str(path), "--sigma", "2.0", "--t", "1.0"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = dict(line.split(": ") for line in out.splitlines()[1:])
+    got = complex(float(lines["real"]), float(lines["imag"]))
+    with mpmath.workdps(700):
+        x = mpmath.mpf(l)
+        c = mpmath.cosh(x)
+        ref = complex(x * mpmath.sqrt(c / (c - 1)) * mpmath.power(c, -mpmath.mpc(2.0, 1.0)))
+    assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("nums", [[2000], [1, 2000]])

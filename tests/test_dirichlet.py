@@ -57,12 +57,15 @@ def test_q_factor_ratio_is_tanh():
         assert ratio == pytest.approx(math.tanh(l / 2.0), abs=1e-12)
 
 
-# lengths spread evenly in magnitude over [1e-12, 1e4]
-LENGTHS = st.floats(-12.0, 4.0).map(lambda x: 10.0**x)
+# lengths spread evenly in magnitude over [1e-300, 1e4]
+LENGTHS = st.floats(-300.0, 4.0).map(lambda x: 10.0**x)
 
 
 @settings(max_examples=300, deadline=None)
 @given(LENGTHS)
+@example(1e-300)
+@example(1e-170)
+@example(1e-160)
 @example(1e-12)
 @example(1.5e-8)
 @example(710.0)
@@ -83,6 +86,9 @@ def _reference_term(l, s):
 
 @settings(max_examples=300, deadline=None)
 @given(LENGTHS, st.floats(1.5, 3.0), st.floats(-8.0, 8.0))
+@example(1e-300, 2.0, 1.0)
+@example(1e-170, 1.5, 0.0)
+@example(1e-160, 2.0, 0.0)
 @example(1e-12, 2.0, 0.0)
 @example(1.5e-8, 2.0, 5.0)
 @example(400.0, 1.5, 8.0)

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import mpmath
 import pytest
@@ -142,6 +143,48 @@ def test_enumerate_glide_with_small_trace(trace):
     res = enumerate_geodesics([g], EnumConfig(3, 4.0))
     primitive = [e.length.approx() for e in res.spectrum.entries if e.nu == 1]
     assert primitive and all(l == pytest.approx(abs(g.trace()), rel=1e-12) for l in primitive)
+
+
+def test_enumerate_short_glide_is_no_root_of_other_axes():
+    # a glide of length 1e-8 divides every length to within the tolerance,
+    # but no word off its axis is a power of it
+    t = 1e-8
+    x = (t + math.sqrt(t**2 + 4)) / 2
+    gens = [Isometry.diag(x, -1 / x), Isometry(2.0, 1.0, 1.0, 1.0)]
+    res = enumerate_geodesics(gens, EnumConfig(3, 4.0))
+    imprimitive = [(e.length.approx(), e.nu) for e in res.spectrum.entries if e.nu > 1]
+    m = translation_length(gens[1])
+    assert imprimitive == [(pytest.approx(3 * t, rel=1e-6), 3), (pytest.approx(2 * m), 2)]
+
+
+def test_enumerate_conjugate_of_a_square_is_primitive():
+    # h P^2 h^-1 has the length of P^2 on another axis: P^+-2 have nu 2, h P^+-2 h^-1 nu 1
+    p = Isometry.diag(3.0, 1 / 3.0)
+    h = Isometry(2.0, 1.0, 1.0, 1.0)
+    res = enumerate_geodesics([p, conjugate(p.power(2), h)], EnumConfig(3, 5.0))
+    at = [(e.nu, e.multiplicity) for e in res.spectrum.entries if e.length.approx() > 4.0]
+    assert at == [(1, 2), (2, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1.2, 4.0), st.sampled_from([1.0, -1.0]), st.integers(2, 6), st.integers(0, 2**32))
+def test_enumerate_root_shares_the_axis(lam, sign, k, seed):
+    # P^k is a k-th power; the generator h P^k h^-1 has its length but not its axis
+    rng = random.Random(seed)
+
+    def h():  # conditioned well enough that the products keep |det| = 1
+        s = rng.uniform(1.0, 2.0)
+        return rotation(rng.uniform(0, math.pi)) @ Isometry.diag(s, 1 / s) @ rotation(rng.uniform(0, math.pi))
+
+    p = conjugate(Isometry.diag(lam, sign / lam), h())
+    w = conjugate(p.power(k), h())
+    l = translation_length(p)
+    res = enumerate_geodesics([p, w], EnumConfig(k, k * l + 0.5))
+    at = Counter()
+    for e in res.spectrum.entries:
+        if abs(e.length.approx() - k * l) <= 1e-6:
+            at[e.nu] += e.multiplicity
+    assert at[k] == 2 and at[1] >= 2
 
 
 def test_enumerate_single_generator():
