@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -308,9 +309,11 @@ def _add_output_flags(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
+_parser = functools.cache(build_parser)  # built on the first call of main, then reused
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (IsogeoError, OSError, ValueError, OverflowError, ZeroDivisionError) as exc:

@@ -26,7 +26,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .spectrum import LengthTwistSpectrum, weight, weight_function
+from .spectrum import LengthTwistSpectrum, weight_function
 
 ORTHOGONALITY_TOLERANCE = 1e-12
 
@@ -154,8 +154,8 @@ def dirichlet_partial_sum(
     z = _as_complex(s)
     _warn_if_diverging(z)
     acc = 0j
-    for e in spec.entries:
-        acc += _weighted_term(e.multiplicity, weight(e), e.length.approx(), z)
+    for m, w, x in zip(spec.multiplicity, spec.weights, spec.approx.tolist()):
+        acc += _weighted_term(m, w, x, z)
     return acc
 
 

@@ -25,16 +25,19 @@ from __future__ import annotations
 import functools
 import json
 from fractions import Fraction
-from typing import IO, Any, Callable, Dict, List
+from typing import IO, Any, Callable, Dict, List, Tuple
 
 from .hyperbolic import Isometry
-from .lengths import DEFAULT_TOLERANCE, Exact, LengthValue, Numeric, as_integer
+from .lengths import DEFAULT_TOLERANCE, Exact, LengthValue, Numeric, as_integer, positive_length
 from .spectrum import (
+    ORIENTATIONS,
     DiscrepancyTable,
-    GeodesicEntry,
     LengthTwistSpectrum,
     Orientation,
+    entry_counts,
 )
+
+_REVERSING = {o.value: o is Orientation.REVERSING for o in Orientation}
 
 
 def _document(parse: Callable) -> Callable:
@@ -64,14 +67,24 @@ def length_cell(l: LengthValue) -> str:
     return json.dumps(length_to_json(l), sort_keys=True)
 
 
-def length_from_json(doc: Dict[str, Any]) -> LengthValue:
+def _length_column(doc: Dict[str, Any]) -> Tuple[float, Exact | None]:
+    """A length document as (float length, Exact length or None)."""
     if "exact" in doc:
         e = doc["exact"]
         num, den = as_integer(e["num"], "num"), as_integer(e.get("den", 1), "den")
-        return Exact(e["q"], Fraction(num, den))
+        l = Exact(e["q"], Fraction(num, den))
+        return l.approx(), l
     if "numeric" in doc:
-        return Numeric(float(doc["numeric"]))
+        v = doc["numeric"]
+        if isinstance(v, bool):
+            raise ValueError(f"numeric must be a number, got {v!r}")
+        return positive_length(float(v)), None
     raise ValueError(f"length must have an 'exact' or 'numeric' key, got {doc}")
+
+
+def length_from_json(doc: Dict[str, Any]) -> LengthValue:
+    x, l = _length_column(doc)
+    return l or Numeric(x)
 
 
 def spectrum_to_json(spec: LengthTwistSpectrum) -> Dict[str, Any]:
@@ -79,12 +92,13 @@ def spectrum_to_json(spec: LengthTwistSpectrum) -> Dict[str, Any]:
         "horizon": length_to_json(spec.horizon),
         "entries": [
             {
-                "length": length_to_json(e.length),
-                "orientation": e.orientation.value,
-                "nu": e.nu,
-                "multiplicity": e.multiplicity,
+                "length": {"numeric": x} if l is None else length_to_json(l),
+                "orientation": ORIENTATIONS[r].value,
+                "nu": nu,
+                "multiplicity": m,
             }
-            for e in spec.entries
+            for x, l, r, nu, m in zip(spec.approx.tolist(), spec.exact, spec.reversing.tolist(),
+                                      spec.nu, spec.multiplicity)
         ],
     }
 
@@ -95,16 +109,16 @@ def spectrum_from_json(
 ) -> LengthTwistSpectrum:
     if "horizon" not in doc or "entries" not in doc:
         raise ValueError("spectrum document needs 'horizon' and 'entries'")
-    entries = [
-        GeodesicEntry(
-            length=length_from_json(e["length"]),
-            orientation=Orientation(e["orientation"]),
-            nu=e.get("nu", 1),
-            multiplicity=e.get("multiplicity", 1),
-        )
-        for e in doc["entries"]
-    ]
-    return LengthTwistSpectrum(entries, length_from_json(doc["horizon"]), tolerance)
+    rows = []
+    for e in doc["entries"]:
+        x, l = _length_column(e["length"])
+        o = e["orientation"]
+        reversing = _REVERSING.get(o) if type(o) is str else None
+        if reversing is None:  # not a plain orientation name: let Orientation say why
+            reversing = Orientation(o) is Orientation.REVERSING
+        rows.append((x, l, reversing, *entry_counts(e.get("nu", 1), e.get("multiplicity", 1))))
+    columns = tuple(zip(*rows)) or ((),) * 5
+    return LengthTwistSpectrum.from_columns(columns, length_from_json(doc["horizon"]), tolerance)
 
 
 def discrepancy_to_json(table: DiscrepancyTable) -> Dict[str, Any]:
@@ -135,8 +149,7 @@ def load_spectrum(fp: IO[str], tolerance: float = DEFAULT_TOLERANCE) -> LengthTw
 
 def dump_json(doc: Any, fp: IO[str]):
     """Canonical machine output: sorted keys, no spaces, one final newline."""
-    json.dump(doc, fp, sort_keys=True, separators=(",", ":"))
-    fp.write("\n")
+    fp.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def dump_spectrum(spec: LengthTwistSpectrum, fp: IO[str]):

@@ -21,16 +21,19 @@ from fractions import Fraction
 from numbers import Integral
 from typing import Iterable, List, Sequence, Tuple, Union
 
+import numpy as np
+
 DEFAULT_TOLERANCE = 1e-9
 
 RationalLike = Union[int, str, Fraction]
 
 
 def as_integer(v, name: str) -> int:
-    """``v`` as an int: integral floats convert, anything else raises ValueError."""
+    """``v`` as an int: integral floats convert, anything else (a bool
+    included: JSON's true is no count) raises ValueError."""
     if type(v) is int:
         return v
-    if isinstance(v, Integral) or isinstance(v, float) and v.is_integer():
+    if isinstance(v, Integral) and not isinstance(v, bool) or isinstance(v, float) and v.is_integer():
         return int(v)
     raise ValueError(f"{name} must be an integer, got {v!r}")
 
@@ -105,16 +108,21 @@ class Numeric:
     value: float
 
     def __init__(self, value: float):
-        v = float(value)
-        if not math.isfinite(v) or v <= 0:
-            raise ValueError(f"numeric length must be positive and finite, got {value}")
-        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", positive_length(value))
 
     def approx(self) -> float:
         return self.value
 
     def __str__(self) -> str:
         return repr(self.value)
+
+
+def positive_length(value) -> float:
+    """``value`` as the float of a Numeric length; ValueError unless positive and finite."""
+    v = float(value)
+    if not math.isfinite(v) or v <= 0:
+        raise ValueError(f"numeric length must be positive and finite, got {value}")
+    return v
 
 
 LengthValue = Union[Exact, Numeric]
@@ -148,20 +156,79 @@ def integer_ratio(a: LengthValue, b: LengthValue) -> int | None:
     return None
 
 
-def tanh_half(l: LengthValue) -> Fraction | float:
+def tanh_half(l: LengthValue | float) -> Fraction | float:
     """tanh(l/2); exact (q**n - 1)/(q**n + 1) when l = n*log(q), n integer."""
     if isinstance(l, Exact):
         n = l.integer_mult()
         if n is not None:
             qn = l.base**n
             return Fraction(qn - 1, qn + 1)
-    return math.tanh(l.approx() / 2.0)
+    return math.tanh((l if isinstance(l, float) else l.approx()) / 2.0)
 
 
-def _sort_key(l: LengthValue) -> tuple:
-    if isinstance(l, Exact):
-        return (l.approx(), 0, l.base, l.mult)
-    return (l.approx(), 1, 0, l.value)
+def sorted_order(x: np.ndarray, lengths: Sequence[LengthValue | None], *keys: Sequence) -> np.ndarray:
+    """Stable argsort of the float column x of the given lengths (None for a
+    numeric one).  Equal floats put exact lengths first, by base and then
+    multiplier, then the given keys decide; only ties reach Python."""
+    order = np.argsort(x, kind="stable")
+
+    def tiebreak(i: int) -> tuple:
+        l = lengths[i]
+        return ((0, l.base, l.mult) if isinstance(l, Exact) else (1, 0, 0), *(k[i] for k in keys))
+
+    xs = x[order]
+    tied = np.flatnonzero(xs[1:] == xs[:-1])  # xs[i] == xs[i + 1]
+    if len(tied):
+        breaks = np.flatnonzero(np.diff(tied) > 1)
+        starts = np.concatenate((tied[:1], tied[breaks + 1]))
+        ends = np.concatenate((tied[breaks], tied[-1:])) + 2
+        for lo, hi in zip(starts.tolist(), ends.tolist()):
+            order[lo:hi] = sorted(order[lo:hi].tolist(), key=tiebreak)
+    return order
+
+
+def cluster_ids(x: np.ndarray, tol: float) -> np.ndarray:
+    """The length cluster of each value of an ascending float column: a new
+    cluster starts wherever the gap to the previous value exceeds tol
+    (union-find with links between tol-close neighbours, as a sorted sweep)."""
+    ids = np.zeros(len(x), dtype=np.int64)
+    np.cumsum(np.diff(x) > tol, out=ids[1:])
+    return ids
+
+
+class Clusters:
+    """Length clusters over sorted float columns, each given with its Exact
+    lengths (None for a numeric one): the columns are merged by a stable
+    argsort and split by :func:`cluster_ids`.  ``ids[k]`` holds the cluster
+    of each value of column k; ``starts``, ``lo`` and ``hi`` the first
+    merged position and the least and greatest value of each cluster."""
+
+    def __init__(self, columns: Sequence[Tuple[np.ndarray, Sequence[Exact | None]]], tol: float):
+        x = np.concatenate([c[0] for c in columns])
+        order = np.argsort(x, kind="stable")
+        merged = cluster_ids(x[order], tol)
+        ids = np.empty_like(merged)
+        ids[order] = merged
+        bounds = np.cumsum([0] + [len(c[0]) for c in columns]).tolist()
+        self.ids = [ids[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        self.size = int(merged[-1]) + 1 if len(merged) else 0
+        self.starts = np.flatnonzero(np.diff(merged, prepend=-1)).tolist()
+        last = np.flatnonzero(np.diff(merged, append=self.size))  # last merged position of each
+        self.lo, self.hi = x[order[self.starts]].tolist(), x[order[last]].tolist()
+        self._exact: dict = {}  # each cluster's least Exact length
+        for (_, exact), side in zip(columns, self.ids):
+            for c, l in zip(side.tolist(), exact):
+                if l is not None and (c not in self._exact or _key(l) < _key(self._exact[c])):
+                    self._exact[c] = l
+
+    def rep(self, c: int) -> LengthValue:
+        """The representative of cluster c: its least Exact length, else its least length."""
+        l = self._exact.get(c)
+        return l if l is not None else Numeric(self.lo[c])
+
+
+def _key(l: Exact) -> tuple:
+    return (l.approx(), l.base, l.mult)
 
 
 def cluster_index(
@@ -169,23 +236,19 @@ def cluster_index(
 ) -> Tuple[List[List[LengthValue]], List[int]]:
     """Group length values whose chained gaps are within tol.
 
-    Deterministic sorted sweep: values are ordered by magnitude and a new
-    cluster starts whenever the gap to the previous value exceeds tol
-    (equivalent to union-find with links between eps-close neighbours).
-    Returns the clusters in ascending order and, for each input value, the
-    position of its cluster: ``values[i]`` is in ``clusters[index[i]]``.
+    Values are ordered by magnitude (exact before numeric on a tie) and
+    split by :func:`cluster_ids`.  Returns the clusters in ascending order
+    and, for each input value, the position of its cluster:
+    ``values[i]`` is in ``clusters[index[i]]``.
     """
-    keys = [_sort_key(v) for v in values]
-    clusters: List[List[LengthValue]] = []
-    index = [0] * len(keys)
-    prev: float | None = None
-    for i in sorted(range(len(keys)), key=keys.__getitem__):
-        x = keys[i][0]
-        if prev is None or x - prev > tol:
-            clusters.append([])
-        clusters[-1].append(values[i])
-        index[i] = len(clusters) - 1
-        prev = x
+    x = np.array([v.approx() for v in values], dtype=float)
+    order = sorted_order(x, values)
+    ids = cluster_ids(x[order], tol).tolist()
+    clusters: List[List[LengthValue]] = [[] for _ in range(ids[-1] + 1 if ids else 0)]
+    index = [0] * len(values)
+    for i, c in zip(order.tolist(), ids):
+        clusters[c].append(values[i])
+        index[i] = c
     return clusters, index
 
 

@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Iterable, List, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from .errors import (
     HorizonMismatch,
@@ -39,14 +41,15 @@ from .errors import (
 )
 from .lengths import (
     DEFAULT_TOLERANCE,
+    Clusters,
     Exact,
     LengthValue,
+    Numeric,
     as_integer,
-    cluster_index,
     exact_ratio,
     length_le,
     lengths_equal,
-    representative,
+    sorted_order,
     tanh_half,
 )
 
@@ -59,6 +62,21 @@ class Orientation(str, Enum):
         return self.value
 
 
+ORIENTATIONS = (Orientation.PRESERVING, Orientation.REVERSING)  # by reversing flag
+_rational = lru_cache(maxsize=256)(Fraction)  # exact W values repeat: 0, m/nu, ...
+
+
+def entry_counts(nu, multiplicity) -> Tuple[int, int]:
+    """(nu, multiplicity) as ints >= 1 (integral floats convert); ValueError otherwise."""
+    if type(nu) is not int or type(multiplicity) is not int:
+        nu, multiplicity = as_integer(nu, "nu"), as_integer(multiplicity, "multiplicity")
+    if nu < 1:
+        raise ValueError(f"imprimitivity index must be >= 1, got {nu}")
+    if multiplicity < 1:
+        raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
+    return nu, multiplicity
+
+
 @dataclass(frozen=True)
 class GeodesicEntry:
     """One oriented closed geodesic type."""
@@ -69,80 +87,84 @@ class GeodesicEntry:
     multiplicity: int = 1
 
     def __post_init__(self):
-        if type(self.nu) is not int or type(self.multiplicity) is not int:
-            for name in ("nu", "multiplicity"):
-                object.__setattr__(self, name, as_integer(getattr(self, name), name))
-        if self.nu < 1:
-            raise ValueError(f"imprimitivity index must be >= 1, got {self.nu}")
-        if self.multiplicity < 1:
-            raise ValueError(f"multiplicity must be >= 1, got {self.multiplicity}")
+        nu, multiplicity = entry_counts(self.nu, self.multiplicity)
+        if nu is not self.nu or multiplicity is not self.multiplicity:
+            object.__setattr__(self, "nu", nu)
+            object.__setattr__(self, "multiplicity", multiplicity)
 
     def is_primitive(self) -> bool:
         return self.nu == 1
-
-
-def _entry_sort_key(e: GeodesicEntry) -> tuple:
-    exact = isinstance(e.length, Exact)
-    return (
-        e.length.approx(),
-        0 if exact else 1,
-        (e.length.base, e.length.mult) if exact else (0, e.length.value),
-        e.orientation.value,
-        e.nu,
-    )
 
 
 class LengthTwistSpectrum:
     """Finite multiset of geodesic types truncated at a horizon.
 
     Entries sharing identical (length, orientation, nu) are aggregated at
-    construction; entry order is canonical (ascending length, preserving
-    before reversing, ascending nu), so equality is structural.
+    construction and held as columns in canonical order (ascending length,
+    exact first on a tie, preserving before reversing, ascending nu):
+    ``approx`` (float64), ``exact`` (Exact or None), ``reversing`` (int8),
+    ``nu`` and ``multiplicity`` (ints); ``entries`` is a tuple view of them.
     """
 
-    __slots__ = ("entries", "horizon", "tolerance")
+    def __init__(self, entries: Iterable[GeodesicEntry], horizon: LengthValue,
+                 tolerance: float = DEFAULT_TOLERANCE):
+        entries = list(entries)
+        lengths = [e.length for e in entries]
+        self._build([l.approx() for l in lengths], [l if isinstance(l, Exact) else None for l in lengths],
+                    [e.orientation is Orientation.REVERSING for e in entries], [e.nu for e in entries],
+                    [e.multiplicity for e in entries], horizon, tolerance, entries)
 
-    def __init__(
-        self,
-        entries: Iterable[GeodesicEntry],
-        horizon: LengthValue,
-        tolerance: float = DEFAULT_TOLERANCE,
-    ):
+    @classmethod
+    def from_columns(cls, columns: Sequence[Sequence], horizon: LengthValue,
+                     tolerance: float = DEFAULT_TOLERANCE) -> "LengthTwistSpectrum":
+        """From columns (approx, exact, reversing, nu, multiplicity) in any order."""
+        spec = cls.__new__(cls)
+        spec._build(*columns, horizon, tolerance, None)
+        return spec
+
+    def _build(self, approx, exact, reversing, nu, mult, horizon, tolerance, entries):
         if not 0 < tolerance < math.inf:
             raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
-        merged: Dict[tuple, GeodesicEntry] = {}
-        for e in entries:
-            key = (e.length, e.orientation, e.nu)
-            prior = merged.get(key)
-            if prior is None:
-                merged[key] = e
-            else:
-                merged[key] = GeodesicEntry(
-                    e.length, e.orientation, e.nu, prior.multiplicity + e.multiplicity
-                )
-        canonical = tuple(sorted(merged.values(), key=_entry_sort_key))
-        for e in canonical:
-            if not length_le(e.length, horizon, tolerance):
-                raise ValueError(f"entry length {e.length} exceeds horizon {horizon}")
-        self.entries = canonical
-        self.horizon = horizon
-        self.tolerance = tolerance
+        x, rev = np.asarray(approx, dtype=float), np.asarray(reversing, dtype=np.int8)
+        order = sorted_order(x, exact, rev, nu)
+        xs, rs, order = x[order], rev[order], order.tolist()
+        mult, first = [mult[i] for i in order], list(range(len(order)))
+        # copies of one (length, orientation, nu) sort side by side: fold each into the first
+        for j in np.flatnonzero((xs[1:] == xs[:-1]) & (rs[1:] == rs[:-1])).tolist():
+            if nu[order[j]] == nu[order[j + 1]] and exact[order[j]] == exact[order[j + 1]]:
+                first[j + 1] = first[j]
+                mult[first[j]] += mult[j + 1]
+        keep = [j for j, f in enumerate(first) if f == j]
+        self.approx, self.reversing = xs[keep], rs[keep]
+        self.exact, self.nu = [exact[order[j]] for j in keep], [nu[order[j]] for j in keep]
+        self.multiplicity, self.horizon, self.tolerance = [mult[j] for j in keep], horizon, tolerance
+        # lengths below the horizon's float are within it; the top run needs length_le
+        for i in range(int(np.searchsorted(self.approx, horizon.approx())), len(keep)):
+            l = self.exact[i] or Numeric(float(self.approx[i]))
+            if not length_le(l, horizon, tolerance):
+                raise ValueError(f"entry length {l} exceeds horizon {horizon}")
+        if entries is not None:  # reuse the given entries; a merged one is new
+            view = zip((entries[order[j]] for j in keep), self.multiplicity)
+            self.entries = tuple(e if e.multiplicity == m else
+                                 GeodesicEntry(e.length, e.orientation, e.nu, m) for e, m in view)
+
+    @cached_property
+    def entries(self) -> Tuple[GeodesicEntry, ...]:
+        columns = zip(self.approx.tolist(), self.exact, self.reversing.tolist(), self.nu, self.multiplicity)
+        return tuple(GeodesicEntry(l or Numeric(x), ORIENTATIONS[r], n, m) for x, l, r, n, m in columns)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LengthTwistSpectrum)
-            and self.entries == other.entries
-            and self.horizon == other.horizon
-        )
+        return (isinstance(other, LengthTwistSpectrum)
+                and (self.entries, self.horizon) == (other.entries, other.horizon))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.approx)
 
     def __repr__(self) -> str:
-        return f"LengthTwistSpectrum({len(self.entries)} types, horizon={self.horizon})"
+        return f"LengthTwistSpectrum({len(self)} types, horizon={self.horizon})"
 
     def total_multiplicity(self) -> int:
-        return sum(e.multiplicity for e in self.entries)
+        return sum(self.multiplicity)
 
     def primitives(self) -> Tuple[GeodesicEntry, ...]:
         return tuple(e for e in self.entries if e.is_primitive())
@@ -151,6 +173,22 @@ class LengthTwistSpectrum:
         """Disjoint union (models a disconnected surface); horizons must agree."""
         tol = _require_common_horizon(self, other)
         return LengthTwistSpectrum(self.entries + other.entries, self.horizon, tol)
+
+    @cached_property
+    def weights(self) -> List[Fraction | float]:
+        """The :func:`weight` of every entry, in entry order."""
+        units = {n: Fraction(1, n) for n in set(self.nu)}
+        return [_weight(r, units[n], l or x) if r else units[n] for x, l, r, n in
+                zip(self.approx.tolist(), self.exact, self.reversing.tolist(), self.nu)]
+
+    @cached_property
+    def clusters(self) -> Clusters:
+        return Clusters([(self.approx, self.exact)], self.tolerance)
+
+    @cached_property
+    def cluster_weights(self) -> List[Fraction | float]:
+        """W of each of the spectrum's own length clusters."""
+        return _weight_sums(self, self.clusters.ids[0], self.clusters.size)
 
 
 def validate_surface(spec: LengthTwistSpectrum) -> List[str]:
@@ -171,43 +209,47 @@ def validate_surface(spec: LengthTwistSpectrum) -> List[str]:
     return problems
 
 
+def _weight(reversing: bool, unit: Fraction, length: LengthValue | float) -> Fraction | float:
+    if not reversing:
+        return unit
+    t = tanh_half(length)
+    return unit * t if isinstance(t, Fraction) else t / unit.denominator
+
+
 def weight(entry: GeodesicEntry) -> Fraction | float:
     """Per-geodesic weight: 1/nu, damped by tanh(l/2) for reversing types.
 
     Exact rational whenever the damping factor is exactly representable
     (length an integer multiple of log q); float otherwise.
     """
-    if entry.orientation is Orientation.PRESERVING:
-        return Fraction(1, entry.nu)
-    t = tanh_half(entry.length)
-    if isinstance(t, Fraction):
-        return Fraction(1, entry.nu) * t
-    return t / entry.nu
+    return _weight(entry.orientation is Orientation.REVERSING, Fraction(1, entry.nu), entry.length)
+
+
+def _weight_sums(spec: LengthTwistSpectrum, ids: np.ndarray, size: int) -> List[Fraction | float]:
+    """W of each of size clusters, adding multiplicity * weight in entry order as
+    Fraction/float promotion does: exact terms sum as an integer rational up to
+    the first float term, and each later exact term adds as its rounded value."""
+    num, den, flo = [0] * size, [1] * size, [None] * size
+    for c, m, w in zip(ids.tolist(), spec.multiplicity, spec.weights):
+        if type(w) is float:
+            flo[c] = (num[c] / den[c] if flo[c] is None else flo[c]) + m * w
+        elif flo[c] is None:
+            q, g = den[c], math.gcd(den[c], w.denominator)
+            num[c] = num[c] * (w.denominator // g) + m * w.numerator * (q // g)
+            den[c] = q // g * w.denominator
+        else:
+            flo[c] += m * w.numerator / w.denominator
+    return [_rational(p, q) if f is None else f for p, q, f in zip(num, den, flo)]
 
 
 def total_weight(spec: LengthTwistSpectrum, l: LengthValue) -> Fraction | float:
     """W(l) as in :func:`weight_function`: the W of the first length cluster
-    whose span, widened by the tolerance on each side, contains l; 0 if none.
-    """
+    whose span, widened by the tolerance on each side, contains l; 0 if none."""
     if not length_le(l, spec.horizon, spec.tolerance):
         raise QueryBeyondHorizon(f"query {l} exceeds horizon {spec.horizon}")
-    entries, tol, x = spec.entries, spec.tolerance, l.approx()
-
-    def at(k: int) -> float:
-        return entries[k].length.approx()
-
-    # the first entry whose cluster's widened span reaches up to x
-    j = bisect_left(range(len(entries)), x, key=lambda k: at(k) + tol)
-    if j == len(entries):
-        return Fraction(0)
-    lo, hi = j, j + 1
-    while lo > 0 and at(lo) - at(lo - 1) <= tol:
-        lo -= 1
-    while hi < len(entries) and at(hi) - at(hi - 1) <= tol:
-        hi += 1
-    if at(lo) - tol > x:
-        return Fraction(0)
-    return sum((e.multiplicity * weight(e) for e in entries[lo:hi]), Fraction(0))
+    clusters, tol, x = spec.clusters, spec.tolerance, l.approx()
+    c = bisect_left(clusters.hi, x, key=lambda hi: hi + tol)
+    return Fraction(0) if c == clusters.size or clusters.lo[c] - tol > x else spec.cluster_weights[c]
 
 
 def _require_common_horizon(a: LengthTwistSpectrum, b: LengthTwistSpectrum) -> float:
@@ -217,14 +259,6 @@ def _require_common_horizon(a: LengthTwistSpectrum, b: LengthTwistSpectrum) -> f
     return tol
 
 
-def _weight_sums(placed: Iterable[Tuple[GeodesicEntry, int]], size: int) -> List[Fraction | float]:
-    """W at each of size clusters; entries add in the order given."""
-    sums: List[Fraction | float] = [Fraction(0)] * size
-    for e, i in placed:
-        sums[i] = sums[i] + e.multiplicity * weight(e)
-    return sums
-
-
 def weight_function(spec: LengthTwistSpectrum) -> List[Tuple[LengthValue, Fraction | float]]:
     """The total weight function: (representative, W) per length cluster.
 
@@ -232,9 +266,7 @@ def weight_function(spec: LengthTwistSpectrum) -> List[Tuple[LengthValue, Fracti
     ascending order; W sums multiplicity*weight over every entry of the
     cluster, exactly when all of them are exact rationals.
     """
-    clusters, index = cluster_index([e.length for e in spec.entries], spec.tolerance)
-    sums = _weight_sums(zip(spec.entries, index), len(clusters))
-    return [(representative(c), w) for c, w in zip(clusters, sums)]
+    return [(spec.clusters.rep(c), w) for c, w in enumerate(spec.cluster_weights)]
 
 
 def compare_weights(
@@ -243,21 +275,16 @@ def compare_weights(
     """Lengths up to the common horizon where the W functions differ.
 
     Empty iff W agrees (exactly when both sides are exact rationals,
-    within tolerance otherwise) at every length occurring in either
-    spectrum.
+    within tolerance otherwise) at every length of either spectrum.
     """
     tol = _require_common_horizon(a, b)
-    clusters, index = cluster_index([e.length for e in a.entries + b.entries], tol)
-    wa = _weight_sums(zip(a.entries, index), len(clusters))
-    wb = _weight_sums(zip(b.entries, index[len(a.entries) :]), len(clusters))
+    clusters = Clusters([(a.approx, a.exact), (b.approx, b.exact)], tol)
+    wa, wb = (_weight_sums(s, ids, clusters.size) for s, ids in zip((a, b), clusters.ids))
     out = []
-    for c, va, vb in zip(clusters, wa, wb):
-        if isinstance(va, Fraction) and isinstance(vb, Fraction):
-            differ = va != vb
-        else:
-            differ = abs(float(va) - float(vb)) > tol
-        if differ:
-            out.append((representative(c), va, vb))
+    for c, (va, vb) in enumerate(zip(wa, wb)):
+        exact = type(va) is Fraction and type(vb) is Fraction
+        if (va != vb) if exact else (abs(float(va) - float(vb)) > tol):
+            out.append((clusters.rep(c), va, vb))
     return out
 
 
@@ -283,21 +310,24 @@ def almost_conjugate(
     used throughout.
     """
     tol = _require_common_horizon(a, b)
-    clusters, index = cluster_index([e.length for e in a.entries + b.entries], tol)
-    ma, mb = Counter(), Counter()
-    for k, (e, i) in enumerate(zip(a.entries + b.entries, index)):
-        (ma if k < len(a.entries) else mb)[i, e.orientation.value, e.nu] += e.multiplicity
-    for key in sorted(set(ma) | set(mb)):
-        va, vb = ma.get(key, 0), mb.get(key, 0)
-        if va != vb:
-            i, orient, nu = key
-            witness = ConjugacyWitness(
-                representative(clusters[i]), Orientation(orient), nu, va, vb
-            )
-            return False, witness
-    return True, None
+    clusters = Clusters([(a.approx, a.exact), (b.approx, b.exact)], tol)
+    keys = (np.array(a.nu + b.nu, dtype=object), np.concatenate((a.reversing, b.reversing)),
+            np.concatenate(clusters.ids))
+    order = np.lexsort(keys)  # one pass over both sides, in (cluster, orientation, nu) order
+    starts = np.ones(len(order), dtype=bool)  # where a (cluster, orientation, nu) group starts
+    starts[1:] = np.any([k[order[1:]] != k[order[:-1]] for k in keys], axis=0)
+    starts = np.flatnonzero(starts)
+    va, vb = (np.add.reduceat(np.array(m, dtype=object)[order], starts)
+              for m in (a.multiplicity + [0] * len(b), [0] * len(a) + b.multiplicity))
+    differ = np.flatnonzero(va != vb)
+    if not len(differ):
+        return True, None
+    g, i = differ[0], order[starts[differ[0]]]
+    length = clusters.rep(int(keys[2][i]))
+    return False, ConjugacyWitness(length, ORIENTATIONS[keys[1][i]], keys[0][i], int(va[g]), int(vb[g]))
 
 
+@dataclass(repr=False)
 class DiscrepancyTable:
     """Integer functions a(l), b(l) over lengths up to a horizon.
 
@@ -308,20 +338,16 @@ class DiscrepancyTable:
     as 0.
     """
 
-    __slots__ = ("a", "b", "horizon")
+    a: Mapping[LengthValue, int]
+    b: Mapping[LengthValue, int]
+    horizon: LengthValue
 
-    def __init__(
-        self,
-        a: Mapping[LengthValue, int],
-        b: Mapping[LengthValue, int],
-        horizon: LengthValue,
-    ):
-        self.a = {l: int(v) for l, v in a.items() if v != 0}
-        self.b = {l: int(v) for l, v in b.items() if v != 0}
-        self.horizon = horizon
+    def __post_init__(self):
+        self.a = {l: int(v) for l, v in self.a.items() if v != 0}
+        self.b = {l: int(v) for l, v in self.b.items() if v != 0}
         for l in self.support():
-            if not length_le(l, horizon):
-                raise ValueError(f"support length {l} exceeds horizon {horizon}")
+            if not length_le(l, self.horizon):
+                raise ValueError(f"support length {l} exceeds horizon {self.horizon}")
 
     def a_at(self, l: LengthValue) -> int:
         return self.a.get(l, 0)
@@ -330,16 +356,7 @@ class DiscrepancyTable:
         return self.b.get(l, 0)
 
     def support(self) -> List[LengthValue]:
-        seen = set(self.a) | set(self.b)
-        return sorted(seen, key=lambda v: (v.approx(), str(v)))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DiscrepancyTable)
-            and self.a == other.a
-            and self.b == other.b
-            and self.horizon == other.horizon
-        )
+        return sorted(set(self.a) | set(self.b), key=lambda v: (v.approx(), str(v)))
 
     def __repr__(self) -> str:
         return f"DiscrepancyTable({len(self.a)} a-values, {len(self.b)} b-values)"
@@ -352,28 +369,16 @@ def discrepancy(a: LengthTwistSpectrum, b: LengthTwistSpectrum) -> DiscrepancyTa
     swapping the spectra negates both functions.
     """
     tol = _require_common_horizon(a, b)
-    pa, pb = a.primitives(), b.primitives()
-    clusters, index = cluster_index([e.length for e in pa + pb], tol)
-    da, db = [0] * len(clusters), [0] * len(clusters)
-    for k, (e, i) in enumerate(zip(pa + pb, index)):
-        m = e.multiplicity if k < len(pa) else -e.multiplicity
-        if e.orientation is Orientation.PRESERVING:
-            da[i] += m
-        else:
-            db[i] -= m
-    reps = [representative(c) for c in clusters]
-    return DiscrepancyTable(dict(zip(reps, da)), dict(zip(reps, db)), a.horizon)
-
-
-def _exact_support(table: DiscrepancyTable) -> List[Exact]:
-    support = table.support()
-    exact = [l for l in support if isinstance(l, Exact)]
-    if len(exact) != len(support):
-        raise MixedBases("support contains numeric lengths; divisibility undecidable")
-    bases = {l.base for l in exact}
-    if len(bases) > 1:
-        raise MixedBases(f"support spans incommensurable grids: bases {sorted(bases)}")
-    return exact
+    sides = [(s, [i for i, n in enumerate(s.nu) if n == 1]) for s in (a, b)]
+    clusters = Clusters([(s.approx[t], [s.exact[i] for i in t]) for s, t in sides], tol)
+    rev = np.concatenate([s.reversing[t] for s, t in sides])
+    # a(l): a's preserving count minus b's; b(l): b's reversing count minus a's
+    signed = [(-1) ** (k + int(s.reversing[i])) * s.multiplicity[i]
+              for k, (s, t) in enumerate(sides) for i in t]
+    d = np.zeros((2, clusters.size), dtype=object)
+    np.add.at(d, (rev, np.concatenate(clusters.ids)), np.array(signed, dtype=object))
+    a_map, b_map = ({clusters.rep(c): int(r[c]) for c in np.flatnonzero(r).tolist()} for r in d)
+    return DiscrepancyTable(a_map, b_map, a.horizon)
 
 
 def support_sets(table: DiscrepancyTable) -> Tuple[set, set]:
@@ -383,7 +388,12 @@ def support_sets(table: DiscrepancyTable) -> Tuple[set, set]:
     the minimal elements, and every element of L is checked to be an
     integer multiple of something in L0.
     """
-    support = _exact_support(table)
+    support = table.support()
+    if not all(isinstance(l, Exact) for l in support):
+        raise MixedBases("support contains numeric lengths; divisibility undecidable")
+    bases = {l.base for l in support}
+    if len(bases) > 1:
+        raise MixedBases(f"support spans incommensurable grids: bases {sorted(bases)}")
 
     def multiple(l: Exact, m: Exact) -> bool:  # is l an integer multiple of m?
         r = exact_ratio(l, m)
@@ -425,8 +435,7 @@ def lemma1_residual(table: DiscrepancyTable, l: LengthValue) -> Fraction:
     there.
     """
     _minimal_grid_point(table, l)
-    t = tanh_half(l)
-    return Fraction(table.a_at(l)) - t * Fraction(table.b_at(l))
+    return Fraction(table.a_at(l)) - tanh_half(l) * Fraction(table.b_at(l))
 
 
 def odd_prime_multiples(l: LengthValue, l1: LengthValue, bound: int) -> set:
@@ -447,10 +456,7 @@ def odd_prime_multiples(l: LengthValue, l1: LengthValue, bound: int) -> set:
         return set()
     if r.denominator == 1:
         raise RatioIsInteger(f"{l} = {r} * {l1}")
-    v = r.denominator
-    if v <= bound and _is_odd_prime(v):
-        return {v}
-    return set()
+    return {r.denominator} if r.denominator <= bound and _is_odd_prime(r.denominator) else set()
 
 
 def _is_odd_prime(n: int) -> bool:
@@ -493,8 +499,7 @@ def forced_growth(table: DiscrepancyTable, l: LengthValue, p: int) -> ForcedGrow
     t = tanh_half(pl)
     residue = Fraction(table.b_at(pl) - table.a_at(pl))
     numerator = Fraction(1, p) * (t * table.b_at(l) - table.a_at(l)) + residue
-    value = numerator / (1 - t)
-    return ForcedGrowth(value=value, bound=Fraction(l.base ** (p * n), 2 * p))
+    return ForcedGrowth(value=numerator / (1 - t), bound=Fraction(l.base ** (p * n), 2 * p))
 
 
 class CountingFunction:
@@ -507,17 +512,14 @@ class CountingFunction:
     __slots__ = ("_reps", "_xs", "_jumps", "_cums", "horizon", "tolerance")
 
     def __init__(self, spec: LengthTwistSpectrum):
-        self.horizon = spec.horizon
-        self.tolerance = spec.tolerance
-        clusters, index = cluster_index([e.length for e in spec.entries], spec.tolerance)
-        jumps = [0] * len(clusters)
-        for e, i in zip(spec.entries, index):
-            jumps[i] += e.multiplicity
-        self._reps = [representative(c) for c in clusters]
+        self.horizon, self.tolerance = spec.horizon, spec.tolerance
+        clusters = spec.clusters
+        running = list(accumulate(spec.multiplicity))
+        self._cums = [running[i - 1] for i in clusters.starts[1:] + [len(running)]] if running else []
+        self._jumps = [c - p for c, p in zip(self._cums, [0] + self._cums)]
+        self._reps = [clusters.rep(c) for c in range(clusters.size)]
         # strictly ascending: clusters are more than tol apart
         self._xs = [rep.approx() for rep in self._reps]
-        self._jumps = jumps
-        self._cums = list(accumulate(jumps))
 
     def jumps(self) -> List[Tuple[LengthValue, int]]:
         return list(zip(self._reps, self._jumps))
@@ -556,13 +558,11 @@ def pgt_jump_report(spec: LengthTwistSpectrum, envelope_constant: float) -> Jump
     data.  Desk-scale sanity check, not an asymptotic test.
     """
     counting = CountingFunction(spec)
-    violations = []
-    max_norm = 0.0
+    violations, max_norm = [], 0.0
     for rep, f in counting.jumps():
         x = rep.approx()
         envelope = envelope_constant * math.exp(x) / x
-        normalized = f * x * math.exp(-x)
-        max_norm = max(max_norm, normalized)
+        max_norm = max(max_norm, f * x * math.exp(-x))
         if f > envelope:
             violations.append((rep, f, envelope))
     return JumpReport(tuple(violations), max_norm)

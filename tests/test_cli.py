@@ -210,6 +210,10 @@ def test_fractional_nu_is_usage_error(tmp_path, capsys):
             "error: integer division result too large for a float",
         ),
         ({"q": 2}, ["weights"], "error: malformed document: missing key 'num'"),
+        # JSON booleans are no integers, although bool is Integral
+        ({"q": True, "num": 1}, ["weights"], "error: base must be an integer, got True"),
+        ({"q": 2, "num": True}, ["weights"], "error: num must be an integer, got True"),
+        ({"q": 2, "num": 1, "den": True}, ["weights"], "error: den must be an integer, got True"),
     ],
 )
 def test_bad_exact_length_is_usage_error(tmp_path, capsys, length, command, message):
@@ -226,23 +230,59 @@ def test_bad_exact_length_is_usage_error(tmp_path, capsys, length, command, mess
     assert capsys.readouterr().err.splitlines() == [message]
 
 
+MALFORMED = "error: malformed document: "
+
+
 @pytest.mark.parametrize(
-    "entries",
+    "entries, message",
     [
-        [{"length": 5, "orientation": "preserving"}],
-        [{"orientation": "preserving"}],
-        {"a": 1},
-        [{"length": {"numeric": None}, "orientation": "preserving"}],
+        ([{"length": 5, "orientation": "preserving"}], MALFORMED),
+        ([{"orientation": "preserving"}], MALFORMED),
+        ({"a": 1}, MALFORMED),
+        ([{"length": {"numeric": None}, "orientation": "preserving"}], MALFORMED),
+        (
+            [
+                {
+                    "length": {"exact": {"q": 2, "num": True}},
+                    "orientation": "preserving",
+                    "nu": True,
+                    "multiplicity": True,
+                }
+            ],
+            "error: num must be an integer, got True",
+        ),
+        (
+            [{"length": {"numeric": 1.0}, "orientation": "preserving", "nu": True}],
+            "error: nu must be an integer, got True",
+        ),
+        (
+            [{"length": {"numeric": 1.0}, "orientation": "preserving", "multiplicity": True}],
+            "error: multiplicity must be an integer, got True",
+        ),
+        (
+            [{"length": {"numeric": True}, "orientation": "preserving"}],
+            "error: numeric must be a number, got True",
+        ),
     ],
-    ids=["length-not-an-object", "no-length", "entries-not-a-list", "numeric-null"],
+    ids=[
+        "length-not-an-object",
+        "no-length",
+        "entries-not-a-list",
+        "numeric-null",
+        "boolean-counts",
+        "boolean-nu",
+        "boolean-multiplicity",
+        "boolean-numeric",
+    ],
 )
-def test_malformed_document_is_usage_error(tmp_path, capsys, entries):
+def test_malformed_document_is_usage_error(tmp_path, capsys, entries, message):
+    # a malformed message is checked by its prefix, any other one whole
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"horizon": {"numeric": 5.0}, "entries": entries}))
     capsys.readouterr()
     assert main(["weights", "--spectrum", str(path)]) == 2
     [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: malformed document: ")
+    assert line.startswith(message) if message == MALFORMED else line == message
 
 
 @pytest.mark.parametrize(

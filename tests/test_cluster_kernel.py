@@ -5,15 +5,20 @@ before every consumer read one cluster index: an independent sort-and-sweep
 clustering, then, for each entry, a scan of every cluster span widened by the
 tolerance, taking the first that contains the entry.  Every consumer must
 give exactly what the oracle gives, floats included, since both add a
-cluster's weights in canonical entry order.
+cluster's weights in canonical entry order.  A second oracle is the
+object-based canonical form: entries merged in a dict and sorted by a
+per-entry key, as spectra were built before they were held as columns.
 """
 
+import random
 from fractions import Fraction
 from typing import Dict, List
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isogeo.interchange import spectrum_from_json, spectrum_to_json
 from isogeo.lengths import Exact, Numeric, cluster_index, cluster_lengths, representative
 from isogeo.spectrum import (
     ConjugacyWitness,
@@ -196,12 +201,38 @@ class OracleCounting:
         return total
 
 
+def oracle_entries(entries):
+    """Canonical entries: copies of one (length, orientation, nu) merged, then
+    sorted by length, exact before numeric, preserving before reversing, nu."""
+    merged = {}
+    for e in entries:
+        key = (e.length, e.orientation, e.nu)
+        prior = merged.get(key)
+        merged[key] = e if prior is None else GeodesicEntry(
+            e.length, e.orientation, e.nu, prior.multiplicity + e.multiplicity
+        )
+
+    def order(e):
+        exact = isinstance(e.length, Exact)
+        return (
+            e.length.approx(),
+            0 if exact else 1,
+            (e.length.base, e.length.mult) if exact else (0, e.length.value),
+            e.orientation.value,
+            e.nu,
+        )
+
+    return tuple(sorted(merged.values(), key=order))
+
+
 # --- strategies -----------------------------------------------------------------
 
 anchors = st.one_of(
     st.builds(Exact, st.sampled_from([2, 3, 4, 5]), st.integers(1, 6)),
     st.builds(Exact, st.sampled_from([2, 3]), st.integers(1, 24).map(lambda n: Fraction(n, 4))),
     st.floats(0.1, 20.0).map(Numeric),
+    # exact lengths on three grids within 1e-3 of log 2: one cluster at tol 1e-3
+    st.sampled_from([Exact(2, 1), Exact(3, Fraction(631, 1000)), Exact(5, Fraction(431, 1000))]),
 )
 
 
@@ -211,20 +242,24 @@ def spectrum_pair(draw):
 
     Each anchor length, exact or numeric, may carry a chain of numeric
     near-duplicates 0.75*tol apart, so the ends of a chain are more than tol
-    apart and only the chain joins them.  Both sides draw from the pool, so
+    apart and only the chain joins them; an exact anchor may also have a
+    numeric twin of the same float.  Both sides draw from the pool, so
     lengths repeat within and across the spectra."""
     tol = draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
     pool = []
     for a in draw(st.lists(anchors, min_size=1, max_size=8)):
         pool.append(a)
+        if isinstance(a, Exact) and draw(st.booleans()):
+            pool.append(Numeric(a.approx()))  # a numeric twin: ties go exact first
         for k in range(1, draw(st.integers(0, 3)) + 1):
             pool.append(Numeric(a.approx() + k * 0.75 * tol))
+    # counts past 2**63 sometimes: nu and multiplicity columns hold Python ints
     entry = st.builds(
         GeodesicEntry,
         st.sampled_from(pool),
         st.sampled_from([P, R]),
-        st.integers(1, 3),
-        st.integers(1, 4),
+        st.one_of(st.integers(1, 3), st.integers(2**63, 2**63 + 2)),
+        st.one_of(st.integers(1, 4), st.integers(2**63, 2**70)),
     )
     sides = [LengthTwistSpectrum(draw(st.lists(entry, max_size=14)), HORIZON, tol) for _ in "ab"]
     queries = pool + [Numeric(v.approx() + d * tol) for v in pool for d in (-1.5, 0.5, 1.9)]
@@ -268,3 +303,21 @@ def test_cluster_index_places_every_value_in_its_cluster(case):
     for v, i in zip(values, index):
         assert any(m is v for m in clusters[i])
     assert sum(len(c) for c in clusters) == len(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spectrum_pair(), st.randoms(use_true_random=False))
+def test_columns_round_trip_and_keep_the_canonical_form(case, rnd: random.Random):
+    a, b, tol, _ = case
+    for spec in (a, b, a.union(b)):
+        assert spec.approx.dtype == np.float64 and spec.reversing.dtype == np.int8
+        assert all(type(v) is int for v in spec.nu + spec.multiplicity)
+        assert all(l is None or isinstance(l, Exact) for l in spec.exact)
+        loaded = spectrum_from_json(spectrum_to_json(spec), tol)
+        assert loaded == spec and loaded.entries == spec.entries
+    # shuffled entries with copies of one type: merged and ordered as the oracle does
+    entries = list(a.entries + b.entries + a.entries[::2])
+    rnd.shuffle(entries)
+    built = LengthTwistSpectrum(entries, HORIZON, tol)
+    assert built.entries == oracle_entries(entries)
+    assert [e.length.approx() for e in built.entries] == built.approx.tolist()

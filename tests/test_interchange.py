@@ -48,6 +48,27 @@ def test_spectrum_roundtrip():
     assert load_spectrum(buf) == spec
 
 
+def test_dump_bytes_match_the_stream_encoder():
+    # dump_json writes through json.dumps (the C encoder); the bytes must be
+    # those of the pure-Python json.dump
+    P, R = Orientation.PRESERVING, Orientation.REVERSING
+    spec = LengthTwistSpectrum(
+        [
+            GeodesicEntry(Exact(2, 3), R, nu=3, multiplicity=2**70),
+            GeodesicEntry(Exact(3, Fraction(5, 2)), P),
+            GeodesicEntry(Numeric(1e-300), P, multiplicity=4),
+            GeodesicEntry(Numeric(1e300), R),
+        ],
+        horizon=Numeric(1e300),
+    )
+    buf, ref = io.StringIO(), io.StringIO()
+    dump_spectrum(spec, buf)
+    json.dump(spectrum_to_json(spec), ref, sort_keys=True, separators=(",", ":"))
+    ref.write("\n")
+    assert buf.getvalue() == ref.getvalue()
+    assert "1e-300" in buf.getvalue() and str(2**70) in buf.getvalue()
+
+
 def test_spectrum_document_shape():
     spec = LengthTwistSpectrum(
         [GeodesicEntry(Exact(2, 3), Orientation.PRESERVING, multiplicity=2)],

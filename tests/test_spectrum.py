@@ -136,9 +136,26 @@ def test_entries_aggregate_and_order():
     assert s.entries[1].multiplicity == 4
 
 
-def test_entry_beyond_horizon_rejected():
-    with pytest.raises(ValueError):
-        spec_of([GeodesicEntry(Numeric(11.0), P)], horizon=Numeric(10.0))
+@pytest.mark.parametrize(
+    "length, horizon, tol, rejected",
+    [
+        (Numeric(11.0), Numeric(10.0), 1e-9, True),
+        # only lengths at or above the horizon's float are checked one by one
+        (Numeric(10.0 + 0.5e-9), Numeric(10.0), 1e-9, False),
+        (Numeric(10.0 + 2e-9), Numeric(10.0), 1e-9, True),
+        # on one grid the check is exact, whatever the tolerance
+        (Exact(2, 11), Exact(2, 10), 1.0, True),
+        (Exact(2, 10), Exact(2, 10), 1e-9, False),
+    ],
+    ids=["far-above", "half-tol-above", "two-tol-above", "next-grid-point", "grid-horizon"],
+)
+def test_entry_beyond_horizon_rejected(length, horizon, tol, rejected):
+    entries = [GeodesicEntry(Numeric(0.5), P), GeodesicEntry(length, R), GeodesicEntry(length, P)]
+    if rejected:
+        with pytest.raises(ValueError, match="exceeds horizon"):
+            spec_of(entries, horizon, tol)
+    else:
+        assert [e.length for e in spec_of(entries, horizon, tol).entries] == [Numeric(0.5), length, length]
 
 
 def test_compare_weights_identical():
