@@ -12,14 +12,15 @@ procedure (see enumerate_geodesics for the precise caveats).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
+
+import numpy as np
 
 from .errors import EmptyGenerators, NotTranslating
-from .lengths import Numeric, cluster_index
-from .spectrum import GeodesicEntry, LengthTwistSpectrum, Orientation
+from .lengths import Numeric, cluster_ids
+from .spectrum import LengthTwistSpectrum
 
 DET_TOLERANCE = 1e-12
 CLASSIFY_TOLERANCE = 1e-9
@@ -171,18 +172,6 @@ def _mul4(m: Mat4, n: Mat4) -> Mat4:
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def _commute(m: Mat4, n: Mat4, tol: float) -> bool:
-    """||mn - nm|| <= tol * ||m|| * ||n|| in the Frobenius norm.
-
-    mn - nm = (x, y; z, -x) is formed without the products a*e and d*h
-    that cancel in it.
-    """
-    a, b, c, d = m
-    e, f, g, h = n
-    x, y, z = b * g - c * f, f * (a - d) - b * (e - h), c * (e - h) - g * (a - d)
-    return math.hypot(x, x, y, z) <= tol * math.hypot(*m) * math.hypot(*n)
-
-
 def necklace_walk(
     letter_values: Dict[int, V], max_len: int, step: Callable[[V, V], V]
 ) -> Iterator[Tuple[Tuple[int, ...], int, V]]:
@@ -236,11 +225,13 @@ def enumerate_geodesics(
     responsibility; elliptic and reflection words land in the side
     channel, identity and parabolic words are counted as dropped.
 
-    The imprimitivity index is detected by length ratios: nu = k when a
-    previously seen primitive of length l/k (within tolerance) has
-    consistent determinant parity and commutes with the word, so shares
-    its axis (commuting hyperbolic elements share their axis, and a k-th
-    root commutes with its power); ties break toward the largest k.
+    The imprimitivity index nu is the word's number of periods, len/p
+    for a minimal rotation of period p: a cyclically reduced word of a
+    free group is a k-th power exactly when its minimal rotation is a
+    Lyndon word repeated k times (Chen, Fox and Lyndon), so nu is exact
+    for free groups.  Words that share a matrix are one element, which
+    gets the largest nu among them.  In a group that is not free, a root
+    that is not a syntactic power of the word is not detected.
     """
     if not generators:
         raise EmptyGenerators("need at least one generator")
@@ -251,14 +242,15 @@ def enumerate_geodesics(
         inv = g.inverse()
         letter_mats[i], letter_mats[-i] = (g.a, g.b, g.c, g.d), (inv.a, inv.b, inv.c, inv.d)
 
-    seen_matrices = set()
-    records: List[Tuple[float, int, Tuple[int, ...], Mat4]] = []
+    seen_matrices: Dict[Tuple[int, int, int, int], Optional[int]] = {}  # key -> record index
+    records: List[List] = []  # [length, reversing, nu]
     elliptic: List[Tuple[Tuple[int, ...], Mat4]] = []
     dropped = 0
 
     for word, p, mat in necklace_walk(letter_mats, config.max_word_length, _mul4):
         if len(word) % p or word[0] == -word[-1]:
             continue  # not a minimal rotation, or not cyclically reduced
+        nu = len(word) // p
         a, b, c, d = mat
         for x in (a, b, c, d):
             if abs(x) > tol:
@@ -267,8 +259,11 @@ def enumerate_geodesics(
                 break
         key = (round(a / tol), round(b / tol), round(c / tol), round(d / tol))
         if key in seen_matrices:
+            i = seen_matrices[key]
+            if i is not None:  # the same element: a power among its words makes it a power
+                records[i][2] = max(records[i][2], nu)
             continue
-        seen_matrices.add(key)
+        seen_matrices[key] = None
 
         kind = _classify(a, b, c, d, tol)
         if kind in (IsometryClass.ELLIPTIC, IsometryClass.REFLECTION):
@@ -280,50 +275,15 @@ def enumerate_geodesics(
         length = _axis_length(kind, a + d)
         if length > config.length_cutoff + tol:
             continue
-        det_sign = 1 if kind is IsometryClass.HYPERBOLIC else -1
-        records.append((length, det_sign, word, (a, b, c, d)))
+        seen_matrices[key] = len(records)
+        records.append([length, kind is IsometryClass.GLIDE_REFLECTION, nu])
 
-    records.sort(key=lambda r: r[:3])
-    values = [Numeric(r[0]) for r in records]
-    _, cluster = cluster_index(values, tol)
-    primitives: List[Tuple[float, int, Mat4]] = []  # (length, det sign, matrix), ascending
-    least: Dict[Tuple[int, int, int], Numeric] = {}
-    entries = []
-
-    def root_index(length: float, det_sign: int, mat: Mat4) -> int:
-        """The largest k > 1 with a primitive k-th root of this word, else 1."""
-        k = int(length / max(records[0][0], tol) + 0.5)
-        while k > 1:
-            target = length / k
-            # the primitives within tol of length/k are one run of the sorted lengths
-            j = bisect_left(primitives, -tol, key=lambda pr: pr[0] - target)
-            shares_axis = False
-            while j < len(primitives) and primitives[j][0] - target <= tol:
-                _, base_det, base = primitives[j]
-                if _commute(mat, base, tol):
-                    if base_det**k == det_sign:
-                        return k
-                    shares_axis = True
-                j += 1
-            if shares_axis:
-                k -= 1
-            elif j == len(primitives):
-                return 1  # length/k grows as k falls, and no primitive is left to reach
-            else:
-                # the window met only other axes: skip to the next k whose
-                # window length/k +- tol can reach primitives[j]
-                reach = primitives[j][0] - tol
-                k = min(k - 1, int(length / reach) + 1) if reach > 0 else k - 1
-        return 1
-
-    for (length, det_sign, _word, mat), value, idx in zip(records, values, cluster):
-        nu = root_index(length, det_sign, mat)
-        if nu == 1:
-            primitives.append((length, det_sign, mat))
-        # records ascend in length, so a bucket's first word has its least length
-        bucket_length = least.setdefault((idx, det_sign, nu), value)
-        orientation = Orientation.PRESERVING if det_sign > 0 else Orientation.REVERSING
-        entries.append(GeodesicEntry(bucket_length, orientation, nu=nu))
-
-    spectrum = LengthTwistSpectrum(entries, Numeric(config.length_cutoff), tol)
+    records.sort()
+    cluster = cluster_ids(np.array([r[0] for r in records], dtype=float), tol).tolist()
+    # records ascend in length, so a bucket's first word has its least length
+    least: Dict[Tuple[int, bool, int], float] = {}
+    bucket_lengths = [least.setdefault((c, rev, nu), l) for (l, rev, nu), c in zip(records, cluster)]
+    columns = (bucket_lengths, [None] * len(records), [r[1] for r in records],
+               [r[2] for r in records], [1] * len(records))
+    spectrum = LengthTwistSpectrum.from_columns(columns, Numeric(config.length_cutoff), tol)
     return EnumerationResult(spectrum, tuple(elliptic), dropped)

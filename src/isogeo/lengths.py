@@ -65,7 +65,7 @@ def canonical_power_root(q: int) -> tuple[int, int]:
     return q, 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exact:
     """Length ``mult * log(base)``, held in exact rational arithmetic."""
 
@@ -101,7 +101,7 @@ class Exact:
         return f"{coeff}*log({self.base})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Numeric:
     """Length as a positive float, compared within an absolute tolerance."""
 
@@ -169,7 +169,8 @@ def tanh_half(l: LengthValue | float) -> Fraction | float:
 def sorted_order(x: np.ndarray, lengths: Sequence[LengthValue | None], *keys: Sequence) -> np.ndarray:
     """Stable argsort of the float column x of the given lengths (None for a
     numeric one).  Equal floats put exact lengths first, by base and then
-    multiplier, then the given keys decide; only ties reach Python."""
+    multiplier, then the given keys decide; only ties that these can
+    reorder reach Python."""
     order = np.argsort(x, kind="stable")
 
     def tiebreak(i: int) -> tuple:
@@ -183,7 +184,10 @@ def sorted_order(x: np.ndarray, lengths: Sequence[LengthValue | None], *keys: Se
         starts = np.concatenate((tied[:1], tied[breaks + 1]))
         ends = np.concatenate((tied[breaks], tied[-1:])) + 2
         for lo, hi in zip(starts.tolist(), ends.tolist()):
-            order[lo:hi] = sorted(order[lo:hi].tolist(), key=tiebreak)
+            run = order[lo:hi].tolist()
+            # a run of numeric lengths and no keys is already in its final, stable order
+            if keys or any(isinstance(lengths[i], Exact) for i in run):
+                order[lo:hi] = sorted(run, key=tiebreak)
     return order
 
 

@@ -77,7 +77,7 @@ def entry_counts(nu, multiplicity) -> Tuple[int, int]:
     return nu, multiplicity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeodesicEntry:
     """One oriented closed geodesic type."""
 

@@ -309,3 +309,26 @@ def test_enumerate_side_channel_keeps_drifted_matrices():
         assert all(type(x) is int for x in word)
         assert len(mat) == 4 and all(type(x) is float for x in mat)
         assert next(x for x in mat if abs(x) > 1e-9) > 0  # sign-normalised
+
+
+def powers_by_type(result):
+    at = Counter()
+    for e in result.spectrum.entries:
+        if e.nu > 1:
+            at[e.orientation, e.nu] += e.multiplicity
+    return at
+
+
+def test_enumerate_nu_is_conjugation_invariant():
+    # the affine pair is not free; nu counts the periods of a word, which
+    # no change of basis can move
+    config = EnumConfig(9, 14.0)
+    moved = enumerate_geodesics(affine_conjugate(0.2, 8.0, 0.4), config)
+    assert powers_by_type(moved) == powers_by_type(enumerate_geodesics(schottky_pair(), config))
+
+
+def test_enumerate_words_sharing_a_matrix_keep_the_largest_nu():
+    # in <P, P^2> the words 2 and 1 1 are one element, P^2; so are 1 2 and 1 1 1
+    p = Isometry.diag(3.0, 1 / 3.0)
+    res = enumerate_geodesics([p, p.power(2)], EnumConfig(4, 10.0))
+    assert [(e.nu, e.multiplicity) for e in res.spectrum.entries] == [(k, 2) for k in range(1, 5)]
