@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .spectrum import LengthTwistSpectrum
 
 DET_TOLERANCE = 1e-12
 CLASSIFY_TOLERANCE = 1e-9
+MAX_ENTRY = 2.0**510  # the squares of four smaller entries sum to a finite float
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,8 @@ class Isometry:
     d: float
 
     def __post_init__(self):
+        if not all(abs(x) < MAX_ENTRY for x in (self.a, self.b, self.c, self.d)):
+            raise ValueError(f"matrix entries must be finite and below {MAX_ENTRY:.4g}, got {self.rows()}")
         det = self.a * self.d - self.b * self.c
         # ad - bc cannot be resolved below ~eps * (sum of squares): at large
         # entry magnitude the 1e-12 check must widen to the cancellation floor
@@ -100,15 +103,25 @@ class IsometryClass(Enum):
     GLIDE_REFLECTION = "glide_reflection"
 
 
-def _classify(a: float, b: float, c: float, d: float, tol: float) -> IsometryClass:
-    """Trace/determinant classification of the matrix (a, b; c, d)."""
-    if a * d - b * c > 0:
-        t = abs(a + d)
-        if abs(t - 2.0) <= tol:
-            off_identity = max(abs(abs(a) - 1.0), abs(abs(d) - 1.0), abs(b), abs(c))
-            return IsometryClass.IDENTITY if off_identity <= tol else IsometryClass.PARABOLIC
-        return IsometryClass.ELLIPTIC if t < 2.0 else IsometryClass.HYPERBOLIC
-    return IsometryClass.REFLECTION if abs(a + d) <= tol else IsometryClass.GLIDE_REFLECTION
+# each class as its position in IsometryClass, the form _classify returns
+_CLASSES = tuple(IsometryClass)
+_IDENTITY, _ELLIPTIC, _PARABOLIC, _HYPERBOLIC, _REFLECTION, _GLIDE = range(len(_CLASSES))
+
+
+def _pick(cond, x, y):
+    """x where cond holds, else y: for a bool or a boolean array."""
+    return y + cond * (x - y)
+
+
+def _classify(a, b, c, d, tol: float):
+    """Trace/determinant classification of the matrix (a, b; c, d) as its
+    class position.  Built from operators alone, so the entries may be
+    floats (giving an int) or equally shaped arrays (an array of them)."""
+    t = abs(a + d)
+    near_identity = (abs(abs(a) - 1.0) <= tol) & (abs(abs(d) - 1.0) <= tol) & (abs(b) <= tol) & (abs(c) <= tol)
+    preserving = _pick(abs(t - 2.0) <= tol, _pick(near_identity, _IDENTITY, _PARABOLIC),
+                       _pick(t < 2.0, _ELLIPTIC, _HYPERBOLIC))
+    return _pick(a * d - b * c > 0, preserving, _pick(t <= tol, _REFLECTION, _GLIDE))
 
 
 def _axis_length(kind: IsometryClass, trace: float) -> float:
@@ -128,7 +141,7 @@ def _axis_length(kind: IsometryClass, trace: float) -> float:
 
 def classify(g: Isometry, tol: float = CLASSIFY_TOLERANCE) -> IsometryClass:
     """Trace/determinant classification, with tolerance at the boundaries."""
-    return _classify(g.a, g.b, g.c, g.d, tol)
+    return _CLASSES[_classify(g.a, g.b, g.c, g.d, tol)]
 
 
 def translation_length(g: Isometry, tol: float = CLASSIFY_TOLERANCE) -> float:
@@ -154,7 +167,6 @@ class EnumConfig:
 
 
 Mat4 = Tuple[float, float, float, float]
-V = TypeVar("V")
 
 
 @dataclass(frozen=True)
@@ -166,39 +178,80 @@ class EnumerationResult:
     dropped: int
 
 
-def _mul4(m: Mat4, n: Mat4) -> Mat4:
+def _mul4(m, n):
+    """The product of 2x2 matrices given by their entries (a, b, c, d):
+    floats, or arrays that multiply elementwise."""
     a, b, c, d = m
     e, f, g, h = n
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def necklace_walk(
-    letter_values: Dict[int, V], max_len: int, step: Callable[[V, V], V]
-) -> Iterator[Tuple[Tuple[int, ...], int, V]]:
-    """Every prenecklace up to max_len, with its period and folded value.
+    letters: Iterable[int], max_len: int
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every prenecklace up to max_len over nonzero letters, a length at a time.
 
-    A letter never follows its negative: over letters +i/-i (generator i
-    and its inverse) the words are freely reduced, over positive letters
-    they are all words.  The depth-first walk is the necklace algorithm of
-    Fredricksen, Kessler and Maiorana: a letter extends a prenecklace of
-    length n when it is no less than the letter p places back, p being the
-    period.  A word is a minimal rotation when p divides n and a Lyndon
-    word (aperiodic necklace) when p == n.  The value is folded once per
-    extension: value = step(value, letter_values[letter]).
+    For n = 1 .. max_len yields (words, periods, parents): the words of
+    length n as the rows of an (m, n) integer array in ascending
+    lexicographic order, the period of each, and the row of each word's
+    length n - 1 prefix in the previous level (-1 at n = 1).  A letter
+    never follows its negative: over letters +i/-i (generator i and its
+    inverse) the words are freely reduced, over positive letters they are
+    all words.  This is the necklace algorithm of Fredricksen, Kessler and
+    Maiorana taken breadth first: a letter extends a prenecklace of length
+    n when it is no less than the letter p places back, p being the
+    period, which the extension keeps when the two letters are equal and
+    sets to n + 1 otherwise.  A word is a minimal rotation when p divides
+    n and a Lyndon word (aperiodic necklace) when p == n.  Each level is a
+    handful of numpy operations over its rows, so the walk is O(prenecklaces)
+    rows of array work (each row costing O(letters + length) elements), with
+    no Python work per word.
     """
-    letters = sorted(letter_values)
-    stack = [((l,), 1, letter_values[l]) for l in letters]
-    while stack:
-        word, p, value = stack.pop()
-        yield word, p, value
-        n = len(word)
-        if n < max_len:
-            last, floor = word[-1], word[n - p]
-            for nl in letters:
-                if nl >= floor and nl != -last:
-                    stack.append(
-                        (word + (nl,), p if nl == floor else n + 1, step(value, letter_values[nl]))
-                    )
+    alphabet = np.array(sorted(letters))
+    alphabet = alphabet.astype(np.min_scalar_type(-int(np.abs(alphabet).max(initial=0)) - 1))
+    words = alphabet[:, None]
+    periods = np.ones(len(alphabet), dtype=np.intp)
+    parents = np.full(len(alphabet), -1, dtype=np.intp)
+    for n in range(1, max_len + 1):
+        yield words, periods, parents
+        if n == max_len:
+            return
+        floor, last = words[np.arange(len(words)), n - periods], words[:, -1]
+        parents, pick = np.nonzero((alphabet >= floor[:, None]) & (alphabet != -last[:, None]))
+        letter = alphabet[pick]
+        periods = np.where(letter == floor[parents], periods[parents], n + 1)
+        words = np.concatenate([words[parents], letter[:, None]], axis=1)
+
+
+def _walk_products(generators: Sequence[Isometry], max_len: int):
+    """The words of enumerate_geodesics: the minimal rotations up to max_len
+    that are cyclically reduced, in the depth-first walk order (letters
+    descending, a prefix before its extensions).  Returns the walk-order
+    key of each (the letters negated, padded with -(k + 1) for k
+    generators), its product matrix as a column of a (4, words) array and
+    its number of periods."""
+    k = len(generators)
+    letter_mats = np.zeros((4, 2 * k + 1))  # column k + l holds letter l
+    for i, g in enumerate(generators, start=1):
+        inv = g.inverse()
+        letter_mats[:, k + i], letter_mats[:, k - i] = (g.a, g.b, g.c, g.d), (inv.a, inv.b, inv.c, inv.d)
+
+    rank_type = np.min_scalar_type(-(k + 1))
+    ranks, mats, nus = [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for words, periods, parents in necklace_walk((*range(-k, 0), *range(1, k + 1)), max_len):
+            n = words.shape[1]
+            last = letter_mats[:, words[:, -1].astype(np.intp) + k]
+            level = last if n == 1 else _mul4([x[parents] for x in level], last)
+            keep = (n % periods == 0) & (words[:, 0] != -words[:, -1])
+            rank = np.full((np.count_nonzero(keep), max_len), -(k + 1), dtype=rank_type)
+            rank[:, :n] = -words[keep]
+            ranks.append(rank)
+            mats.append(np.array([x[keep] for x in level]))
+            nus.append(n // periods[keep])
+    rank = np.concatenate(ranks)
+    walk = np.lexsort(rank.T[::-1])
+    return rank[walk], np.concatenate(mats, axis=1)[:, walk], np.concatenate(nus)[walk]
 
 
 def enumerate_geodesics(
@@ -216,6 +269,8 @@ def enumerate_geodesics(
     words preserve orientation and glide reflections reverse it.  A
     translating product is not re-checked for |det| = 1: that check is for
     input matrices, and the rounding drift of a product grows with its word.
+    A product too large for float64 on the dedup_tolerance grid raises
+    OverflowError.
 
     Deduplication beyond cyclic rotation is heuristic: identical matrices
     (up to sign, on a dedup_tolerance grid) collapse, and surviving words
@@ -232,58 +287,64 @@ def enumerate_geodesics(
     for free groups.  Words that share a matrix are one element, which
     gets the largest nu among them.  In a group that is not free, a root
     that is not a syntactic power of the word is not detected.
+
+    The words come level by level from necklace_walk, and every step runs
+    on arrays: each level's products are its prefixes' products times the
+    last letter; the kept words are put in the depth-first walk order
+    (letters descending, a prefix before its extensions) by one lexsort,
+    and a stable lexsort on the matrix keys gives each element its first
+    word, whose class and length decide it, and its largest nu.
     """
     if not generators:
         raise EmptyGenerators("need at least one generator")
     tol = config.dedup_tolerance
 
-    letter_mats: Dict[int, Mat4] = {}
-    for i, g in enumerate(generators, start=1):
-        inv = g.inverse()
-        letter_mats[i], letter_mats[-i] = (g.a, g.b, g.c, g.d), (inv.a, inv.b, inv.c, inv.d)
+    rank, mat, nu = _walk_products(generators, config.max_word_length)
 
-    seen_matrices: Dict[Tuple[int, int, int, int], Optional[int]] = {}  # key -> record index
-    records: List[List] = []  # [length, reversing, nu]
-    elliptic: List[Tuple[Tuple[int, ...], Mat4]] = []
-    dropped = 0
+    def word(i: int) -> Tuple[int, ...]:
+        return tuple((-rank[i][rank[i] > -len(generators) - 1]).tolist())
 
-    for word, p, mat in necklace_walk(letter_mats, config.max_word_length, _mul4):
-        if len(word) % p or word[0] == -word[-1]:
-            continue  # not a minimal rotation, or not cyclically reduced
-        nu = len(word) // p
-        a, b, c, d = mat
-        for x in (a, b, c, d):
-            if abs(x) > tol:
-                if x < 0:
-                    a, b, c, d = -a, -b, -c, -d
-                break
-        key = (round(a / tol), round(b / tol), round(c / tol), round(d / tol))
-        if key in seen_matrices:
-            i = seen_matrices[key]
-            if i is not None:  # the same element: a power among its words makes it a power
-                records[i][2] = max(records[i][2], nu)
-            continue
-        seen_matrices[key] = None
+    # sign-normalise on the first entry beyond tol, then key on the tol grid
+    big = np.abs(mat) > tol
+    flip = big.any(axis=0) & (mat[big.argmax(axis=0), np.arange(mat.shape[1])] < 0)
+    np.negative(mat, out=mat, where=flip)
+    with np.errstate(over="ignore"):
+        keys = mat / tol
+    np.rint(keys, out=keys)
+    finite = np.isfinite(keys).all(axis=0)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise OverflowError(f"the product of word {word(i)} overflows float64 at dedup_tolerance "
+                            f"{tol:g}: {tuple(mat[:, i].tolist())}")
 
-        kind = _classify(a, b, c, d, tol)
-        if kind in (IsometryClass.ELLIPTIC, IsometryClass.REFLECTION):
-            elliptic.append((word, (a, b, c, d)))
-            continue
-        if kind in (IsometryClass.IDENTITY, IsometryClass.PARABOLIC):
-            dropped += 1
-            continue
-        length = _axis_length(kind, a + d)
-        if length > config.length_cutoff + tol:
-            continue
-        seen_matrices[key] = len(records)
-        records.append([length, kind is IsometryClass.GLIDE_REFLECTION, nu])
+    # each key's first word in walk order stands for it, with the largest nu of its words
+    by_key = np.lexsort(keys)
+    sorted_keys = keys[:, by_key]
+    starts = np.flatnonzero(np.r_[True, (sorted_keys[:, 1:] != sorted_keys[:, :-1]).any(axis=0)])
+    first, nu = by_key[starts], np.maximum.reduceat(nu[by_key], starts)
 
-    records.sort()
-    cluster = cluster_ids(np.array([r[0] for r in records], dtype=float), tol).tolist()
+    a, b, c, d = mat[:, first]
+    kind = _classify(a, b, c, d, tol)
+    side = (kind == _ELLIPTIC) | (kind == _REFLECTION)
+    elliptic = tuple((word(i), tuple(mat[:, i].tolist())) for i in np.sort(first[side]).tolist())
+    dropped = int(np.count_nonzero((kind == _IDENTITY) | (kind == _PARABOLIC)))
+
+    # 2 cosh(l/2) bounds |tr| for both classes; the margin leaves the cut to the exact test
+    with np.errstate(over="ignore"):
+        bound = 2.0 * np.cosh((config.length_cutoff + tol) / 2.0) * (1.0 + 1e-9)
+    trace = a + d
+    near = ((kind == _HYPERBOLIC) | (kind == _GLIDE)) & (np.abs(trace) <= bound)
+    kind, nu = kind[near], nu[near]
+    length = np.array([_axis_length(_CLASSES[kd], t) for kd, t in zip(kind.tolist(), trace[near].tolist())])
+    within = length <= config.length_cutoff + tol
+    length, reversing, nu = length[within], kind[within] == _GLIDE, nu[within]
+
+    order = np.lexsort((nu, reversing, length))
+    length, reversing, nu = length[order], reversing[order].tolist(), nu[order].tolist()
+    cluster = cluster_ids(length, tol).tolist()
     # records ascend in length, so a bucket's first word has its least length
     least: Dict[Tuple[int, bool, int], float] = {}
-    bucket_lengths = [least.setdefault((c, rev, nu), l) for (l, rev, nu), c in zip(records, cluster)]
-    columns = (bucket_lengths, [None] * len(records), [r[1] for r in records],
-               [r[2] for r in records], [1] * len(records))
+    bucket_lengths = [least.setdefault(key, l) for key, l in zip(zip(cluster, reversing, nu), length.tolist())]
+    columns = (bucket_lengths, [None] * len(nu), reversing, nu, [1] * len(nu))
     spectrum = LengthTwistSpectrum.from_columns(columns, Numeric(config.length_cutoff), tol)
-    return EnumerationResult(spectrum, tuple(elliptic), dropped)
+    return EnumerationResult(spectrum, elliptic, dropped)

@@ -95,8 +95,9 @@ def necklace_count_oracle(q: int, n: int) -> int:
         raise ValueError(f"string length must be >= 1, got {n}")
     if q**n > ORACLE_CAP:
         raise TooLarge(f"q**n = {q**n} exceeds enumeration cap {ORACLE_CAP}")
-    walk = necklace_walk(dict.fromkeys(range(1, q + 1)), n, lambda v, _: v)
-    return sum(len(word) == p == n for word, p, _ in walk)
+    for _, periods, _ in necklace_walk(range(1, q + 1), n):
+        pass
+    return int((periods == n).sum())
 
 
 @dataclass(frozen=True)

@@ -173,6 +173,29 @@ def test_enumerate_cli(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "generators, message",
+    [
+        (
+            [[[1e120, 0.0], [0.0, 1e-120]], [[2.0, 0.0], [0.0, 0.5]]],
+            "error: the product of word (1, 1, 1) overflows float64 at dedup_tolerance 1e-09: "
+            "(inf, 0.0, 0.0, 0.0)",
+        ),
+        (
+            [[[1e200, 0.0], [0.0, 1e-200]]],
+            "error: matrix entries must be finite and below 3.352e+153, got ((1e+200, 0.0), (0.0, 1e-200))",
+        ),
+    ],
+    ids=["overflowing-product", "oversized-entry"],
+)
+def test_enumerate_out_of_range_is_usage_error(tmp_path, capsys, generators, message):
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({"generators": generators}))
+    capsys.readouterr()
+    assert main(["enumerate", "--generators", str(gens), "--max-word-length", "3", "--cutoff", "10.0"]) == 2
+    assert capsys.readouterr() == ("", message + "\n")
+
+
 def test_usage_errors(tmp_path, capsys):
     assert main(["compare", "--a", "/nonexistent.json", "--b", "/nonexistent.json"]) == 2
     with pytest.raises(SystemExit) as exc:

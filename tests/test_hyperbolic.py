@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 
 import mpmath
@@ -54,6 +55,13 @@ def test_isometry_validation():
         Isometry(2.0, 0.0, 0.0, 2.0)
     Isometry.diag(2.0, 0.5)
     Isometry.diag(2.0, -0.5)
+
+
+@pytest.mark.parametrize("x", [2.0**510, 1e200, math.inf, math.nan])
+def test_isometry_rejects_entries_out_of_range(x):
+    # the squares of entries this large overflow the determinant's scale
+    with pytest.raises(ValueError, match="matrix entries must be finite and below"):
+        Isometry.diag(x, 1 / x)
 
 
 def test_inverse_and_power():
@@ -332,3 +340,17 @@ def test_enumerate_words_sharing_a_matrix_keep_the_largest_nu():
     p = Isometry.diag(3.0, 1 / 3.0)
     res = enumerate_geodesics([p, p.power(2)], EnumConfig(4, 10.0))
     assert [(e.nu, e.multiplicity) for e in res.spectrum.entries] == [(k, 2) for k in range(1, 5)]
+
+
+@pytest.mark.parametrize(
+    "gens, max_len, word",
+    [
+        ([Isometry.diag(1e120, 1e-120), Isometry.diag(2.0, 0.5)], 3, "(1, 1, 1)"),
+        # the prenecklace 1 2 1 is not kept; its product diag(inf, 1e-310) times letter 2 has a nan
+        ([Isometry.diag(1e150, 1e-150), Isometry.diag(1e10, 1e-10)], 4, "(1, 2, 1, 2)"),
+    ],
+    ids=["inf", "nan"],
+)
+def test_enumerate_overflowing_product_names_the_word(gens, max_len, word):
+    with pytest.raises(OverflowError, match=re.escape(f"the product of word {word} overflows float64")):
+        enumerate_geodesics(gens, EnumConfig(max_len, 10.0))
