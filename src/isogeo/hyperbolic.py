@@ -24,7 +24,7 @@ from .spectrum import LengthTwistSpectrum
 
 DET_TOLERANCE = 1e-12
 CLASSIFY_TOLERANCE = 1e-9
-MAX_ENTRY = 2.0**510  # the squares of four smaller entries sum to a finite float
+MAX_ENTRY = 2.0**510  # |ad| + |bc| of smaller entries is a finite float
 
 
 @dataclass(frozen=True)
@@ -37,15 +37,28 @@ class Isometry:
     d: float
 
     def __post_init__(self):
+        self._check_range()
+        ad, bc = self.a * self.d, self.b * self.c
+        # ad - bc cannot be resolved below ~eps * (|ad| + |bc|): at large
+        # products the 1e-12 check must widen to the cancellation floor
+        tol = max(DET_TOLERANCE, 32 * 2.220446049250313e-16 * (abs(ad) + abs(bc)))
+        if tol >= 0.5:  # a singular matrix's det could round to within tol of 1
+            raise ValueError(f"|det| = 1 cannot be told from 0 within {tol:g} at entries {self.rows()}")
+        if abs(abs(ad - bc) - 1.0) > tol:
+            raise ValueError(f"|det| must be 1 within {tol:g}, got det={ad - bc}")
+
+    def _check_range(self):
         if not all(abs(x) < MAX_ENTRY for x in (self.a, self.b, self.c, self.d)):
             raise ValueError(f"matrix entries must be finite and below {MAX_ENTRY:.4g}, got {self.rows()}")
-        det = self.a * self.d - self.b * self.c
-        # ad - bc cannot be resolved below ~eps * (sum of squares): at large
-        # entry magnitude the 1e-12 check must widen to the cancellation floor
-        scale = self.a**2 + self.b**2 + self.c**2 + self.d**2
-        tol = max(DET_TOLERANCE, 16 * 2.220446049250313e-16 * scale)
-        if abs(abs(det) - 1.0) > tol:
-            raise ValueError(f"|det| must be 1 within {tol:g}, got det={det}")
+
+    @classmethod
+    def _derived(cls, *entries: float) -> "Isometry":
+        """A product or inverse of checked isometries: |det| = 1 by construction
+        (ad - bc of large entries is rounding noise), so only the range is checked."""
+        g = object.__new__(cls)
+        g.__dict__.update(zip("abcd", entries))
+        g._check_range()
+        return g
 
     @classmethod
     def from_matrix(cls, rows: Sequence[Sequence[float]]) -> "Isometry":
@@ -67,7 +80,7 @@ class Isometry:
         return self.a + self.d
 
     def __matmul__(self, other: "Isometry") -> "Isometry":
-        return Isometry(
+        return Isometry._derived(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -76,7 +89,7 @@ class Isometry:
 
     def inverse(self) -> "Isometry":
         det = self.det()
-        return Isometry(self.d / det, -self.b / det, -self.c / det, self.a / det)
+        return Isometry._derived(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
     def power(self, k: int) -> "Isometry":
         if k < 0:

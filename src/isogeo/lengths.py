@@ -169,25 +169,34 @@ def tanh_half(l: LengthValue | float) -> Fraction | float:
 def sorted_order(x: np.ndarray, lengths: Sequence[LengthValue | None], *keys: Sequence) -> np.ndarray:
     """Stable argsort of the float column x of the given lengths (None for a
     numeric one).  Equal floats put exact lengths first, by base and then
-    multiplier, then the given keys decide; only ties that these can
-    reorder reach Python."""
+    multiplier, then the given keys decide.  The runs of equal floats are
+    ordered by one lexsort; only a run holding two different Exact values
+    reaches Python."""
     order = np.argsort(x, kind="stable")
+    xs = x[order]
+    tied = xs[1:] == xs[:-1]  # xs[i] == xs[i + 1]
+    if not tied.any():
+        return order
+    at = np.flatnonzero(np.append(tied, False) | np.append(False, tied))  # positions in a run of equal floats
+    run = np.cumsum(np.diff(xs[at], prepend=xs[at[0]]) != 0)
+    members = order[at]
+    numeric = np.array([not isinstance(lengths[i], Exact) for i in members.tolist()])
+    # a list column stays Python ints: numpy would round a mix of large ones to float
+    cols = [k[members] if isinstance(k, np.ndarray) else np.array([k[i] for i in members.tolist()], dtype=object)
+            for k in reversed(keys)]
+    order[at] = members[np.lexsort((*cols, numeric, run))]
 
     def tiebreak(i: int) -> tuple:
         l = lengths[i]
         return ((0, l.base, l.mult) if isinstance(l, Exact) else (1, 0, 0), *(k[i] for k in keys))
 
-    xs = x[order]
-    tied = np.flatnonzero(xs[1:] == xs[:-1])  # xs[i] == xs[i + 1]
-    if len(tied):
-        breaks = np.flatnonzero(np.diff(tied) > 1)
-        starts = np.concatenate((tied[:1], tied[breaks + 1]))
-        ends = np.concatenate((tied[breaks], tied[-1:])) + 2
-        for lo, hi in zip(starts.tolist(), ends.tolist()):
-            run = order[lo:hi].tolist()
-            # a run of numeric lengths and no keys is already in its final, stable order
-            if keys or any(isinstance(lengths[i], Exact) for i in run):
-                order[lo:hi] = sorted(run, key=tiebreak)
+    first, mixed = {}, set()  # each run's first Exact value; the runs holding another
+    for r, l in zip(run.tolist(), (lengths[i] for i in members.tolist())):
+        if isinstance(l, Exact) and first.setdefault(r, l) is not l and first[r] != l:
+            mixed.add(r)
+    for r in mixed:
+        lo, hi = at[np.searchsorted(run, r)], at[np.searchsorted(run, r, "right") - 1] + 1
+        order[lo:hi] = sorted(order[lo:hi].tolist(), key=tiebreak)
     return order
 
 
@@ -202,10 +211,11 @@ def cluster_ids(x: np.ndarray, tol: float) -> np.ndarray:
 
 class Clusters:
     """Length clusters over sorted float columns, each given with its Exact
-    lengths (None for a numeric one): the columns are merged by a stable
-    argsort and split by :func:`cluster_ids`.  ``ids[k]`` holds the cluster
-    of each value of column k; ``starts``, ``lo`` and ``hi`` the first
-    merged position and the least and greatest value of each cluster."""
+    lengths (None for a numeric one; the float of an Exact length is its
+    approx()): the columns are merged by a stable argsort and split by
+    :func:`cluster_ids`.  ``ids[k]`` holds the cluster of each value of
+    column k; ``starts``, ``lo`` and ``hi`` the first merged position and the
+    least and greatest value of each cluster."""
 
     def __init__(self, columns: Sequence[Tuple[np.ndarray, Sequence[Exact | None]]], tol: float):
         x = np.concatenate([c[0] for c in columns])
@@ -220,19 +230,21 @@ class Clusters:
         last = np.flatnonzero(np.diff(merged, append=self.size))  # last merged position of each
         self.lo, self.hi = x[order[self.starts]].tolist(), x[order[last]].tolist()
         self._exact: dict = {}  # each cluster's least Exact length
-        for (_, exact), side in zip(columns, self.ids):
-            for c, l in zip(side.tolist(), exact):
-                if l is not None and (c not in self._exact or _key(l) < _key(self._exact[c])):
-                    self._exact[c] = l
+        exact = [l for c in columns for l in c[1]]
+        # merged positions of the Exact lengths; the first of each cluster has its least float
+        pos = order[np.array([l is not None for l in exact], dtype=bool)[order]]
+        c, xe = ids[pos], x[pos]
+        first = np.flatnonzero(np.diff(c, prepend=-1))
+        ends = np.flatnonzero(np.append((c[1:] != c[:-1]) | (xe[1:] != xe[:-1]), True)) + 1
+        for j, k in zip(first.tolist(), ends[np.searchsorted(ends, first, "right")].tolist()):
+            tied = [exact[i] for i in pos[j:k].tolist()]  # at the cluster's least float; often one object
+            self._exact[int(c[j])] = (tied[0] if tied.count(tied[0]) == len(tied)
+                                      else min(tied, key=lambda l: (l.base, l.mult)))
 
     def rep(self, c: int) -> LengthValue:
         """The representative of cluster c: its least Exact length, else its least length."""
         l = self._exact.get(c)
         return l if l is not None else Numeric(self.lo[c])
-
-
-def _key(l: Exact) -> tuple:
-    return (l.approx(), l.base, l.mult)
 
 
 def cluster_index(

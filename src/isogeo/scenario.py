@@ -13,9 +13,11 @@ weight-equality constraint system at every grid length.  The catch is the
 growth: for odd n the values are asymptotic to q**n / n, which is what
 rules the family out as an actual pair of surfaces.
 
-Everything here is exact integer/rational arithmetic; the necklace
-oracle, which enumerates the Lyndon words of length n on the necklace
-walk of the word enumerator, is the independent cross-check for c_n.
+Everything here is exact integer/rational arithmetic on the grid multiplier
+n: a residual is one integer expression over n*(q**n + 1), and a spectrum
+pair makes one Exact per grid point.  The necklace oracle, which enumerates
+the Lyndon words of length n on the necklace walk of the word enumerator,
+is the independent cross-check for c_n.
 """
 
 from __future__ import annotations
@@ -26,13 +28,8 @@ from typing import Dict, List, Tuple
 
 from .errors import BeyondHorizon, TooLarge
 from .hyperbolic import necklace_walk
-from .lengths import Exact, tanh_half
-from .spectrum import (
-    DiscrepancyTable,
-    GeodesicEntry,
-    LengthTwistSpectrum,
-    Orientation,
-)
+from .lengths import Exact
+from .spectrum import DiscrepancyTable, LengthTwistSpectrum, entry_counts
 
 ORACLE_CAP = 10**7
 
@@ -149,24 +146,26 @@ def verify_constraint(sol: ScenarioSolution, n: int) -> Fraction:
           = tanh(n*l0/2) * sum_{k|n, k odd} (1/k) b(n/k)
             + sum_{k|n, k even} (1/k) b(n/k)
 
-    Returns LHS - RHS as an exact rational; 0 for every n <= horizon when
-    sol came from build_scenario.
+    Returns LHS - RHS as one integer expression over n*(q**n + 1), in
+    lowest terms; 0 for every n <= horizon when sol came from
+    build_scenario.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > sol.horizon:
         raise BeyondHorizon(f"n={n} exceeds scenario horizon {sol.horizon}")
-    t = tanh_half(sol.grid_length(n))
-    lhs = Fraction(0)
-    rhs = Fraction(0)
+    # n times each side is an integer: A = sum (n/k) a(n/k), and O, E the
+    # same sums of b(n/k) over odd and even k; tanh(n*l0/2) = (Q-1)/(Q+1)
+    A = O = E = 0
     for k in _divisors(n):
         m = n // k
-        lhs += Fraction(sol.a_at(m), k)
+        A += m * sol.a_at(m)
         if k % 2 == 1:
-            rhs += t * Fraction(sol.b_at(m), k)
+            O += m * sol.b_at(m)
         else:
-            rhs += Fraction(sol.b_at(m), k)
-    return lhs - rhs
+            E += m * sol.b_at(m)
+    Q = sol.q**n
+    return Fraction((A - E) * (Q + 1) - (Q - 1) * O, n * (Q + 1))
 
 
 def asymptotic_ratio(q: int, n: int) -> Fraction:
@@ -196,31 +195,23 @@ def to_spectra(sol: ScenarioSolution) -> Tuple[LengthTwistSpectrum, LengthTwistS
     oriented multiplicities need not be even, so surface validation
     does not apply.
     """
-    horizon = sol.grid_length(sol.horizon)
-    first: List[GeodesicEntry] = []
-    second: List[GeodesicEntry] = []
-
-    def add_with_powers(target: List[GeodesicEntry], n: int, orientation: Orientation, count: int):
-        for k in range(1, sol.horizon // n + 1):
-            if orientation is Orientation.REVERSING and k % 2 == 0:
-                power_orientation = Orientation.PRESERVING
-            else:
-                power_orientation = orientation
-            target.append(
-                GeodesicEntry(sol.grid_length(n * k), power_orientation, nu=k, multiplicity=count)
-            )
-
-    for n, v in sorted(sol.a.items()):
-        target = first if v > 0 else second
-        add_with_powers(target, n, Orientation.PRESERVING, abs(v))
-    for n, v in sorted(sol.b.items()):
-        target = second if v > 0 else first
-        add_with_powers(target, n, Orientation.REVERSING, abs(v))
-
-    return (
-        LengthTwistSpectrum(first, horizon),
-        LengthTwistSpectrum(second, horizon),
-    )
+    h = sol.horizon
+    grid = [sol.grid_length(n) for n in range(1, h + 1)]  # one Exact per grid point
+    approx = [l.approx() for l in grid]
+    # columns (approx, exact, reversing, nu, multiplicity) of each spectrum
+    sides = tuple(tuple([] for _ in range(5)) for _ in range(2))
+    for reversing, values in ((False, sol.a), (True, sol.b)):
+        for n, v in sorted(values.items()):
+            powers = range(1, h // n + 1)  # empty for an n past the horizon
+            if not powers:
+                continue
+            x, exact, rev, nu, mult = sides[(v > 0) == reversing]
+            x += approx[n - 1::n]
+            exact += grid[n - 1::n]
+            rev += [k % 2 for k in powers] if reversing else [0] * len(powers)
+            nu += powers
+            mult += [entry_counts(1, abs(v))[1]] * len(powers)
+    return tuple(LengthTwistSpectrum.from_columns(side, sol.grid_length(h)) for side in sides)
 
 
 @dataclass(frozen=True)

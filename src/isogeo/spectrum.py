@@ -395,15 +395,19 @@ def support_sets(table: DiscrepancyTable) -> Tuple[set, set]:
     if len(bases) > 1:
         raise MixedBases(f"support spans incommensurable grids: bases {sorted(bases)}")
 
+    L0 = []  # a multiple of a smaller length is one of a minimal length: test those in order
+    for l in sorted(support, key=lambda l: l.mult):
+        if all(l.mult.numerator * m.mult.denominator % (l.mult.denominator * m.mult.numerator) for m in L0):
+            L0.append(l)
+
     def multiple(l: Exact, m: Exact) -> bool:  # is l an integer multiple of m?
         r = exact_ratio(l, m)
         return r is not None and r.denominator == 1
 
-    L0 = {l for l in support if not any(m != l and multiple(l, m) for m in support)}
     for l in support:
         if not any(multiple(l, m) for m in L0):
             raise InvariantViolation(f"{l} not a multiple of any minimal length")
-    return set(support), L0
+    return set(support), set(L0)
 
 
 def _minimal_grid_point(table: DiscrepancyTable, l: LengthValue) -> Tuple[int, set]:

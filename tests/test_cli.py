@@ -185,8 +185,13 @@ def test_enumerate_cli(tmp_path, capsys):
             [[[1e200, 0.0], [0.0, 1e-200]]],
             "error: matrix entries must be finite and below 3.352e+153, got ((1e+200, 0.0), (0.0, 1e-200))",
         ),
+        (
+            [[[1e7, 1e7], [1e7, 1e7]]],
+            "error: |det| = 1 cannot be told from 0 within 1.42109 at entries "
+            "((10000000.0, 10000000.0), (10000000.0, 10000000.0))",
+        ),
     ],
-    ids=["overflowing-product", "oversized-entry"],
+    ids=["overflowing-product", "oversized-entry", "unresolvable-determinant"],
 )
 def test_enumerate_out_of_range_is_usage_error(tmp_path, capsys, generators, message):
     gens = tmp_path / "gens.json"

@@ -64,6 +64,23 @@ def test_isometry_rejects_entries_out_of_range(x):
         Isometry.diag(x, 1 / x)
 
 
+def test_isometry_rejects_entries_too_large_to_resolve_the_determinant():
+    # |ad| + |bc| near 1e14 rounds a singular matrix's det to within the tolerance of 1
+    with pytest.raises(ValueError, match=r"\|det\| = 1 cannot be told from 0"):
+        Isometry(1e7, 1e7, 1e7, 1e7)
+    with pytest.raises(ValueError, match=r"\|det\| = 1 cannot be told from 0"):
+        Isometry(5.000000000000001e149, 5e149, 5e149, 4.999999999999999e149)  # rot diag(1e150, 1e-150) rot^-1
+    with pytest.raises(ValueError, match=r"\|det\| must be 1"):
+        Isometry(1e8, 1e8, 1.0, 1.0)  # det 0 at small |ad| + |bc|
+    # large entries with small products are resolved exactly
+    assert Isometry.diag(1e120, 1e-120).det() == 1.0
+    # a product of checked isometries is one by construction, though its ad - bc cancels
+    g = rotation(0.3) @ Isometry.diag(1e4, 1e-4) @ rotation(0.7)
+    big = g.power(4)
+    assert max(abs(big.a), abs(big.d)) > 1e15
+    assert translation_length(big) == pytest.approx(4 * translation_length(g), rel=1e-12)
+
+
 def test_inverse_and_power():
     g = Isometry(2.0, 1.0, 1.0, 1.0)
     gi = g.inverse()

@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isogeo.lengths import (
+    Clusters,
     Exact,
     Numeric,
     canonical_power_root,
@@ -16,6 +18,7 @@ from isogeo.lengths import (
     length_le,
     lengths_equal,
     representative,
+    sorted_order,
     tanh_half,
 )
 
@@ -132,3 +135,70 @@ def test_cluster_representative_prefers_exact():
     assert len(c) == 1
     assert representative(c[0]) == Exact(2, 1)
     assert representative([Numeric(1.5)]) == Numeric(1.5)
+
+
+# lengths whose floats tie: Exact(2, 1) and the same value on base 4, two other
+# multipliers of log 2 that round to the same float, and numeric copies
+ONE = Exact(2, 1)
+TIED_POOL = [
+    ONE, Exact(4, Fraction(1, 2)), Exact(2, Fraction(10**20 + 1, 10**20)),
+    Exact(2, Fraction(10**20 - 1, 10**20)), None,
+    Exact(3, 1), Numeric(math.log(3)), None, Numeric(1.5), Exact(2, 2),
+]
+TIED_X = [ONE.approx()] * 5 + [math.log(3)] * 2 + [2.0, 1.5, Exact(2, 2).approx()]
+
+
+def oracle_order(x, lengths, *keys):
+    """Ascending float, then Exact before numeric by base and multiplier, then the
+    keys; index order on a full tie."""
+    def key(i):
+        l = lengths[i]
+        return (x[i], (0, l.base, l.mult) if isinstance(l, Exact) else (1, 0, 0), *(k[i] for k in keys))
+    return sorted(range(len(x)), key=key)
+
+
+@st.composite
+def tied_columns(draw):
+    picks = draw(st.lists(st.integers(0, len(TIED_POOL) - 1), max_size=40))
+    x = np.array([TIED_X[i] for i in picks], dtype=float)
+    lengths = [TIED_POOL[i] for i in picks]
+    rev = np.array(draw(st.lists(st.integers(0, 1), min_size=len(picks), max_size=len(picks))), dtype=np.int8)
+    nu = draw(st.lists(st.sampled_from([1, 2, 3, 2**63, 2**63 + 1]), min_size=len(picks), max_size=len(picks)))
+    return x, lengths, rev, nu
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_columns())
+def test_sorted_order_matches_the_tiebreak_sort(case):
+    x, lengths, rev, nu = case
+    assert sorted_order(x, lengths, rev, nu).tolist() == oracle_order(x, lengths, rev, nu)
+    # without keys, and with Numeric values in place of None (as cluster_index calls it)
+    values = [l or Numeric(v) for l, v in zip(lengths, x.tolist())]
+    assert sorted_order(x, values).tolist() == oracle_order(x, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_columns(), tied_columns())
+def test_clusters_represent_each_cluster_by_its_least_exact_length(a, b):
+    columns = [(x, [l if isinstance(l, Exact) else None for l in lengths]) for x, lengths, _, _ in (a, b)]
+    clusters = Clusters(columns, 1e-9)
+    members = {}
+    for (x, lengths), ids in zip(columns, clusters.ids):
+        for v, l, c in zip(x.tolist(), lengths, ids.tolist()):
+            members.setdefault(c, []).append((v, l))
+    assert sorted(members) == list(range(clusters.size))
+    for c, m in members.items():
+        exact = [l for _, l in m if l is not None]
+        want = min(exact, key=lambda l: (l.approx(), l.base, l.mult)) if exact else Numeric(min(v for v, _ in m))
+        assert clusters.rep(c) == want
+
+
+def test_clusters_least_exact_length_may_sit_in_a_later_column():
+    above = Exact(2, Fraction(10**20 + 1, 10**20))
+    below = Exact(2, Fraction(10**20 - 1, 10**20))
+    x = np.array([ONE.approx()] * 2)
+    clusters = Clusters([(x, [above, None]), (x, [ONE, below])], 1e-9)
+    assert clusters.size == 1 and clusters.rep(0) == below
+    near = np.array([math.log(3) - 1e-10])
+    clusters = Clusters([(near, [None]), (np.array([math.log(3)]), [Exact(3, 1)])], 1e-9)
+    assert clusters.rep(0) == Exact(3, 1)

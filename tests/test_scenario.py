@@ -1,9 +1,14 @@
+import io
 from fractions import Fraction
+from typing import List
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isogeo.errors import BeyondHorizon, TooLarge
-from isogeo.lengths import Exact
+from isogeo.interchange import dump_spectrum
+from isogeo.lengths import Exact, tanh_half
 from isogeo.scenario import (
     ScenarioSolution,
     asymptotic_ratio,
@@ -16,7 +21,14 @@ from isogeo.scenario import (
     to_spectra,
     verify_constraint,
 )
-from isogeo.spectrum import almost_conjugate, compare_weights, discrepancy
+from isogeo.spectrum import (
+    GeodesicEntry,
+    LengthTwistSpectrum,
+    Orientation,
+    almost_conjugate,
+    compare_weights,
+    discrepancy,
+)
 
 Q2_SEQUENCE = [2, 1, 2, 3, 6, 9, 18, 30, 56, 99]
 Q3_SEQUENCE = [3, 3, 8, 18, 48, 116, 312, 810, 2184, 5880]
@@ -110,6 +122,51 @@ def test_verify_constraint_detects_violation():
     assert verify_constraint(broken, 1) == 1
 
 
+def oracle_verify_constraint(sol: ScenarioSolution, n: int) -> Fraction:
+    """The weight-equality residual summed divisor by divisor in Fractions."""
+    t = tanh_half(sol.grid_length(n))
+    lhs = Fraction(0)
+    rhs = Fraction(0)
+    for k in [k for k in range(1, n + 1) if n % k == 0]:
+        m = n // k
+        lhs += Fraction(sol.a_at(m), k)
+        if k % 2 == 1:
+            rhs += t * Fraction(sol.b_at(m), k)
+        else:
+            rhs += Fraction(sol.b_at(m), k)
+    return lhs - rhs
+
+
+@st.composite
+def signed_solution(draw):
+    q = draw(st.integers(2, 12))
+    horizon = draw(st.integers(1, 80))
+    grid = st.integers(1, horizon)
+    value = st.one_of(st.integers(-5, 5), st.integers(-(10**40), 10**40))
+    a = draw(st.dictionaries(grid, value, max_size=12))
+    b = draw(st.dictionaries(grid, value, max_size=12))
+    return ScenarioSolution(q=q, horizon=horizon, a=a, b=b), draw(grid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_solution())
+def test_verify_constraint_matches_the_divisor_loop(case):
+    sol, n = case
+    got, want = verify_constraint(sol, n), oracle_verify_constraint(sol, n)
+    assert got == want
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def test_verify_constraint_matches_the_divisor_loop_on_the_family():
+    for q in (2, 3, 4, 10):
+        sol = build_scenario(q, 40)
+        broken = ScenarioSolution(q, 40, {**sol.a, 3: sol.a[3] + 1}, sol.b)
+        for n in range(1, 41):
+            assert verify_constraint(sol, n) == oracle_verify_constraint(sol, n) == 0
+            got, want = verify_constraint(broken, n), oracle_verify_constraint(broken, n)
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
 def test_verify_constraint_beyond_horizon():
     sol = build_scenario(2, 5)
     with pytest.raises(BeyondHorizon):
@@ -167,3 +224,58 @@ def test_to_discrepancy_matches_solution():
     assert t.a_at(Exact(3, 1)) == 2
     assert t.b_at(Exact(3, 1)) == 4
     assert t.a_at(Exact(3, 4)) == 0
+
+
+def oracle_to_spectra(sol: ScenarioSolution):
+    """The spectrum pair built entry by entry, each power its own GeodesicEntry."""
+    horizon = sol.grid_length(sol.horizon)
+    first: List[GeodesicEntry] = []
+    second: List[GeodesicEntry] = []
+
+    def add_with_powers(target, n, orientation, count):
+        for k in range(1, sol.horizon // n + 1):
+            if orientation is Orientation.REVERSING and k % 2 == 0:
+                power_orientation = Orientation.PRESERVING
+            else:
+                power_orientation = orientation
+            target.append(
+                GeodesicEntry(sol.grid_length(n * k), power_orientation, nu=k, multiplicity=count)
+            )
+
+    for n, v in sorted(sol.a.items()):
+        add_with_powers(first if v > 0 else second, n, Orientation.PRESERVING, abs(v))
+    for n, v in sorted(sol.b.items()):
+        add_with_powers(second if v > 0 else first, n, Orientation.REVERSING, abs(v))
+    return LengthTwistSpectrum(first, horizon), LengthTwistSpectrum(second, horizon)
+
+
+def dumped(spec) -> str:
+    fp = io.StringIO()
+    dump_spectrum(spec, fp)
+    return fp.getvalue()
+
+
+def assert_same_pair(got, want):
+    for g, w in zip(got, want):
+        assert g == w
+        assert g.entries == w.entries
+        assert g.weights == w.weights
+        assert dumped(g) == dumped(w)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 10])
+@pytest.mark.parametrize("horizon", [1, 2, 7, 40])
+def test_to_spectra_matches_the_entry_lists(q, horizon):
+    sol = build_scenario(q, horizon)
+    assert_same_pair(to_spectra(sol), oracle_to_spectra(sol))
+
+
+def test_to_spectra_matches_the_entry_lists_on_signed_values():
+    # negative values move mass to the other spectrum; n past the horizon adds nothing
+    sol = ScenarioSolution(q=3, horizon=9, a={1: -2, 2: 5, 4: 1, 12: 7}, b={1: 4, 3: -1, 5: 2})
+    assert_same_pair(to_spectra(sol), oracle_to_spectra(sol))
+    zero = ScenarioSolution(q=2, horizon=4, a={2: 0}, b={})
+    with pytest.raises(ValueError, match="multiplicity must be >= 1, got 0"):
+        oracle_to_spectra(zero)
+    with pytest.raises(ValueError, match="multiplicity must be >= 1, got 0"):
+        to_spectra(zero)

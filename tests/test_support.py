@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isogeo import spectrum
 from isogeo.errors import (
@@ -63,6 +65,31 @@ def test_support_sets_rejects_numeric_and_mixed():
         support_sets(table({Numeric(1.0): 1}, {}, Numeric(5.0)))
     with pytest.raises(MixedBases):
         support_sets(table({Exact(2, 1): 1, Exact(3, 1): 1}, {}, Exact(2, 10)))
+
+
+def oracle_support_sets(t):
+    """(L, L0) by the definition: l is minimal unless l/m is an integer for some other m."""
+    support = t.support()
+    L0 = {l for l in support
+          if not any(m != l and (l.mult / m.mult).denominator == 1 for m in support)}
+    return set(support), L0
+
+
+@st.composite
+def single_base_table(draw):
+    # bases 2, 4 and 8 all normalise onto the base-2 grid, so Exact(4, r) is Exact(2, 2r)
+    mult = st.builds(Fraction, st.integers(1, 36), st.sampled_from([1, 1, 1, 2, 3, 4, 6]))
+    length = st.builds(Exact, st.sampled_from([2, 4, 8]), mult)
+    value = st.integers(-3, 3).filter(bool)
+    a = draw(st.dictionaries(length, value, max_size=15))
+    b = draw(st.dictionaries(length, value, max_size=15))
+    return table(a, b, Exact(2, 400))
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_base_table())
+def test_support_sets_matches_the_pairwise_definition(t):
+    assert support_sets(t) == oracle_support_sets(t)
 
 
 def test_support_sets_accepts_power_base():
