@@ -24,7 +24,6 @@ from .lengths import (
     Exact,
     LengthValue,
     Numeric,
-    cluster_index,
     cluster_lengths,
     exact_ratio,
     integer_ratio,

@@ -80,17 +80,27 @@ def _apply(m: Tuple[Tuple[int, int], Tuple[int, int]], v: Tuple[int, int]) -> Tu
     return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
 
 
-def norm_census(lattice: LatticeKind, max_norm: int) -> List[int]:
-    """census[n] = number of lattice vectors with norm-form value n.
+def _census(lattice: LatticeKind, max_norm: int) -> np.ndarray:
+    """census[n] = number of lattice vectors with norm-form value n, as int64.
 
-    Exhaustive integer-pair enumeration over a bounding box; exact.
+    Exhaustive integer-pair enumeration over a bounding box, 128 rows at a
+    time into one accumulator, so memory stays O(max_norm); exact.
     """
     if max_norm < 0:
         raise ValueError(f"max_norm must be >= 0, got {max_norm}")
     m = _coordinate_bound(lattice, max_norm)
     r = np.arange(-m, m + 1, dtype=np.int64)
-    v = lattice.norm(r[:, None], r[None, :])
-    return np.bincount(v[v <= max_norm], minlength=max_norm + 1).tolist()
+    census = np.zeros(max_norm + 1, dtype=np.int64)
+    for lo in range(0, len(r), 128):
+        v = lattice.norm(r[lo:lo + 128, None], r[None, :])
+        band = np.bincount(v[v <= max_norm])
+        census[:len(band)] += band
+    return census
+
+
+def norm_census(lattice: LatticeKind, max_norm: int) -> List[int]:
+    """census[n] = number of lattice vectors with norm-form value n; exact."""
+    return _census(lattice, max_norm).tolist()
 
 
 def vectors_with_norm(lattice: LatticeKind, n: int) -> List[Tuple[int, int]]:
@@ -117,16 +127,20 @@ def orbit_multiplicity(lattice: LatticeKind, order: int, n: int) -> int:
     census(n)/k, exactly divisible.
     """
     _require_order(lattice, order)
-    return _quotient_mult(len(vectors_with_norm(lattice, n)), order, n)
+    count = len(vectors_with_norm(lattice, n))
+    census = np.array([count] if n == 0 else [1, count])  # at the origin, then at n
+    return int(_quotient_mult(census, order)[-1])
 
 
-def _quotient_mult(census: int, order: int, n: int) -> int:
-    """mult_k(n) from census(n): 1 at the origin, census(n)/k elsewhere."""
-    if n == 0:
-        return 1
-    if census % order != 0:
-        raise ArithmeticError(f"census {census} at n={n} not divisible by {order}")
-    return census // order
+def _quotient_mult(census: np.ndarray, order: int) -> np.ndarray:
+    """mult_k(n) for every n of an int64 census: 1 at the origin, census(n)/k elsewhere."""
+    bad = np.flatnonzero(census[1:] % order)
+    if len(bad):
+        n = int(bad[0]) + 1
+        raise ArithmeticError(f"census {census[n]} at n={n} not divisible by {order}")
+    mult = census // order
+    mult[0] = 1
+    return mult
 
 
 def orbit_multiplicity_oracle(lattice: LatticeKind, order: int, n: int) -> int:
@@ -183,9 +197,9 @@ class OrbifoldSpectrum:
 
 def orbifold_spectrum(orbifold: OrbifoldId, max_norm: int) -> OrbifoldSpectrum:
     """Quotient spectrum via one census pass; zero multiplicities omitted."""
-    census = norm_census(orbifold.lattice, max_norm)
-    mult = {n: _quotient_mult(c, orbifold.order, n) for n, c in enumerate(census) if c}
-    return OrbifoldSpectrum(orbifold=orbifold, max_norm=max_norm, multiplicities=mult)
+    census = _census(orbifold.lattice, max_norm)
+    mult, norms = _quotient_mult(census, orbifold.order), np.flatnonzero(census)
+    return OrbifoldSpectrum(orbifold, max_norm, dict(zip(norms.tolist(), mult[norms].tolist())))
 
 
 @dataclass(frozen=True)
@@ -257,15 +271,15 @@ def verify_relation(
     rel: SpectralRelation, max_norm: int
 ) -> Tuple[bool, RelationWitness | None]:
     """Check coefficient-weighted multiplicity equality for every n <= cutoff."""
-    census = norm_census(rel.lattice, max_norm)
-    for n, count in enumerate(census):
-        if not count:  # no modes of norm n: both sides are 0
-            continue
-        lhs = sum(c * _quotient_mult(count, oid.order, n) for c, oid in rel.left)
-        rhs = sum(c * _quotient_mult(count, oid.order, n) for c, oid in rel.right)
-        if lhs != rhs:
-            return False, RelationWitness(n=n, left_total=lhs, right_total=rhs)
-    return True, None
+    census = _census(rel.lattice, max_norm)
+    if sum(c for c, _ in rel.left + rel.right) * int(census.max()) >= 2**63:  # int64 sums could wrap
+        census = census.astype(object)
+    lhs, rhs = (sum(c * _quotient_mult(census, oid.order) for c, oid in side) for side in (rel.left, rel.right))
+    differ = np.flatnonzero(lhs != rhs)
+    if not len(differ):
+        return True, None
+    n = int(differ[0])
+    return False, RelationWitness(n=n, left_total=int(lhs[n]), right_total=int(rhs[n]))
 
 
 ISOSPECTRAL_RELATIONS: Tuple[SpectralRelation, ...] = tuple(

@@ -46,17 +46,19 @@ class Isometry:
             raise ValueError(f"|det| = 1 cannot be told from 0 within {tol:g} at entries {self.rows()}")
         if abs(abs(ad - bc) - 1.0) > tol:
             raise ValueError(f"|det| must be 1 within {tol:g}, got det={ad - bc}")
+        object.__setattr__(self, "_det", ad - bc)
 
     def _check_range(self):
         if not all(abs(x) < MAX_ENTRY for x in (self.a, self.b, self.c, self.d)):
             raise ValueError(f"matrix entries must be finite and below {MAX_ENTRY:.4g}, got {self.rows()}")
 
     @classmethod
-    def _derived(cls, *entries: float) -> "Isometry":
+    def _derived(cls, det: float, *entries: float) -> "Isometry":
         """A product or inverse of checked isometries: |det| = 1 by construction
-        (ad - bc of large entries is rounding noise), so only the range is checked."""
+        (ad - bc of large entries is rounding noise), so only the range is
+        checked and the det is carried from the factors' dets."""
         g = object.__new__(cls)
-        g.__dict__.update(zip("abcd", entries))
+        g.__dict__.update(zip("abcd", entries), _det=det)
         g._check_range()
         return g
 
@@ -81,6 +83,7 @@ class Isometry:
 
     def __matmul__(self, other: "Isometry") -> "Isometry":
         return Isometry._derived(
+            self._det * other._det,
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -88,8 +91,10 @@ class Isometry:
         )
 
     def inverse(self) -> "Isometry":
-        det = self.det()
-        return Isometry._derived(self.d / det, -self.b / det, -self.c / det, self.a / det)
+        """The adjugate over the det: ad - bc of a checked matrix, the product
+        of its factors' dets for a product (never the product's rounding noise)."""
+        det = self._det
+        return Isometry._derived(1.0 / det, self.d / det, -self.b / det, -self.c / det, self.a / det)
 
     def power(self, k: int) -> "Isometry":
         if k < 0:
@@ -99,8 +104,9 @@ class Isometry:
         while k:
             if k & 1:
                 result = result @ base
-            base = base @ base
             k >>= 1
+            if k:
+                base = base @ base
         return result
 
     def rows(self) -> Tuple[Tuple[float, float], Tuple[float, float]]:

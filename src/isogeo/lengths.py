@@ -247,37 +247,17 @@ class Clusters:
         return l if l is not None else Numeric(self.lo[c])
 
 
-def cluster_index(
-    values: Sequence[LengthValue], tol: float = DEFAULT_TOLERANCE
-) -> Tuple[List[List[LengthValue]], List[int]]:
-    """Group length values whose chained gaps are within tol.
-
-    Values are ordered by magnitude (exact before numeric on a tie) and
-    split by :func:`cluster_ids`.  Returns the clusters in ascending order
-    and, for each input value, the position of its cluster:
-    ``values[i]`` is in ``clusters[index[i]]``.
-    """
-    x = np.array([v.approx() for v in values], dtype=float)
-    order = sorted_order(x, values)
-    ids = cluster_ids(x[order], tol).tolist()
-    clusters: List[List[LengthValue]] = [[] for _ in range(ids[-1] + 1 if ids else 0)]
-    index = [0] * len(values)
-    for i, c in zip(order.tolist(), ids):
-        clusters[c].append(values[i])
-        index[i] = c
-    return clusters, index
-
-
 def cluster_lengths(
     values: Iterable[LengthValue], tol: float = DEFAULT_TOLERANCE
 ) -> List[List[LengthValue]]:
-    """The clusters of :func:`cluster_index`, without the per-value index."""
-    return cluster_index(list(values), tol)[0]
+    """Group length values whose chained gaps are within tol.
 
-
-def representative(cluster: Sequence[LengthValue]) -> LengthValue:
-    """Canonical member of a cluster: its first Exact value, else its first."""
-    for v in cluster:
-        if isinstance(v, Exact):
-            return v
-    return cluster[0]
+    Values are ordered by magnitude (exact before numeric on a tie) and
+    split by :func:`cluster_ids`.  Returns the clusters in ascending order.
+    """
+    values = list(values)
+    x = np.array([v.approx() for v in values], dtype=float)
+    order = sorted_order(x, values)
+    ordered = [values[i] for i in order.tolist()]
+    starts = np.flatnonzero(np.diff(cluster_ids(x[order], tol), prepend=-1)).tolist()
+    return [ordered[lo:hi] for lo, hi in zip(starts, starts[1:] + [len(values)])]

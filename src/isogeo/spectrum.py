@@ -10,7 +10,7 @@ qualified "up to the horizon".
 The weight of a geodesic is 1/nu when orientation-preserving and
 (1/nu)*tanh(l/2) when orientation-reversing; the total weight function
 W(l) sums multiplicity*weight over the types in the length cluster of l
-(lengths chained within the tolerance, see lengths.cluster_index).  Two
+(lengths chained within the tolerance, see lengths.Clusters).  Two
 spectra with equal W everywhere need not have matching geodesic counts,
 and the discrepancy functions a(l), b(l) quantify how primitive counts
 can trade off against each other under W-equality.
@@ -112,17 +112,17 @@ class LengthTwistSpectrum:
         lengths = [e.length for e in entries]
         self._build([l.approx() for l in lengths], [l if isinstance(l, Exact) else None for l in lengths],
                     [e.orientation is Orientation.REVERSING for e in entries], [e.nu for e in entries],
-                    [e.multiplicity for e in entries], horizon, tolerance, entries)
+                    [e.multiplicity for e in entries], horizon, tolerance)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], horizon: LengthValue,
                      tolerance: float = DEFAULT_TOLERANCE) -> "LengthTwistSpectrum":
         """From columns (approx, exact, reversing, nu, multiplicity) in any order."""
         spec = cls.__new__(cls)
-        spec._build(*columns, horizon, tolerance, None)
+        spec._build(*columns, horizon, tolerance)
         return spec
 
-    def _build(self, approx, exact, reversing, nu, mult, horizon, tolerance, entries):
+    def _build(self, approx, exact, reversing, nu, mult, horizon, tolerance):
         if not 0 < tolerance < math.inf:
             raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
         x, rev = np.asarray(approx, dtype=float), np.asarray(reversing, dtype=np.int8)
@@ -143,10 +143,6 @@ class LengthTwistSpectrum:
             l = self.exact[i] or Numeric(float(self.approx[i]))
             if not length_le(l, horizon, tolerance):
                 raise ValueError(f"entry length {l} exceeds horizon {horizon}")
-        if entries is not None:  # reuse the given entries; a merged one is new
-            view = zip((entries[order[j]] for j in keep), self.multiplicity)
-            self.entries = tuple(e if e.multiplicity == m else
-                                 GeodesicEntry(e.length, e.orientation, e.nu, m) for e, m in view)
 
     @cached_property
     def entries(self) -> Tuple[GeodesicEntry, ...]:
@@ -178,8 +174,10 @@ class LengthTwistSpectrum:
     def weights(self) -> List[Fraction | float]:
         """The :func:`weight` of every entry, in entry order."""
         units = {n: Fraction(1, n) for n in set(self.nu)}
-        return [_weight(r, units[n], l or x) if r else units[n] for x, l, r, n in
-                zip(self.approx.tolist(), self.exact, self.reversing.tolist(), self.nu)]
+        rev = self.reversing.tolist()
+        tanh = {l: tanh_half(l) for l in {l for l, r in zip(self.exact, rev) if r and l}}  # once per distinct Exact
+        return [_damped(units[n], tanh[l] if l else tanh_half(x)) if r else units[n]
+                for x, l, r, n in zip(self.approx.tolist(), self.exact, rev, self.nu)]
 
     @cached_property
     def clusters(self) -> Clusters:
@@ -209,10 +207,8 @@ def validate_surface(spec: LengthTwistSpectrum) -> List[str]:
     return problems
 
 
-def _weight(reversing: bool, unit: Fraction, length: LengthValue | float) -> Fraction | float:
-    if not reversing:
-        return unit
-    t = tanh_half(length)
+def _damped(unit: Fraction, t: Fraction | float) -> Fraction | float:
+    """A reversing type's weight from 1/nu and tanh(l/2)."""
     return unit * t if isinstance(t, Fraction) else t / unit.denominator
 
 
@@ -222,7 +218,8 @@ def weight(entry: GeodesicEntry) -> Fraction | float:
     Exact rational whenever the damping factor is exactly representable
     (length an integer multiple of log q); float otherwise.
     """
-    return _weight(entry.orientation is Orientation.REVERSING, Fraction(1, entry.nu), entry.length)
+    unit = Fraction(1, entry.nu)
+    return _damped(unit, tanh_half(entry.length)) if entry.orientation is Orientation.REVERSING else unit
 
 
 def _weight_sums(spec: LengthTwistSpectrum, ids: np.ndarray, size: int) -> List[Fraction | float]:

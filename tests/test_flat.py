@@ -1,11 +1,18 @@
+import math
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isogeo.errors import IncompatibleRotation, MalformedRelation
 from isogeo.flat import (
     ISOSPECTRAL_RELATIONS,
     LatticeKind,
     OrbifoldId,
+    RelationWitness,
     SpectralRelation,
+    _quotient_mult,
     norm_census,
     orbifold_spectrum,
     orbit_multiplicity,
@@ -194,3 +201,90 @@ def test_malformed_relations():
 def test_relations_for_family():
     assert len(relations_for_family(SQ)) == 1
     assert len(relations_for_family(HEX)) == 5
+
+
+# --- the relation check as array identities, against the per-n loop -------------
+
+
+def oracle_verify_relation(rel, max_norm):
+    """The relation check as a loop over every n, with the quotient rule per n."""
+    def mult(count, order, n):
+        if n == 0:
+            return 1
+        assert count % order == 0, (count, order, n)
+        return count // order
+
+    for n, count in enumerate(norm_census(rel.lattice, max_norm)):
+        lhs = sum(c * mult(count, oid.order, n) for c, oid in rel.left)
+        rhs = sum(c * mult(count, oid.order, n) for c, oid in rel.right)
+        if lhs != rhs:
+            return False, RelationWitness(n=n, left_total=lhs, right_total=rhs)
+    return True, None
+
+
+FAMILIES = {lattice: [oid for oid in OrbifoldId if oid.lattice is lattice] for lattice in (SQ, HEX)}
+
+
+@st.composite
+def relations(draw):
+    """A random relation of one family, or a known one scaled and padded alike on
+    both sides, so that true and false relations are both drawn."""
+    if draw(st.booleans()):
+        rel = draw(st.sampled_from(ISOSPECTRAL_RELATIONS))
+        k = draw(st.integers(1, 5))
+        pad = draw(st.lists(st.tuples(st.integers(1, 5), st.sampled_from(FAMILIES[rel.lattice])), max_size=1))
+        return SpectralRelation(tuple((k * c, o) for c, o in rel.left) + tuple(pad),
+                                tuple((k * c, o) for c, o in rel.right) + tuple(pad))
+    family = FAMILIES[draw(st.sampled_from([SQ, HEX]))]
+    side = st.lists(st.tuples(st.integers(1, 5), st.sampled_from(family)), min_size=1, max_size=3)
+    return SpectralRelation(tuple(draw(side)), tuple(draw(side)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(relations(), st.integers(0, 2000))
+@example(parse_relation("2S1+4S4+S2=6S2+S2"), 2000)  # true
+@example(parse_relation("4H1+6H6+H3=10H2+H3"), 2000)  # true
+@example(parse_relation("2S1+4S4=6S2+S4"), 300)  # false at n = 0
+@example(parse_relation("H1+H6=H2+H3"), 0)  # true up to n = 0, false at n = 1
+@example(parse_relation("99999999999999999999S1=S2"), 10)  # past int64
+@example(SpectralRelation(((2**62, OrbifoldId.S1),) * 4, ((2**62, OrbifoldId.S1),) * 8), 10)  # equal mod 2^64
+def test_verify_relation_matches_the_per_n_loop(rel, max_norm):
+    assert verify_relation(rel, max_norm) == oracle_verify_relation(rel, max_norm)
+
+
+def test_quotient_mult_checks_divisibility():
+    assert _quotient_mult(np.array([1, 4, 0, 8]), 4).tolist() == [1, 1, 0, 2]
+    with pytest.raises(ArithmeticError, match="census 6 at n=2 not divisible by 4"):
+        _quotient_mult(np.array([1, 4, 6]), 4)
+
+
+def jacobi_census(lattice, max_norm):
+    """r(n) = 4 * sum of chi_{-4}(d) (square) or 6 * sum of chi_{-3}(d) (hexagonal)
+    over the divisors d of n.  Divisors up to sqrt(N) add to all their multiples;
+    a larger divisor d has a cofactor m below sqrt(N), added for each m at once."""
+    mod, w = (4, 4) if lattice is SQ else (3, 6)
+    chi = np.zeros(max_norm + 1, dtype=np.int64)
+    chi[1::mod], chi[mod - 1::mod] = 1, -1
+    sums, root = np.zeros(max_norm + 1, dtype=np.int64), math.isqrt(max_norm)
+    for d in range(1, root + 1):
+        sums[d::d] += chi[d]
+    for m in range(1, max_norm // (root + 1) + 1):
+        d = np.arange(root + 1, max_norm // m + 1)
+        sums[m * d] += chi[d]
+    census = w * sums
+    census[0] = 1
+    return census.tolist()
+
+
+def test_census_against_jacobi_divisor_sums():
+    for lattice in (SQ, HEX):
+        assert norm_census(lattice, 10**5) == jacobi_census(lattice, 10**5)
+
+
+@pytest.mark.parametrize("lattice, max_norm", [
+    (SQ, 63**2), (SQ, 64**2), (SQ, 127**2), (SQ, 128**2),  # 127, 129, 255 and 257 box rows
+    (HEX, 3071), (HEX, 3072),  # 127 and 129 box rows
+])
+def test_census_across_a_band_edge(lattice, max_norm):
+    assert norm_census(lattice, max_norm) == jacobi_census(lattice, max_norm)
+    assert norm_census(lattice, max_norm - 1) == jacobi_census(lattice, max_norm - 1)

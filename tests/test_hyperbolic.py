@@ -91,6 +91,22 @@ def test_inverse_and_power():
     assert g3.a == pytest.approx((g @ g @ g).a, abs=1e-12)
 
 
+def test_power_stops_squaring_after_the_last_factor():
+    # one more squaring would reach 1e160, past the entry range
+    cube = Isometry.diag(1e40, 1e-40).power(3)
+    assert (cube.b, cube.c) == (0.0, 0.0)
+    assert (cube.a, cube.d) == pytest.approx((1e120, 1e-120), rel=1e-15)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_inverse_of_a_product_whose_det_is_rounding_noise(sign):
+    # the factors' dets are exactly sign, 1 and 1, so the inverse is the signed adjugate
+    g = (rotation(0.3) @ Isometry.diag(1e4, sign * 1e-4) @ rotation(0.7)).power(3 + (sign > 0))
+    assert abs(abs(g.det()) - 1.0) > 0.5  # ad - bc of entries this large is noise
+    assert g.inverse().rows() == ((sign * g.d, -sign * g.b), (-sign * g.c, sign * g.a))
+    assert g.inverse().inverse() == g
+
+
 def test_classify_examples():
     assert classify(Isometry.identity()) is IsometryClass.IDENTITY
     assert classify(Isometry(-1.0, 0.0, 0.0, -1.0)) is IsometryClass.IDENTITY

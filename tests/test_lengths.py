@@ -11,13 +11,11 @@ from isogeo.lengths import (
     Exact,
     Numeric,
     canonical_power_root,
-    cluster_index,
     cluster_lengths,
     exact_ratio,
     integer_ratio,
     length_le,
     lengths_equal,
-    representative,
     sorted_order,
     tanh_half,
 )
@@ -123,18 +121,18 @@ def test_cluster_lengths_sweep():
     vals = [Numeric(1.0), Numeric(1.0 + 8e-10), Numeric(1.0 + 1.6e-9)]
     assert len(cluster_lengths(vals, 1e-9)) == 1
     assert cluster_lengths([], 1e-9) == []
-    # the index names each input value's cluster, in input order
-    clusters, index = cluster_index([Numeric(2.0), Numeric(1.0), Numeric(1.0 + 5e-10)], 1e-9)
-    assert clusters == [[Numeric(1.0), Numeric(1.0 + 5e-10)], [Numeric(2.0)]]
-    assert index == [1, 0, 0]
-    assert cluster_index([], 1e-9) == ([], [])
+    # clusters ascend whatever the input order; exact first on a tie
+    vals = [Numeric(2.0), Numeric(math.log(2)), Numeric(1.0 + 5e-10), Numeric(1.0), Exact(2, 1)]
+    assert cluster_lengths(vals, 1e-9) == [
+        [Exact(2, 1), Numeric(math.log(2))], [Numeric(1.0), Numeric(1.0 + 5e-10)], [Numeric(2.0)]]
 
 
 def test_cluster_representative_prefers_exact():
-    c = cluster_lengths([Numeric(math.log(2)), Exact(2, 1)], 1e-9)
-    assert len(c) == 1
-    assert representative(c[0]) == Exact(2, 1)
-    assert representative([Numeric(1.5)]) == Numeric(1.5)
+    x = np.array([math.log(2), math.log(2), 1.5])
+    clusters = Clusters([(x, [None, Exact(2, 1), None])], 1e-9)
+    assert clusters.size == 2
+    assert clusters.rep(0) == Exact(2, 1)
+    assert clusters.rep(1) == Numeric(1.5)
 
 
 # lengths whose floats tie: Exact(2, 1) and the same value on base 4, two other
@@ -172,7 +170,7 @@ def tied_columns(draw):
 def test_sorted_order_matches_the_tiebreak_sort(case):
     x, lengths, rev, nu = case
     assert sorted_order(x, lengths, rev, nu).tolist() == oracle_order(x, lengths, rev, nu)
-    # without keys, and with Numeric values in place of None (as cluster_index calls it)
+    # without keys, and with Numeric values in place of None (as cluster_lengths calls it)
     values = [l or Numeric(v) for l, v in zip(lengths, x.tolist())]
     assert sorted_order(x, values).tolist() == oracle_order(x, values)
 
