@@ -82,6 +82,7 @@ from .flat import (
     parse_relation,
     relations_for_family,
     verify_relation,
+    verify_relations,
 )
 from .hyperbolic import (
     EnumConfig,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -267,11 +267,15 @@ class RelationWitness:
     right_total: int
 
 
-def verify_relation(
-    rel: SpectralRelation, max_norm: int
-) -> Tuple[bool, RelationWitness | None]:
-    """Check coefficient-weighted multiplicity equality for every n <= cutoff."""
-    census = _census(rel.lattice, max_norm)
+def verify_relations(
+    relations: Sequence[SpectralRelation], max_norm: int
+) -> List[Tuple[bool, RelationWitness | None]]:
+    """verify_relation of each relation, in order, counting one census per lattice."""
+    censuses = {kind: _census(kind, max_norm) for kind in dict.fromkeys(rel.lattice for rel in relations)}
+    return [_verdict(rel, censuses[rel.lattice]) for rel in relations]
+
+
+def _verdict(rel: SpectralRelation, census: np.ndarray) -> Tuple[bool, RelationWitness | None]:
     if sum(c for c, _ in rel.left + rel.right) * int(census.max()) >= 2**63:  # int64 sums could wrap
         census = census.astype(object)
     lhs, rhs = (sum(c * _quotient_mult(census, oid.order) for c, oid in side) for side in (rel.left, rel.right))
@@ -280,6 +284,13 @@ def verify_relation(
         return True, None
     n = int(differ[0])
     return False, RelationWitness(n=n, left_total=int(lhs[n]), right_total=int(rhs[n]))
+
+
+def verify_relation(
+    rel: SpectralRelation, max_norm: int
+) -> Tuple[bool, RelationWitness | None]:
+    """Check coefficient-weighted multiplicity equality for every n <= cutoff."""
+    return verify_relations([rel], max_norm)[0]
 
 
 ISOSPECTRAL_RELATIONS: Tuple[SpectralRelation, ...] = tuple(

@@ -132,15 +132,17 @@ def _pick(cond, x, y):
     return y + cond * (x - y)
 
 
-def _classify(a, b, c, d, tol: float):
+def _classify(a, b, c, d, preserving, tol: float):
     """Trace/determinant classification of the matrix (a, b; c, d) as its
-    class position.  Built from operators alone, so the entries may be
-    floats (giving an int) or equally shaped arrays (an array of them)."""
+    class position, preserving saying whether its det is +1 (the carried
+    sign: ad - bc of a long product is rounding noise).  Built from
+    operators alone, so the arguments may be scalars (giving an int) or
+    equally shaped arrays (an array of them)."""
     t = abs(a + d)
     near_identity = (abs(abs(a) - 1.0) <= tol) & (abs(abs(d) - 1.0) <= tol) & (abs(b) <= tol) & (abs(c) <= tol)
-    preserving = _pick(abs(t - 2.0) <= tol, _pick(near_identity, _IDENTITY, _PARABOLIC),
+    kinds = _pick(abs(t - 2.0) <= tol, _pick(near_identity, _IDENTITY, _PARABOLIC),
                        _pick(t < 2.0, _ELLIPTIC, _HYPERBOLIC))
-    return _pick(a * d - b * c > 0, preserving, _pick(t <= tol, _REFLECTION, _GLIDE))
+    return _pick(preserving, kinds, _pick(t <= tol, _REFLECTION, _GLIDE))
 
 
 def _axis_length(kind: IsometryClass, trace: float) -> float:
@@ -159,8 +161,9 @@ def _axis_length(kind: IsometryClass, trace: float) -> float:
 
 
 def classify(g: Isometry, tol: float = CLASSIFY_TOLERANCE) -> IsometryClass:
-    """Trace/determinant classification, with tolerance at the boundaries."""
-    return _CLASSES[_classify(g.a, g.b, g.c, g.d, tol)]
+    """Trace/determinant classification, with tolerance at the boundaries;
+    the orientation is the sign of g's carried det."""
+    return _CLASSES[_classify(g.a, g.b, g.c, g.d, g._det > 0, tol)]
 
 
 def translation_length(g: Isometry, tol: float = CLASSIFY_TOLERANCE) -> float:
@@ -247,30 +250,37 @@ def _walk_products(generators: Sequence[Isometry], max_len: int):
     that are cyclically reduced, in the depth-first walk order (letters
     descending, a prefix before its extensions).  Returns the walk-order
     key of each (the letters negated, padded with -(k + 1) for k
-    generators), its product matrix as a column of a (4, words) array and
-    its number of periods."""
+    generators), its product matrix as a column of a (4, words) array, its
+    number of periods and the sign of its det (the product of its letters'
+    signs, int8)."""
     k = len(generators)
     letter_mats = np.zeros((4, 2 * k + 1))  # column k + l holds letter l
+    letter_signs = np.ones(2 * k + 1, dtype=np.int8)
     for i, g in enumerate(generators, start=1):
         inv = g.inverse()
         letter_mats[:, k + i], letter_mats[:, k - i] = (g.a, g.b, g.c, g.d), (inv.a, inv.b, inv.c, inv.d)
+        letter_signs[k + i] = letter_signs[k - i] = 1 if g._det > 0 else -1
 
     rank_type = np.min_scalar_type(-(k + 1))
-    ranks, mats, nus = [], [], []
+    ranks, mats, nus, signs = [], [], [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for words, periods, parents in necklace_walk((*range(-k, 0), *range(1, k + 1)), max_len):
             n = words.shape[1]
-            last = letter_mats[:, words[:, -1].astype(np.intp) + k]
+            letter = words[:, -1].astype(np.intp) + k
+            last, last_sign = letter_mats[:, letter], letter_signs[letter]
             level = last if n == 1 else _mul4([x[parents] for x in level], last)
+            sign = last_sign if n == 1 else sign[parents] * last_sign
             keep = (n % periods == 0) & (words[:, 0] != -words[:, -1])
             rank = np.full((np.count_nonzero(keep), max_len), -(k + 1), dtype=rank_type)
             rank[:, :n] = -words[keep]
             ranks.append(rank)
             mats.append(np.array([x[keep] for x in level]))
             nus.append(n // periods[keep])
+            signs.append(sign[keep])
     rank = np.concatenate(ranks)
     walk = np.lexsort(rank.T[::-1])
-    return rank[walk], np.concatenate(mats, axis=1)[:, walk], np.concatenate(nus)[walk]
+    return (rank[walk], np.concatenate(mats, axis=1)[:, walk], np.concatenate(nus)[walk],
+            np.concatenate(signs)[walk])
 
 
 def enumerate_geodesics(
@@ -284,8 +294,10 @@ def enumerate_geodesics(
     oriented counts: a word and its inverse are distinct canonical words,
     so each unoriented geodesic contributes twice.
 
-    Each word is classified once, from its product matrix: hyperbolic
-    words preserve orientation and glide reflections reverse it.  A
+    Each word is classified once, from its product matrix and its det
+    sign, the product of its letters' signs (ad - bc of a long product is
+    rounding noise): hyperbolic words preserve orientation and glide
+    reflections reverse it.  A
     translating product is not re-checked for |det| = 1: that check is for
     input matrices, and the rounding drift of a product grows with its word.
     A product too large for float64 on the dedup_tolerance grid raises
@@ -318,7 +330,7 @@ def enumerate_geodesics(
         raise EmptyGenerators("need at least one generator")
     tol = config.dedup_tolerance
 
-    rank, mat, nu = _walk_products(generators, config.max_word_length)
+    rank, mat, nu, sign = _walk_products(generators, config.max_word_length)
 
     def word(i: int) -> Tuple[int, ...]:
         return tuple((-rank[i][rank[i] > -len(generators) - 1]).tolist())
@@ -343,7 +355,7 @@ def enumerate_geodesics(
     first, nu = by_key[starts], np.maximum.reduceat(nu[by_key], starts)
 
     a, b, c, d = mat[:, first]
-    kind = _classify(a, b, c, d, tol)
+    kind = _classify(a, b, c, d, sign[first] > 0, tol)
     side = (kind == _ELLIPTIC) | (kind == _REFLECTION)
     elliptic = tuple((word(i), tuple(mat[:, i].tolist())) for i in np.sort(first[side]).tolist())
     dropped = int(np.count_nonzero((kind == _IDENTITY) | (kind == _PARABOLIC)))

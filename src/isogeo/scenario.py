@@ -22,8 +22,11 @@ is the independent cross-check for c_n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Dict, List, Tuple
 
 from .errors import BeyondHorizon, TooLarge
@@ -78,6 +81,27 @@ def necklace_count(q: int, n: int) -> int:
     if total % n != 0:
         raise ArithmeticError(f"divisor sum {total} not divisible by {n}")
     return total // n
+
+
+def _grid_tables(q: int, h: int) -> Tuple[List[List[int]], List[int], List[int]]:
+    """For every n <= h, indexed by n: the divisors of n (by a sieve), q**n
+    and the necklace count c_n, with Mobius read off the divisor lists
+    (mu(n) = -sum of mu(d) over the proper divisors d of n)."""
+    if q < 2:
+        raise ValueError(f"alphabet size must be >= 2, got {q}")
+    divisors: List[List[int]] = [[] for _ in range(h + 1)]
+    for d in range(1, h + 1):
+        for m in range(d, h + 1, d):
+            divisors[m].append(d)
+    powers = list(accumulate(repeat(q, h), mul, initial=1))
+    mu, counts = [0] * (h + 1), [0] * (h + 1)
+    for n in range(1, h + 1):
+        mu[n] = 1 if n == 1 else -sum(mu[d] for d in divisors[n][:-1])
+        total = sum(mu[n // j] * powers[j] for j in divisors[n] if mu[n // j])
+        if total % n != 0:
+            raise ArithmeticError(f"divisor sum {total} not divisible by {n}")
+        counts[n] = total // n
+    return divisors, powers, counts
 
 
 def necklace_count_oracle(q: int, n: int) -> int:
@@ -177,9 +201,10 @@ def asymptotic_ratio(q: int, n: int) -> Fraction:
 
 def to_discrepancy(sol: ScenarioSolution) -> DiscrepancyTable:
     """The scenario as a DiscrepancyTable keyed by exact grid lengths."""
-    a = {sol.grid_length(n): v for n, v in sol.a.items()}
-    b = {sol.grid_length(n): v for n, v in sol.b.items()}
-    return DiscrepancyTable(a, b, sol.grid_length(sol.horizon))
+    grid = {n: sol.grid_length(n) for n in sol.a.keys() | sol.b.keys() | {sol.horizon}}  # one Exact per n
+    a = {grid[n]: v for n, v in sol.a.items()}
+    b = {grid[n]: v for n, v in sol.b.items()}
+    return DiscrepancyTable(a, b, grid[sol.horizon])
 
 
 def to_spectra(sol: ScenarioSolution) -> Tuple[LengthTwistSpectrum, LengthTwistSpectrum]:
@@ -227,18 +252,23 @@ class ScenarioRow:
 
 
 def scenario_rows(sol: ScenarioSolution) -> List[ScenarioRow]:
-    """Per-n table: necklace count, assignments, and constraint residual."""
-    rows = []
+    """Per-n table: necklace count, assignments, and constraint residual.
+
+    Each row is necklace_count(q, n) and verify_constraint(sol, n), read
+    from one divisor, Mobius and power table built for the whole horizon.
+    """
+    divisors, powers, counts = _grid_tables(sol.q, sol.horizon)
+    a, b, rows = sol.a, sol.b, []
     for n in range(1, sol.horizon + 1):
-        res = verify_constraint(sol, n)
-        rows.append(
-            ScenarioRow(
-                n=n,
-                c_n=necklace_count(sol.q, n),
-                a=sol.a_at(n),
-                b=sol.b_at(n),
-                residual_num=res.numerator,
-                residual_den=res.denominator,
-            )
-        )
+        A = O = E = 0  # as in verify_constraint, over the divisors m = n/k
+        for m in divisors[n]:
+            A += m * a.get(m, 0)
+            if (n // m) % 2 == 1:
+                O += m * b.get(m, 0)
+            else:
+                E += m * b.get(m, 0)
+        Q = powers[n]
+        num, den = (A - E) * (Q + 1) - (Q - 1) * O, n * (Q + 1)
+        g = math.gcd(num, den)  # den > 0: num/g, den/g are the Fraction's lowest terms
+        rows.append(ScenarioRow(n, counts[n], a.get(n, 0), b.get(n, 0), num // g, den // g))
     return rows

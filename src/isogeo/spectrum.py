@@ -25,6 +25,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -324,7 +326,7 @@ def almost_conjugate(
     return False, ConjugacyWitness(length, ORIENTATIONS[keys[1][i]], keys[0][i], int(va[g]), int(vb[g]))
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class DiscrepancyTable:
     """Integer functions a(l), b(l) over lengths up to a horizon.
 
@@ -333,6 +335,10 @@ class DiscrepancyTable:
     the *second* minus the first's (the two spectra trade places between
     the definitions).  Zero values are omitted from storage but report
     as 0.
+
+    Immutable: a and b are read-only mappings once constructed, so the
+    support order and the support analysis of support_sets are computed
+    once per table and can never go stale.
     """
 
     a: Mapping[LengthValue, int]
@@ -340,9 +346,9 @@ class DiscrepancyTable:
     horizon: LengthValue
 
     def __post_init__(self):
-        self.a = {l: int(v) for l, v in self.a.items() if v != 0}
-        self.b = {l: int(v) for l, v in self.b.items() if v != 0}
-        for l in self.support():
+        object.__setattr__(self, "a", MappingProxyType({l: int(v) for l, v in self.a.items() if v != 0}))
+        object.__setattr__(self, "b", MappingProxyType({l: int(v) for l, v in self.b.items() if v != 0}))
+        for l in self._support:
             if not length_le(l, self.horizon):
                 raise ValueError(f"support length {l} exceeds horizon {self.horizon}")
 
@@ -353,10 +359,47 @@ class DiscrepancyTable:
         return self.b.get(l, 0)
 
     def support(self) -> List[LengthValue]:
-        return sorted(set(self.a) | set(self.b), key=lambda v: (v.approx(), str(v)))
+        return list(self._support)
+
+    @cached_property
+    def _support(self) -> Tuple[LengthValue, ...]:
+        return tuple(_length_order(self.a.keys() | self.b.keys()))
+
+    @cached_property
+    def _support_sets(self) -> Tuple[frozenset, frozenset]:
+        """(L, L0) of support_sets; an analysis that raises stores nothing."""
+        support = self._support
+        if not all(isinstance(l, Exact) for l in support):
+            raise MixedBases("support contains numeric lengths; divisibility undecidable")
+        bases = {l.base for l in support}
+        if len(bases) > 1:
+            raise MixedBases(f"support spans incommensurable grids: bases {sorted(bases)}")
+
+        L0 = []  # a multiple of a smaller length is one of a minimal length: test those in order
+        for l in sorted(support, key=lambda l: l.mult):
+            if not any(_is_multiple(l, m) for m in L0):
+                L0.append(l)
+        for l in support:
+            if not any(_is_multiple(l, m) for m in L0):
+                raise InvariantViolation(f"{l} not a multiple of any minimal length")
+        return frozenset(support), frozenset(L0)
 
     def __repr__(self) -> str:
         return f"DiscrepancyTable({len(self.a)} a-values, {len(self.b)} b-values)"
+
+
+def _length_order(lengths: Iterable[LengthValue]) -> List[LengthValue]:
+    """The lengths sorted by (approx(), str): a stable sort on the float, then
+    each run of tied floats by str, so a string is formatted only on a tie.
+    Distinct lengths never share both keys, so the order is total."""
+    keyed = sorted(((l.approx(), l) for l in lengths), key=itemgetter(0))
+    out, first = [l for _, l in keyed], 0
+    for i in range(1, len(keyed) + 1):
+        if i == len(keyed) or keyed[i][0] != keyed[first][0]:  # a run of equal floats ends at i
+            if i - first > 1:
+                out[first:i] = sorted(out[first:i], key=str)
+            first = i
+    return out
 
 
 def discrepancy(a: LengthTwistSpectrum, b: LengthTwistSpectrum) -> DiscrepancyTable:
@@ -383,31 +426,19 @@ def support_sets(table: DiscrepancyTable) -> Tuple[set, set]:
 
     l precedes m when m is a positive integer multiple of l; L0 collects
     the minimal elements, and every element of L is checked to be an
-    integer multiple of something in L0.
+    integer multiple of something in L0.  The analysis runs on the
+    table's first call; each call returns fresh sets.
     """
-    support = table.support()
-    if not all(isinstance(l, Exact) for l in support):
-        raise MixedBases("support contains numeric lengths; divisibility undecidable")
-    bases = {l.base for l in support}
-    if len(bases) > 1:
-        raise MixedBases(f"support spans incommensurable grids: bases {sorted(bases)}")
-
-    L0 = []  # a multiple of a smaller length is one of a minimal length: test those in order
-    for l in sorted(support, key=lambda l: l.mult):
-        if all(l.mult.numerator * m.mult.denominator % (l.mult.denominator * m.mult.numerator) for m in L0):
-            L0.append(l)
-
-    def multiple(l: Exact, m: Exact) -> bool:  # is l an integer multiple of m?
-        r = exact_ratio(l, m)
-        return r is not None and r.denominator == 1
-
-    for l in support:
-        if not any(multiple(l, m) for m in L0):
-            raise InvariantViolation(f"{l} not a multiple of any minimal length")
-    return set(support), set(L0)
+    L, L0 = table._support_sets
+    return set(L), set(L0)
 
 
-def _minimal_grid_point(table: DiscrepancyTable, l: LengthValue) -> Tuple[int, set]:
+def _is_multiple(l: Exact, m: Exact) -> bool:
+    """Is l a positive integer multiple of m?  Both on one grid."""
+    return l.mult.numerator * m.mult.denominator % (l.mult.denominator * m.mult.numerator) == 0
+
+
+def _minimal_grid_point(table: DiscrepancyTable, l: LengthValue) -> Tuple[int, frozenset]:
     """(n, L0) for l = n*log(q), n a positive integer, and L0 of support_sets.
 
     InexactLength unless l is such a grid point; NotMinimal if l is in the
@@ -418,7 +449,7 @@ def _minimal_grid_point(table: DiscrepancyTable, l: LengthValue) -> Tuple[int, s
     n = l.integer_mult()
     if n is None:
         raise InexactLength(f"{l} is not an integer multiple of log({l.base})")
-    L, L0 = support_sets(table)
+    L, L0 = table._support_sets
     if l in L and l not in L0:
         raise NotMinimal(f"{l} is not minimal in the support")
     return n, L0

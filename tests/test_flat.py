@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from isogeo import flat
 from isogeo.errors import IncompatibleRotation, MalformedRelation
 from isogeo.flat import (
     ISOSPECTRAL_RELATIONS,
@@ -21,6 +22,7 @@ from isogeo.flat import (
     relations_for_family,
     vectors_with_norm,
     verify_relation,
+    verify_relations,
 )
 
 SQ = LatticeKind.SQUARE
@@ -250,6 +252,29 @@ def relations(draw):
 @example(SpectralRelation(((2**62, OrbifoldId.S1),) * 4, ((2**62, OrbifoldId.S1),) * 8), 10)  # equal mod 2^64
 def test_verify_relation_matches_the_per_n_loop(rel, max_norm):
     assert verify_relation(rel, max_norm) == oracle_verify_relation(rel, max_norm)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(relations(), max_size=5), st.integers(0, 500))
+def test_verify_relations_matches_each_relation(rels, max_norm):
+    rels += [parse_relation("99999999999999999999S1=S2")]  # its census turns to Python ints
+    assert verify_relations(rels, max_norm) == [oracle_verify_relation(r, max_norm) for r in rels]
+
+
+def test_verify_relations_counts_one_census_per_lattice(monkeypatch):
+    counted = []
+
+    def census(lattice, max_norm):
+        counted.append(lattice)
+        return norm_census_array(lattice, max_norm)
+
+    norm_census_array = flat._census
+    monkeypatch.setattr(flat, "_census", census)
+    rels = list(ISOSPECTRAL_RELATIONS) + [parse_relation("S1=S2"), parse_relation("H1+H6=H2+H3")]
+    verdicts = verify_relations(rels, 300)
+    assert sorted(counted, key=str) == [HEX, SQ]
+    assert [ok for ok, _ in verdicts] == [True] * 6 + [False, False]
+    assert verdicts == [verify_relation(r, 300) for r in rels]
 
 
 def test_quotient_mult_checks_divisibility():

@@ -107,6 +107,19 @@ def test_inverse_of_a_product_whose_det_is_rounding_noise(sign):
     assert g.inverse().inverse() == g
 
 
+def test_orientation_is_the_carried_det_sign():
+    # ad - bc of g^4 computes to 0.0 although every factor has det +1
+    g = rotation(0.3) @ Isometry.diag(1e4, 1e-4) @ rotation(0.7)
+    assert abs(g.power(4).det()) < 0.5
+    assert classify(g.power(4)) is IsometryClass.HYPERBOLIC
+    assert classify(g.power(-4)) is IsometryClass.HYPERBOLIC
+    glide = rotation(0.3) @ Isometry.diag(1e4, -1e-4) @ rotation(0.7)
+    assert classify(glide.power(3)) is IsometryClass.GLIDE_REFLECTION
+    spec = enumerate_geodesics([g], EnumConfig(4, 80.0)).spectrum
+    assert [(e.orientation, e.nu, e.multiplicity) for e in spec.entries] == [
+        (Orientation.PRESERVING, k, 2) for k in range(1, 5)]
+
+
 def test_classify_examples():
     assert classify(Isometry.identity()) is IsometryClass.IDENTITY
     assert classify(Isometry(-1.0, 0.0, 0.0, -1.0)) is IsometryClass.IDENTITY

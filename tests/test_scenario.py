@@ -10,6 +10,8 @@ from isogeo.errors import BeyondHorizon, TooLarge
 from isogeo.interchange import dump_spectrum
 from isogeo.lengths import Exact, tanh_half
 from isogeo.scenario import (
+    ORACLE_CAP,
+    ScenarioRow,
     ScenarioSolution,
     asymptotic_ratio,
     build_scenario,
@@ -189,6 +191,27 @@ def test_asymptotic_ratio_error_bound():
         for n in range(3, 26, 2):
             gap = abs(asymptotic_ratio(q, n) - 1)
             assert gap <= 2 * n * Fraction(1, q ** ((n + 1) // 2)), (q, n)
+
+
+def per_n_row(sol: ScenarioSolution, n: int) -> ScenarioRow:
+    res = verify_constraint(sol, n)
+    return ScenarioRow(n, necklace_count(sol.q, n), sol.a_at(n), sol.b_at(n), res.numerator, res.denominator)
+
+
+def test_scenario_rows_match_the_per_n_functions():
+    for q in range(2, 11):
+        sol = build_scenario(q, 320)
+        rows = scenario_rows(sol)
+        assert rows == [per_n_row(sol, n) for n in range(1, 321)], q
+        oracle_n = [n for n in range(1, 321) if q**n <= ORACLE_CAP]
+        assert [rows[n - 1].c_n for n in oracle_n] == [necklace_count_oracle(q, n) for n in oracle_n]
+
+
+@settings(max_examples=100, deadline=None)
+@given(signed_solution())
+def test_scenario_rows_match_the_per_n_functions_on_signed_values(case):
+    sol, _ = case
+    assert scenario_rows(sol) == [per_n_row(sol, n) for n in range(1, sol.horizon + 1)]
 
 
 def test_scenario_rows_shape():

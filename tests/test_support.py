@@ -38,12 +38,16 @@ def test_support_sets_empty():
 
 
 def test_support_sets_invariant_raises(monkeypatch):
-    # with every ratio undecidable each length is minimal, and then no length
-    # is a checked multiple of one: the invariant check must fire, even under -O
+    # with no length a multiple of another each length is minimal, and then no
+    # length is a checked multiple of one: the invariant check must fire, even under -O
     t = table({Exact(2, 1): 1, Exact(2, 2): 1}, {}, Exact(2, 10))
-    monkeypatch.setattr(spectrum, "exact_ratio", lambda a, b: None)
+    monkeypatch.setattr(spectrum, "_is_multiple", lambda l, m: False)
     with pytest.raises(InvariantViolation):
         support_sets(t)
+    with pytest.raises(InvariantViolation):  # a failed analysis stores nothing
+        lemma1_residual(t, Exact(2, 1))
+    monkeypatch.undo()
+    assert support_sets(t) == ({Exact(2, 1), Exact(2, 2)}, {Exact(2, 1)})
 
 
 def test_support_sets_scenario():
@@ -61,10 +65,26 @@ def test_support_sets_two_minimal():
 
 
 def test_support_sets_rejects_numeric_and_mixed():
+    numeric = table({Numeric(1.0): 1}, {}, Numeric(5.0))
+    mixed = table({Exact(2, 1): 1, Exact(3, 1): 1}, {}, Exact(2, 10))
+    for t in (numeric, mixed, mixed):  # every call raises again
+        with pytest.raises(MixedBases):
+            support_sets(t)
     with pytest.raises(MixedBases):
-        support_sets(table({Numeric(1.0): 1}, {}, Numeric(5.0)))
-    with pytest.raises(MixedBases):
-        support_sets(table({Exact(2, 1): 1, Exact(3, 1): 1}, {}, Exact(2, 10)))
+        forced_growth(mixed, Exact(2, 1), 3)
+
+
+def test_table_is_read_only():
+    t = table({Exact(2, 1): 1}, {Exact(2, 2): 0}, Exact(2, 10))
+    assert t.a == {Exact(2, 1): 1} and t.b == {}
+    with pytest.raises(TypeError):
+        t.a[Exact(2, 3)] = 1
+    with pytest.raises(AttributeError):
+        t.a = {}
+    with pytest.raises(AttributeError):
+        t.horizon = Exact(2, 1)
+    assert support_sets(t) == ({Exact(2, 1)}, {Exact(2, 1)})
+    assert t == table({Exact(2, 1): 1}, {}, Exact(2, 10))  # the analysis is not compared
 
 
 def oracle_support_sets(t):
@@ -90,6 +110,48 @@ def single_base_table(draw):
 @given(single_base_table())
 def test_support_sets_matches_the_pairwise_definition(t):
     assert support_sets(t) == oracle_support_sets(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(single_base_table(), st.sampled_from(["support_sets", "lemma1_residual", "forced_growth"]))
+def test_support_analysis_runs_once_in_any_call_order(t, first):
+    l0 = Exact(2, 1)
+    calls = {"support_sets": support_sets,
+             "lemma1_residual": lambda u: lemma1_residual(u, l0),
+             "forced_growth": lambda u: forced_growth(u, l0, 3)}
+
+    def outcome(call, u):
+        try:
+            return call(u)
+        except (NotMinimal, PrimeCollision, RatioIsInteger) as e:
+            return type(e)
+
+    want = oracle_support_sets(t)
+    fresh, other = table(t.a, t.b, t.horizon), table(t.a, t.b, t.horizon)
+    outcome(calls[first], fresh)  # the first call analyses the table
+    L, L0 = support_sets(fresh)
+    assert (L, L0) == want
+    L.clear(), L0.clear()  # each call returns fresh sets
+    assert support_sets(fresh) == want
+    # other is analysed by support_sets first, fresh by whichever call came first
+    assert [outcome(c, fresh) for c in calls.values()] == [outcome(c, other) for c in calls.values()]
+
+
+@st.composite
+def tied_lengths(draw):
+    # exact lengths on several grids, some paired with a Numeric of the same float
+    mult = st.builds(Fraction, st.integers(1, 40), st.integers(1, 6))
+    exact = draw(st.lists(st.builds(Exact, st.sampled_from([2, 3, 4, 8, 9]), mult), max_size=20))
+    twins = [Numeric(l.approx()) for l in exact if draw(st.booleans())]
+    floats = draw(st.lists(st.floats(0.01, 60.0), max_size=5))
+    return exact + twins + [Numeric(x) for x in floats]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_lengths())
+def test_support_order_is_float_then_str(lengths):
+    t = table(dict.fromkeys(lengths, 1), {}, Numeric(1000.0))
+    assert t.support() == sorted(set(lengths), key=lambda v: (v.approx(), str(v)))
 
 
 def test_support_sets_accepts_power_base():
