@@ -27,6 +27,8 @@ import json
 from fractions import Fraction
 from typing import IO, Any, Callable, Dict, List, Tuple
 
+import numpy as np
+
 from .hyperbolic import Isometry
 from .lengths import DEFAULT_TOLERANCE, Exact, LengthValue, Numeric, as_integer, positive_length
 from .spectrum import (
@@ -63,8 +65,10 @@ def length_to_json(l: LengthValue) -> Dict[str, Any]:
 
 
 def length_cell(l: LengthValue) -> str:
-    """A length as one CSV cell: its JSON encoding with sorted keys."""
-    return json.dumps(length_to_json(l), sort_keys=True)
+    """A length as one CSV cell: json.dumps(length_to_json(l), sort_keys=True)."""
+    if isinstance(l, Exact):
+        return f'{{"exact": {{"den": {l.mult.denominator}, "num": {l.mult.numerator}, "q": {l.base}}}}}'
+    return f'{{"numeric": {l.value!r}}}'
 
 
 def _length_column(doc: Dict[str, Any]) -> Tuple[float, Exact | None]:
@@ -76,7 +80,7 @@ def _length_column(doc: Dict[str, Any]) -> Tuple[float, Exact | None]:
         return l.approx(), l
     if "numeric" in doc:
         v = doc["numeric"]
-        if isinstance(v, bool):
+        if isinstance(v, (bool, str)):  # float() would parse a string; JSON true is no number
             raise ValueError(f"numeric must be a number, got {v!r}")
         return positive_length(float(v)), None
     raise ValueError(f"length must have an 'exact' or 'numeric' key, got {doc}")
@@ -88,19 +92,29 @@ def length_from_json(doc: Dict[str, Any]) -> LengthValue:
 
 
 def spectrum_to_json(spec: LengthTwistSpectrum) -> Dict[str, Any]:
-    return {
-        "horizon": length_to_json(spec.horizon),
-        "entries": [
-            {
-                "length": {"numeric": x} if l is None else length_to_json(l),
-                "orientation": ORIENTATIONS[r].value,
-                "nu": nu,
-                "multiplicity": m,
-            }
-            for x, l, r, nu, m in zip(spec.approx.tolist(), spec.exact, spec.reversing.tolist(),
-                                      spec.nu, spec.multiplicity)
-        ],
-    }
+    columns = zip(spec.approx.tolist(), spec.exact, spec.reversing.tolist(), spec.nu, spec.multiplicity)
+    return {"horizon": length_to_json(spec.horizon),
+            "entries": [{"length": {"numeric": x} if l is None else length_to_json(l),
+                         "orientation": ORIENTATIONS[r].value, "nu": nu, "multiplicity": m}
+                        for x, l, r, nu, m in columns]}
+
+
+def _entry_columns(entries: List[Dict[str, Any]]) -> tuple:
+    """The entries as columns (approx, exact, reversing, nu, multiplicity), each field
+    gathered and checked in one pass; only exact lengths reach _length_column.  Raises
+    unless every count is an int >= 1 and every numeric length a positive finite int or float."""
+    lengths = [e["length"] for e in entries]
+    reversing = [_REVERSING[e["orientation"]] for e in entries]
+    nu, mult = [e.get("nu", 1) for e in entries], [e.get("multiplicity", 1) for e in entries]
+    pairs = [_length_column(l) if "exact" in l else (l["numeric"], None) for l in lengths]
+    x, exact = zip(*pairs) if pairs else ((), ())
+    if (set(map(type, x)) - {int, float} or set(map(type, nu + mult)) - {int}
+            or min(nu + mult, default=1) < 1):
+        raise ValueError("a column holds a value that is not plain")
+    x = np.array(x, dtype=float)
+    if not np.all((x > 0) & (x < np.inf)):  # NaN fails both
+        raise ValueError("a length is not positive and finite")
+    return x, exact, reversing, nu, mult
 
 
 @_document
@@ -109,15 +123,13 @@ def spectrum_from_json(
 ) -> LengthTwistSpectrum:
     if "horizon" not in doc or "entries" not in doc:
         raise ValueError("spectrum document needs 'horizon' and 'entries'")
-    rows = []
-    for e in doc["entries"]:
-        x, l = _length_column(e["length"])
-        o = e["orientation"]
-        reversing = _REVERSING.get(o) if type(o) is str else None
-        if reversing is None:  # not a plain orientation name: let Orientation say why
-            reversing = Orientation(o) is Orientation.REVERSING
-        rows.append((x, l, reversing, *entry_counts(e.get("nu", 1), e.get("multiplicity", 1))))
-    columns = tuple(zip(*rows)) or ((),) * 5
+    try:
+        columns = _entry_columns(doc["entries"])
+    except (LookupError, TypeError, ValueError, ArithmeticError):
+        # entry by entry: the first fault in document order raises, and nu 2.0 converts
+        rows = [(*_length_column(e["length"]), Orientation(e["orientation"]) is Orientation.REVERSING,
+                 *entry_counts(e.get("nu", 1), e.get("multiplicity", 1))) for e in doc["entries"]]
+        columns = tuple(zip(*rows)) or ((),) * 5
     return LengthTwistSpectrum.from_columns(columns, length_from_json(doc["horizon"]), tolerance)
 
 

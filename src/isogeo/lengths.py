@@ -191,8 +191,8 @@ def sorted_order(x: np.ndarray, lengths: Sequence[LengthValue | None], *keys: Se
         return ((0, l.base, l.mult) if isinstance(l, Exact) else (1, 0, 0), *(k[i] for k in keys))
 
     first, mixed = {}, set()  # each run's first Exact value; the runs holding another
-    for r, l in zip(run.tolist(), (lengths[i] for i in members.tolist())):
-        if isinstance(l, Exact) and first.setdefault(r, l) is not l and first[r] != l:
+    for r, l in zip(run[~numeric].tolist(), (lengths[i] for i in members[~numeric].tolist())):
+        if first.setdefault(r, l) is not l and first[r] != l:
             mixed.add(r)
     for r in mixed:
         lo, hi = at[np.searchsorted(run, r)], at[np.searchsorted(run, r, "right") - 1] + 1

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -98,6 +99,10 @@ class GeodesicEntry:
         return self.nu == 1
 
 
+_SET_VALUE = Numeric.value.__set__  # a frozen dataclass's fields, set on a bare instance
+_SET_ENTRY = tuple(getattr(GeodesicEntry, f).__set__ for f in ("length", "orientation", "nu", "multiplicity"))
+
+
 class LengthTwistSpectrum:
     """Finite multiset of geodesic types truncated at a horizon.
 
@@ -129,17 +134,17 @@ class LengthTwistSpectrum:
             raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
         x, rev = np.asarray(approx, dtype=float), np.asarray(reversing, dtype=np.int8)
         order = sorted_order(x, exact, rev, nu)
-        xs, rs, order = x[order], rev[order], order.tolist()
-        mult, first = [mult[i] for i in order], list(range(len(order)))
-        # copies of one (length, orientation, nu) sort side by side: fold each into the first
-        for j in np.flatnonzero((xs[1:] == xs[:-1]) & (rs[1:] == rs[:-1])).tolist():
-            if nu[order[j]] == nu[order[j + 1]] and exact[order[j]] == exact[order[j + 1]]:
-                first[j + 1] = first[j]
-                mult[first[j]] += mult[j + 1]
-        keep = [j for j, f in enumerate(first) if f == j]
-        self.approx, self.reversing = xs[keep], rs[keep]
-        self.exact, self.nu = [exact[order[j]] for j in keep], [nu[order[j]] for j in keep]
-        self.multiplicity, self.horizon, self.tolerance = [mult[j] for j in keep], horizon, tolerance
+        xs, rs, at = x[order], rev[order], order.tolist()
+        mult = [mult[i] for i in at]
+        # copies of one (length, orientation, nu) sort side by side: fold each into the one before
+        copies = [j + 1 for j in np.flatnonzero((xs[1:] == xs[:-1]) & (rs[1:] == rs[:-1])).tolist()
+                  if nu[at[j]] == nu[at[j + 1]] and exact[at[j]] == exact[at[j + 1]]]
+        for j in reversed(copies):
+            mult[j - 1] += mult[j]
+        keep = np.delete(np.arange(len(at)), copies)
+        self.approx, self.reversing, at = xs[keep], rs[keep], order[keep].tolist()
+        self.exact, self.nu = [exact[i] for i in at], [nu[i] for i in at]
+        self.multiplicity, self.horizon, self.tolerance = [mult[j] for j in keep.tolist()], horizon, tolerance
         # lengths below the horizon's float are within it; the top run needs length_le
         for i in range(int(np.searchsorted(self.approx, horizon.approx())), len(keep)):
             l = self.exact[i] or Numeric(float(self.approx[i]))
@@ -148,12 +153,23 @@ class LengthTwistSpectrum:
 
     @cached_property
     def entries(self) -> Tuple[GeodesicEntry, ...]:
-        columns = zip(self.approx.tolist(), self.exact, self.reversing.tolist(), self.nu, self.multiplicity)
-        return tuple(GeodesicEntry(l or Numeric(x), ORIENTATIONS[r], n, m) for x, l, r, n, m in columns)
+        """The columns as entries, set field by field: nothing is checked again."""
+        at = [i for i, l in enumerate(self.exact) if l is None]
+        numeric = [object.__new__(Numeric) for _ in at]
+        deque(map(_SET_VALUE, numeric, self.approx[at].tolist()), 0)
+        numeric, entries = iter(numeric), [object.__new__(GeodesicEntry) for _ in self.nu]
+        columns = ([l or next(numeric) for l in self.exact],
+                   [ORIENTATIONS[r] for r in self.reversing.tolist()], self.nu, self.multiplicity)
+        for set_field, column in zip(_SET_ENTRY, columns):
+            deque(map(set_field, entries, column), 0)
+        return tuple(entries)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LengthTwistSpectrum)
-                and (self.entries, self.horizon) == (other.entries, other.horizon))
+                and np.array_equal(self.approx, other.approx)
+                and np.array_equal(self.reversing, other.reversing)
+                and (self.exact, self.nu, self.multiplicity, self.horizon)
+                == (other.exact, other.nu, other.multiplicity, other.horizon))
 
     def __len__(self) -> int:
         return len(self.approx)

@@ -291,6 +291,15 @@ MALFORMED = "error: malformed document: "
             [{"length": {"numeric": True}, "orientation": "preserving"}],
             "error: numeric must be a number, got True",
         ),
+        # a JSON string is no number, although float() would parse it
+        (
+            [{"length": {"numeric": "1.5"}, "orientation": "preserving"}],
+            "error: numeric must be a number, got '1.5'",
+        ),
+        (
+            [{"length": {"numeric": "  2.0 "}, "orientation": "preserving"}],
+            "error: numeric must be a number, got '  2.0 '",
+        ),
     ],
     ids=[
         "length-not-an-object",
@@ -301,6 +310,8 @@ MALFORMED = "error: malformed document: "
         "boolean-nu",
         "boolean-multiplicity",
         "boolean-numeric",
+        "string-numeric",
+        "padded-string-numeric",
     ],
 )
 def test_malformed_document_is_usage_error(tmp_path, capsys, entries, message):

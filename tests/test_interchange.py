@@ -1,8 +1,13 @@
+import copy
 import io
 import json
+import math
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isogeo.hyperbolic import Isometry
 from isogeo.interchange import (
@@ -10,6 +15,7 @@ from isogeo.interchange import (
     discrepancy_to_json,
     dump_generators,
     dump_spectrum,
+    length_cell,
     length_from_json,
     length_to_json,
     load_generators,
@@ -17,8 +23,14 @@ from isogeo.interchange import (
     spectrum_from_json,
     spectrum_to_json,
 )
-from isogeo.lengths import Exact, Numeric
-from isogeo.spectrum import DiscrepancyTable, GeodesicEntry, LengthTwistSpectrum, Orientation
+from isogeo.lengths import DEFAULT_TOLERANCE, Exact, Numeric, as_integer, positive_length
+from isogeo.spectrum import (
+    DiscrepancyTable,
+    GeodesicEntry,
+    LengthTwistSpectrum,
+    Orientation,
+    entry_counts,
+)
 
 
 def test_length_roundtrip():
@@ -169,3 +181,152 @@ def test_discrepancy_accepts_integral_floats():
     table = discrepancy_from_json(doc)
     assert table.a_at(Exact(2, 1)) == 2 and table.b_at(Exact(2, 1)) == 3
     assert type(table.a_at(Exact(2, 1))) is int
+
+
+@pytest.mark.parametrize("value", ["1.5", "  2.0 ", "inf"])
+def test_numeric_strings_are_no_numbers(value):
+    message = f"numeric must be a number, got {value!r}"
+    entry = {"length": {"numeric": value}, "orientation": "preserving"}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        spectrum_from_json({"horizon": {"numeric": 4.0}, "entries": [entry]})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        spectrum_from_json({"horizon": {"numeric": value}, "entries": []})
+    exact = {"length": {"exact": {"q": 2, "num": 1}}, "a": 1}
+    for doc in ({"horizon": {"numeric": value}, "entries": [exact]},
+                {"horizon": {"numeric": 4.0}, "entries": [{"length": {"numeric": value}, "a": 1}]}):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            discrepancy_from_json(doc)
+
+
+def _oracle_length(doc):
+    """A length document as (float, Exact or None), by the per-entry rules."""
+    if "exact" in doc:
+        e = doc["exact"]
+        num, den = as_integer(e["num"], "num"), as_integer(e.get("den", 1), "den")
+        l = Exact(e["q"], Fraction(num, den))
+        return l.approx(), l
+    if "numeric" in doc:
+        v = doc["numeric"]
+        if isinstance(v, (bool, str)):
+            raise ValueError(f"numeric must be a number, got {v!r}")
+        return positive_length(float(v)), None
+    raise ValueError(f"length must have an 'exact' or 'numeric' key, got {doc}")
+
+
+def oracle_spectrum_from_json(doc, tolerance=DEFAULT_TOLERANCE):
+    """The spectrum loader as it was first defined: a loop over the entries,
+    each read and checked whole before the next."""
+    try:
+        if "horizon" not in doc or "entries" not in doc:
+            raise ValueError("spectrum document needs 'horizon' and 'entries'")
+        rows = []
+        for e in doc["entries"]:
+            x, l = _oracle_length(e["length"])
+            reversing = Orientation(e["orientation"]) is Orientation.REVERSING
+            rows.append((x, l, reversing, *entry_counts(e.get("nu", 1), e.get("multiplicity", 1))))
+        columns = tuple(zip(*rows)) or ((),) * 5
+        x, l = _oracle_length(doc["horizon"])
+        return LengthTwistSpectrum.from_columns(columns, l or Numeric(x), tolerance)
+    except KeyError as exc:
+        raise ValueError(f"malformed document: missing key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed document: {exc}") from None
+
+
+def _outcome(load, doc):
+    """(spectrum, None) or (None, (error type, message))."""
+    try:
+        return load(copy.deepcopy(doc)), None
+    except Exception as exc:  # the error itself is the outcome compared
+        return None, (type(exc), str(exc))
+
+
+_lengths = st.one_of(
+    st.floats(1e-3, 40.0).map(lambda x: {"numeric": x}),
+    st.integers(1, 40).map(lambda n: {"numeric": n}),
+    st.builds(lambda q, num, den: {"exact": {"q": q, "num": num, "den": den}},
+              st.integers(2, 9), st.integers(1, 12), st.integers(1, 4)),
+    st.builds(lambda q, num: {"exact": {"q": q, "num": num}}, st.integers(2, 9), st.integers(1, 12)),
+    # Exact(2, 1), its spelling on base 4, and its Numeric twin with the same float
+    st.sampled_from([{"exact": {"q": 2, "num": 1}}, {"exact": {"q": 4, "num": 1, "den": 2}},
+                     {"numeric": math.log(2)}]),
+)
+_entries = st.builds(
+    lambda length, o, nu, m: {"length": length, "orientation": o, **nu, **m},
+    _lengths,
+    st.sampled_from(["preserving", "reversing"]),
+    st.sampled_from([{}, {"nu": 1}, {"nu": 2}, {"nu": 3}, {"nu": 2.0}]),
+    st.sampled_from([{}, {"multiplicity": 1}, {"multiplicity": 4}, {"multiplicity": 2**70},
+                     {"multiplicity": 3.0}]),
+)
+_FAULTS = {
+    "bool-nu": lambda e: e.update(nu=True),
+    "bool-multiplicity": lambda e: e.update(multiplicity=False),
+    "bool-numeric": lambda e: e.update(length={"numeric": True}),
+    "bool-num": lambda e: e.update(length={"exact": {"q": 2, "num": True}}),
+    "string-numeric": lambda e: e.update(length={"numeric": "1.5"}),
+    "string-nu": lambda e: e.update(nu="2"),
+    "missing-length": lambda e: e.pop("length", None),
+    "missing-orientation": lambda e: e.pop("orientation", None),
+    "missing-num": lambda e: e.update(length={"exact": {"q": 2}}),
+    "missing-encoding": lambda e: e.update(length={"value": 1.0}),
+    "length-number": lambda e: e.update(length=5),
+    "length-list": lambda e: e.update(length=[1.0]),
+    "nu-zero": lambda e: e.update(nu=0),
+    "fractional-multiplicity": lambda e: e.update(multiplicity=1.5),
+    "nan": lambda e: e.update(length={"numeric": math.nan}),
+    "inf": lambda e: e.update(length={"numeric": math.inf}),
+    "negative": lambda e: e.update(length={"numeric": -1.0}),
+    "zero": lambda e: e.update(length={"numeric": 0}),
+    "unknown-orientation": lambda e: e.update(orientation="sideways"),
+    "orientation-list": lambda e: e.update(orientation=["reversing"]),
+}
+
+
+@st.composite
+def _documents(draw, min_size=0):
+    entries = draw(st.lists(_entries, min_size=min_size, max_size=14))
+    entries += [copy.deepcopy(e) for e in draw(st.lists(st.sampled_from(entries), max_size=4))] if entries else []
+    doc = {"horizon": draw(st.sampled_from([{"numeric": 200.0}, {"exact": {"q": 2, "num": 300}}])),
+           "entries": draw(st.permutations(entries))}
+    if draw(st.booleans()):  # canonical order, as dump_spectrum writes it
+        doc = spectrum_to_json(oracle_spectrum_from_json(doc))
+    return doc
+
+
+@settings(max_examples=250, deadline=None)
+@given(_documents())
+def test_column_loader_matches_per_entry_loader(doc):
+    want, got = oracle_spectrum_from_json(doc), spectrum_from_json(doc)
+    assert got == want and got.entries == want.entries and got.horizon == want.horizon
+    assert (got.approx.dtype, got.reversing.dtype) == (want.approx.dtype, want.reversing.dtype)
+    for column in ("exact", "nu", "multiplicity"):
+        assert list(map(type, getattr(got, column))) == list(map(type, getattr(want, column)))
+    assert dumped(got) == dumped(want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents(min_size=1),
+       st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(sorted(_FAULTS))), min_size=1, max_size=2))
+def test_column_loader_names_the_first_fault(doc, faults):
+    for at, fault in faults:
+        _FAULTS[fault](doc["entries"][at % len(doc["entries"])])
+    want = _outcome(oracle_spectrum_from_json, doc)
+    assert want[1] is not None
+    assert _outcome(spectrum_from_json, doc) == want
+
+
+def dumped(spec) -> str:
+    buf = io.StringIO()
+    dump_spectrum(spec, buf)
+    return buf.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.floats(1e-300, 1e300).map(Numeric),
+    st.builds(lambda q, num, den: Exact(q, Fraction(num, den)),
+              st.integers(2, 10**6), st.integers(1, 10**45), st.integers(1, 10**42)),
+))
+def test_length_cell_is_the_sorted_json_encoding(l):
+    assert length_cell(l) == json.dumps(length_to_json(l), sort_keys=True)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isogeo.errors import HorizonMismatch, QueryBeyondHorizon
 from isogeo.lengths import Exact, Numeric
@@ -333,3 +335,27 @@ def test_pgt_jump_report_flags_injected_growth():
     report = pgt_jump_report(s, 0.1)
     flagged = [v[0].approx() for v in report.violations]
     assert p * l in flagged
+
+
+# Exact(2, 1) twice over (base 4 folds to base 2) and its Numeric twin with the same float
+_EQ_LENGTHS = [Exact(2, 1), Exact(4, Fraction(1, 2)), Numeric(math.log(2)), Exact(3, 1), Numeric(1.5)]
+_eq_entries = st.builds(GeodesicEntry, st.sampled_from(_EQ_LENGTHS), st.sampled_from([P, R]),
+                        st.integers(1, 2), st.integers(1, 3))
+_eq_horizons = st.sampled_from([Numeric(10.0), Exact(2, 20)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_eq_entries, max_size=8), st.lists(_eq_entries, max_size=8), _eq_horizons, _eq_horizons,
+       st.sampled_from(["copies", "twins", "drawn"]), st.randoms(use_true_random=False))
+def test_column_equality_is_entry_equality(entries, others, horizon, other_horizon, how, rnd):
+    if how == "copies":  # the same multiset, each multiplicity split into copies that fold again
+        others = [GeodesicEntry(e.length, e.orientation, e.nu) for e in entries for _ in range(e.multiplicity)]
+    elif how == "twins":  # log 2 exact where it was numeric and numeric where it was exact
+        swap = {Exact(2, 1): Numeric(math.log(2)), Numeric(math.log(2)): Exact(2, 1)}
+        others = [GeodesicEntry(swap.get(e.length, e.length), e.orientation, e.nu, e.multiplicity)
+                  for e in entries]
+    rnd.shuffle(others)
+    a, b = LengthTwistSpectrum(entries, horizon), LengthTwistSpectrum(others, other_horizon)
+    want = (a.entries, a.horizon) == (b.entries, b.horizon)
+    assert (a == b) is want and (b == a) is want
+    assert a == LengthTwistSpectrum(list(reversed(entries)), horizon) and a != a.entries
