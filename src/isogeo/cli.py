@@ -7,6 +7,20 @@ output (CSV or JSON, chosen by --format) is written to --out.  Exit codes:
 or input error.  Machine output is deterministic: identical invocations
 produce byte-identical bytes, and rationals are printed as num/den, never
 decimalized.
+
+Each subcommand prints its report and returns its exit code with what --out
+holds, and main writes it.  A table is CSV (a header line, then rows) or a
+JSON list of objects keyed by the header; a length is its JSON document.
+
+    scenario     n,c_n,a,b,residual_num,residual_den
+    flat-verify  relation,status,witness_n,left,right, or with --emit-spectrum
+                 ID that orbifold's n,multiplicity (printed without --out)
+    compare      length,a,b, the discrepancy table; in JSON one document
+                 {almost_conjugate, witness, weight_differences, discrepancy}
+    weights      length,weight
+    dirichlet    sigma,t,real,imag; a non-finite --sigma or --t exits 2
+    enumerate    length,orientation,nu,multiplicity; in JSON the spectrum
+                 document, which is printed without --out
 """
 
 from __future__ import annotations
@@ -17,7 +31,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from typing import Any, List, Sequence
+from typing import Any, Sequence, Tuple
 
 from . import flat, interchange, scenario
 from .dirichlet import dirichlet_partial_sum
@@ -43,42 +57,33 @@ def _rational_str(x) -> str:
     return repr(float(x))
 
 
-def _write_rows(path: str, fmt: str, header: List[str], rows: List[List[Any]]):
-    if fmt == "csv":
-        with open(path, "w", newline="") as fp:
-            writer = csv.writer(fp, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    else:
-        with open(path, "w") as fp:
-            interchange.dump_json([dict(zip(header, row)) for row in rows], fp)
+def _write_output(path: str, fmt: str, output: Any):
+    """Write a table (a header row, then rows) as CSV or as a JSON list of
+    objects keyed by the header, or a JSON document as it is."""
+    with open(path, "w", newline="") as fp:
+        if fmt == "csv":
+            csv.writer(fp, lineterminator="\n").writerows(output)
+        elif isinstance(output, dict):  # the JSON document of compare or enumerate
+            interchange.dump_json(output, fp)
+        else:
+            interchange.dump_json([dict(zip(output[0], row)) for row in output[1:]], fp)
 
 
-def _cmd_scenario(args) -> int:
-    sol = scenario.build_scenario(args.q, args.n)
-    rows = scenario.scenario_rows(sol)
+def _cmd_scenario(args) -> Tuple[int, Any]:
+    rows = scenario.scenario_rows(scenario.build_scenario(args.q, args.n))
     print(f"scenario q={args.q}, lengths up to {args.n}*log({args.q})")
     print("c_n: " + ", ".join(str(r.c_n) for r in rows))
     bad = [r for r in rows if r.residual_num != 0]
-    for r in rows:
-        status = "PASS" if r.residual_num == 0 else "FAIL"
-        if r.residual_num != 0 or args.verbose:
-            print(
-                f"  n={r.n}: a={r.a} b={r.b} residual="
-                f"{r.residual_num}/{r.residual_den} {status}"
-            )
-    print(f"constraint residuals: {len(rows) - len(bad)}/{len(rows)} zero")
-    if args.out:
-        _write_rows(
-            args.out,
-            args.format,
-            ["n", "c_n", "a", "b", "residual_num", "residual_den"],
-            [[r.n, r.c_n, r.a, r.b, r.residual_num, r.residual_den] for r in rows],
+    for r in rows if args.verbose else bad:
+        print(
+            f"  n={r.n}: a={r.a} b={r.b} residual="
+            f"{r.residual_num}/{r.residual_den} {'FAIL' if r.residual_num else 'PASS'}"
         )
-    return EXIT_FAIL if bad else EXIT_OK
+    print(f"constraint residuals: {len(rows) - len(bad)}/{len(rows)} zero")
+    return EXIT_FAIL if bad else EXIT_OK, [scenario.ScenarioRow._fields, *rows]
 
 
-def _cmd_flat_verify(args) -> int:
+def _cmd_flat_verify(args) -> Tuple[int, Any]:
     family = flat.LatticeKind.SQUARE if args.family == "square" else flat.LatticeKind.HEXAGONAL
     if args.relation:
         relations = [flat.parse_relation(args.relation)]
@@ -89,45 +94,31 @@ def _cmd_flat_verify(args) -> int:
     else:
         relations = list(flat.relations_for_family(family))
 
-    rows = []
-    failures = 0
+    rows = [["relation", "status", "witness_n", "left", "right"]]
     for rel, (ok, witness) in zip(relations, flat.verify_relations(relations, args.max_norm)):
         if ok:
             print(f"PASS  {rel}  (all n <= {args.max_norm})")
             rows.append([str(rel), "PASS", "", "", ""])
         else:
-            failures += 1
             print(
                 f"FAIL  {rel}  first failure at n={witness.n}: "
                 f"{witness.left_total} != {witness.right_total}"
             )
             rows.append([str(rel), "FAIL", witness.n, witness.left_total, witness.right_total])
 
-    if args.emit_spectrum:
-        oid = _parse_orbifold(args.emit_spectrum)
-        spec = flat.orbifold_spectrum(oid, args.max_norm)
-        spec_rows = [[n, m] for n, m in sorted(spec.multiplicities.items())]
-        if args.out:
-            _write_rows(args.out, args.format, ["n", "multiplicity"], spec_rows)
-        else:
-            print(f"spectrum of {oid.label} up to {args.max_norm}:")
-            for n, m in spec_rows:
-                print(f"  {n},{m}")
-    elif args.out:
-        _write_rows(
-            args.out,
-            args.format,
-            ["relation", "status", "witness_n", "left", "right"],
-            rows,
-        )
-    return EXIT_FAIL if failures else EXIT_OK
-
-
-def _parse_orbifold(label: str) -> flat.OrbifoldId:
+    code = EXIT_FAIL if any(row[1] == "FAIL" for row in rows) else EXIT_OK
+    if not args.emit_spectrum:
+        return code, rows
     try:
-        return flat.OrbifoldId[label.upper()]
+        oid = flat.OrbifoldId[args.emit_spectrum.upper()]
     except KeyError:
-        raise IsogeoError(f"unknown orbifold id {label!r}") from None
+        raise IsogeoError(f"unknown orbifold id {args.emit_spectrum!r}") from None
+    spec_rows = sorted(flat.orbifold_spectrum(oid, args.max_norm).multiplicities.items())
+    if not args.out:
+        print(f"spectrum of {oid.label} up to {args.max_norm}:")
+        for n, m in spec_rows:
+            print(f"  {n},{m}")
+    return code, [["n", "multiplicity"], *spec_rows]
 
 
 def _load_spectrum(path: str, tolerance: float) -> LengthTwistSpectrum:
@@ -135,7 +126,7 @@ def _load_spectrum(path: str, tolerance: float) -> LengthTwistSpectrum:
         return interchange.load_spectrum(fp, tolerance)
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> Tuple[int, Any]:
     spec_a = _load_spectrum(args.a, args.epsilon)
     spec_b = _load_spectrum(args.b, args.epsilon)
     equal, witness = almost_conjugate(spec_a, spec_b)
@@ -157,66 +148,54 @@ def _cmd_compare(args) -> int:
     else:
         print("total weight functions agree up to horizon")
 
-    if args.out:
-        doc = {
-            "almost_conjugate": equal,
-            "witness": None
-            if witness is None
-            else {
-                "length": interchange.length_to_json(witness.length),
-                "orientation": witness.orientation.value,
-                "nu": witness.nu,
-                "multiplicity_a": witness.multiplicity_a,
-                "multiplicity_b": witness.multiplicity_b,
-            },
-            "weight_differences": [
-                {
-                    "length": interchange.length_to_json(l),
-                    "w_a": _rational_str(wa),
-                    "w_b": _rational_str(wb),
-                }
-                for l, wa, wb in diffs
-            ],
-            "discrepancy": interchange.discrepancy_to_json(table),
-        }
-        if args.format == "json":
-            with open(args.out, "w") as fp:
-                interchange.dump_json(doc, fp)
-        else:
-            rows = [
-                [interchange.length_cell(l), table.a_at(l), table.b_at(l)]
-                for l in table.support()
-            ]
-            _write_rows(args.out, "csv", ["length", "a", "b"], rows)
-    return EXIT_OK if equal else EXIT_FAIL
+    code = EXIT_OK if equal else EXIT_FAIL
+    if args.format == "csv":
+        rows = [[interchange.length_cell(l), table.a_at(l), table.b_at(l)] for l in table.support()]
+        return code, [["length", "a", "b"], *rows]
+    return code, {
+        "almost_conjugate": equal,
+        "witness": None
+        if witness is None
+        else {
+            "length": interchange.length_to_json(witness.length),
+            "orientation": witness.orientation.value,
+            "nu": witness.nu,
+            "multiplicity_a": witness.multiplicity_a,
+            "multiplicity_b": witness.multiplicity_b,
+        },
+        "weight_differences": [
+            {
+                "length": interchange.length_to_json(l),
+                "w_a": _rational_str(wa),
+                "w_b": _rational_str(wb),
+            }
+            for l, wa, wb in diffs
+        ],
+        "discrepancy": interchange.discrepancy_to_json(table),
+    }
 
 
-def _cmd_weights(args) -> int:
+def _cmd_weights(args) -> Tuple[int, Any]:
     spec = _load_spectrum(args.spectrum, args.epsilon)
     print(f"total weight function up to horizon {spec.horizon}:")
-    rows = []
+    rows = [["length", "weight"]]
     for rep, w in weight_function(spec):
         print(f"  l={rep}: W={_rational_str(w)}")
         rows.append([interchange.length_cell(rep), _rational_str(w)])
-    if args.out:
-        _write_rows(args.out, args.format, ["length", "weight"], rows)
-    return EXIT_OK
+    return EXIT_OK, rows
 
 
-def _cmd_dirichlet(args) -> int:
+def _cmd_dirichlet(args) -> Tuple[int, Any]:
     spec = _load_spectrum(args.spectrum, args.epsilon)
-    s = complex(args.sigma, args.t)
-    value = dirichlet_partial_sum(spec, s)
-    print(f"D(s) at s = {args.sigma:.15g} + {args.t:.15g}i")
-    print(f"real: {value.real:.15g}")
-    print(f"imag: {value.imag:.15g}")
-    if args.out:
-        row = [[f"{args.sigma:.15g}", f"{args.t:.15g}", f"{value.real:.15g}", f"{value.imag:.15g}"]]
-        _write_rows(args.out, args.format, ["sigma", "t", "real", "imag"], row)
-    return EXIT_OK
+    value = dirichlet_partial_sum(spec, complex(args.sigma, args.t))
+    sigma, t, real, imag = (f"{x:.15g}" for x in (args.sigma, args.t, value.real, value.imag))
+    print(f"D(s) at s = {sigma} + {t}i")
+    print(f"real: {real}")
+    print(f"imag: {imag}")
+    return EXIT_OK, [["sigma", "t", "real", "imag"], [sigma, t, real, imag]]
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> Tuple[int, Any]:
     with open(args.generators) as fp:
         generators = interchange.load_generators(fp)
     config = EnumConfig(
@@ -234,19 +213,16 @@ def _cmd_enumerate(args) -> int:
         print(f"side channel: {len(result.elliptic)} elliptic/reflection words excluded")
     if result.dropped:
         print(f"dropped {result.dropped} identity/parabolic words")
-    if args.out:
-        if args.format == "json":
-            with open(args.out, "w") as fp:
-                interchange.dump_spectrum(spec, fp)
-        else:
-            rows = [
-                [interchange.length_cell(e.length), e.orientation.value, e.nu, e.multiplicity]
-                for e in spec.entries
-            ]
-            _write_rows(args.out, "csv", ["length", "orientation", "nu", "multiplicity"], rows)
-    else:
-        print(json.dumps(interchange.spectrum_to_json(spec), sort_keys=True))
-    return EXIT_OK
+    if args.out and args.format == "csv":
+        rows = [
+            [interchange.length_cell(e.length), e.orientation.value, e.nu, e.multiplicity]
+            for e in spec.entries
+        ]
+        return EXIT_OK, [["length", "orientation", "nu", "multiplicity"], *rows]
+    doc = interchange.spectrum_to_json(spec)
+    if not args.out:
+        print(json.dumps(doc, sort_keys=True))
+    return EXIT_OK, doc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,52 +236,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=2, help="grid base q >= 2 (l0 = log q)")
     p.add_argument("--n", type=int, default=24, help="horizon in multiples of l0")
     p.add_argument("--verbose", action="store_true", help="print every residual row")
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_scenario)
+    _finish(p, _cmd_scenario)
 
     p = sub.add_parser("flat-verify", help="verify flat-orbifold spectral relations")
     p.add_argument("--family", choices=["square", "hex"], required=True)
     p.add_argument("--max-norm", type=int, default=10000)
     p.add_argument("--relation", help='single relation, e.g. "S1+2S4=3S2"')
     p.add_argument("--emit-spectrum", metavar="ID", help="dump one orbifold spectrum instead")
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_flat_verify)
+    _finish(p, _cmd_flat_verify)
 
     p = sub.add_parser("compare", help="almost-conjugacy and weight comparison of two spectra")
     p.add_argument("--a", required=True, help="first spectrum JSON file")
     p.add_argument("--b", required=True, help="second spectrum JSON file")
     p.add_argument("--epsilon", type=float, default=DEFAULT_TOLERANCE)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_compare)
+    _finish(p, _cmd_compare)
 
     p = sub.add_parser("weights", help="print the total weight function of a spectrum")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--epsilon", type=float, default=DEFAULT_TOLERANCE)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_weights)
+    _finish(p, _cmd_weights)
 
     p = sub.add_parser("dirichlet", help="truncated spectral Dirichlet series evaluation")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--epsilon", type=float, default=DEFAULT_TOLERANCE)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_dirichlet)
+    _finish(p, _cmd_dirichlet)
 
     p = sub.add_parser("enumerate", help="enumerate geodesics from matrix generators")
     p.add_argument("--generators", required=True, help="generator JSON file")
     p.add_argument("--max-word-length", type=int, default=12)
     p.add_argument("--cutoff", type=float, default=4.0, help="length cutoff")
     p.add_argument("--epsilon", type=float, default=DEFAULT_TOLERANCE)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_enumerate)
+    _finish(p, _cmd_enumerate)
 
     return parser
 
 
-def _add_output_flags(p: argparse.ArgumentParser):
+def _finish(p: argparse.ArgumentParser, handler):
+    """The --out and --format flags every subcommand takes, and its handler."""
     p.add_argument("--out", help="write machine output to this path")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.set_defaults(func=handler)
 
 
 _parser = functools.cache(build_parser)  # built on the first call of main, then reused
@@ -314,7 +286,10 @@ _parser = functools.cache(build_parser)  # built on the first call of main, then
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, output = args.func(args)
+        if args.out:
+            _write_output(args.out, args.format, output)
+        return code
     except (IsogeoError, OSError, ValueError, OverflowError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -108,9 +108,10 @@ def q_factor(l: float, twist: TwistData) -> float:
 
 
 def _as_complex(s: Union[SeriesPoint, complex, float]) -> complex:
-    if isinstance(s, SeriesPoint):
-        return s.s
-    return complex(s)
+    z = s.s if isinstance(s, SeriesPoint) else complex(s)
+    if not cmath.isfinite(z):
+        raise ValueError(f"s must be finite, got {z}")
+    return z
 
 
 def _warn_if_diverging(s: complex, dimension: int = 2):

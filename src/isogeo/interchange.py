@@ -79,10 +79,7 @@ def _length_column(doc: Dict[str, Any]) -> Tuple[float, Exact | None]:
         l = Exact(e["q"], Fraction(num, den))
         return l.approx(), l
     if "numeric" in doc:
-        v = doc["numeric"]
-        if isinstance(v, (bool, str)):  # float() would parse a string; JSON true is no number
-            raise ValueError(f"numeric must be a number, got {v!r}")
-        return positive_length(float(v)), None
+        return positive_length(doc["numeric"]), None
     raise ValueError(f"length must have an 'exact' or 'numeric' key, got {doc}")
 
 
@@ -148,10 +145,9 @@ def discrepancy_from_json(doc: Dict[str, Any]) -> DiscrepancyTable:
     b: Dict[LengthValue, int] = {}
     for row in doc["entries"]:
         l = length_from_json(row["length"])
-        if row.get("a"):
-            a[l] = as_integer(row["a"], "a")
-        if row.get("b"):
-            b[l] = as_integer(row["b"], "b")
+        if l in a:  # also under another spelling: Exact(4, 1) == Exact(2, 2)
+            raise ValueError(f"length {l} is listed twice")
+        a[l], b[l] = as_integer(row.get("a", 0), "a"), as_integer(row.get("b", 0), "b")
     return DiscrepancyTable(a, b, length_from_json(doc["horizon"]))
 
 

@@ -118,10 +118,13 @@ class Numeric:
 
 
 def positive_length(value) -> float:
-    """``value`` as the float of a Numeric length; ValueError unless positive and finite."""
+    """``value`` as the float of a Numeric length; ValueError unless a positive
+    finite number (a string or a bool is none, although float() takes both)."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"numeric must be a number, got {value!r}")
     v = float(value)
     if not math.isfinite(v) or v <= 0:
-        raise ValueError(f"numeric length must be positive and finite, got {value}")
+        raise ValueError(f"numeric length must be positive and finite, got {v}")
     return v
 
 

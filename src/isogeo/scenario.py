@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import BeyondHorizon, TooLarge
 from .hyperbolic import necklace_walk
@@ -239,8 +239,7 @@ def to_spectra(sol: ScenarioSolution) -> Tuple[LengthTwistSpectrum, LengthTwistS
     return tuple(LengthTwistSpectrum.from_columns(side, sol.grid_length(h)) for side in sides)
 
 
-@dataclass(frozen=True)
-class ScenarioRow:
+class ScenarioRow(NamedTuple):
     """One grid length of the scenario report."""
 
     n: int

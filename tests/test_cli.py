@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import mpmath
 import pytest
 
+from isogeo import interchange
 from isogeo.cli import main
 from isogeo.hyperbolic import Isometry
 from isogeo.interchange import dump_generators, dump_spectrum
@@ -333,6 +335,9 @@ def test_malformed_document_is_usage_error(tmp_path, capsys, entries, message):
             ["enumerate", "--epsilon", "inf"],
             "error: dedup_tolerance must be positive and finite, got inf",
         ),
+        (["dirichlet", "--sigma", "nan"], "error: s must be finite, got (nan+0j)"),
+        (["dirichlet", "--sigma=-inf"], "error: s must be finite, got (-inf+0j)"),
+        (["dirichlet", "--sigma", "2", "--t", "inf"], "error: s must be finite, got (2+infj)"),
     ],
 )
 def test_non_finite_epsilon_is_usage_error(tmp_path, capsys, command, message):
@@ -343,10 +348,12 @@ def test_non_finite_epsilon_is_usage_error(tmp_path, capsys, command, message):
     gens = tmp_path / "gens.json"
     with open(gens, "w") as fp:
         dump_generators([Isometry(2.0, 1.0, 1.0, 1.0)], fp)
-    inputs = ["--spectrum", str(spec)] if command[0] == "weights" else ["--generators", str(gens)]
+    inputs = ["--generators", str(gens)] if command[0] == "enumerate" else ["--spectrum", str(spec)]
+    out = tmp_path / "out.csv"
     capsys.readouterr()
-    assert main(command + inputs) == 2
-    assert capsys.readouterr().err.splitlines() == [message]
+    assert main(command + inputs + ["--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", message + "\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("l", [1e-160, 1e-170, 1e-300])
@@ -415,3 +422,204 @@ def test_compare_horizon_mismatch_is_usage_error(tmp_path, capsys):
             dump_spectrum(s, fp)
     assert main(["compare", "--a", str(pa), "--b", str(pb)]) == 2
     capsys.readouterr()
+
+
+def _golden_inputs(tmp_path):
+    """Small fixed inputs for the golden cases, written under tmp_path."""
+    numeric = [(1.0, "preserving", 1, 2), (1.5, "reversing", 1, 1), (2.25, "preserving", 2, 1)]
+    other = [(1.0, "preserving", 1, 1), (1.5, "reversing", 1, 1), (3.0, "preserving", 1, 1)]
+    first, second = to_spectra(build_scenario(2, 8))
+    spectra = {
+        "exact": LengthTwistSpectrum(
+            [GeodesicEntry(Exact(2, 1), Orientation.PRESERVING, multiplicity=2),
+             GeodesicEntry(Exact(2, 1), Orientation.REVERSING, multiplicity=2)],
+            horizon=Exact(2, 6),
+        ),
+        "numeric": LengthTwistSpectrum(
+            [GeodesicEntry(Numeric(l), Orientation(o), nu, m) for l, o, nu, m in numeric], Numeric(4.0)
+        ),
+        "other": LengthTwistSpectrum(
+            [GeodesicEntry(Numeric(l), Orientation(o), nu, m) for l, o, nu, m in other], Numeric(4.0)
+        ),
+        "far": LengthTwistSpectrum([], Numeric(6.0)),
+        "first": first,
+        "second": second,
+    }
+    paths = {}
+    for name, spec in spectra.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w") as fp:
+            dump_spectrum(spec, fp)
+    paths["gens"] = str(tmp_path / "gens.json")
+    with open(paths["gens"], "w") as fp:
+        dump_generators([Isometry(2.0, 1.0, 1.0, 1.0), Isometry.diag(3.0, -1.0 / 3.0)], fp)
+    paths["bad"] = str(tmp_path / "bad.json")
+    with open(paths["bad"], "w") as fp:
+        json.dump({"horizon": {"numeric": 4.0},
+                   "entries": [{"length": {"numeric": 1.0}, "orientation": "preserving", "nu": 1.5}]}, fp)
+    return paths
+
+
+# each case runs without --out, with --out in csv and with --out in json; {name} is an input path
+GOLDEN_CASES = {
+    "scenario": "scenario --q 3 --n 6",
+    "scenario-verbose": "scenario --q 2 --n 5 --verbose",
+    "flat-square": "flat-verify --family square --max-norm 60",
+    "flat-hex": "flat-verify --family hex --max-norm 40",
+    "flat-failing-relation": "flat-verify --family square --max-norm 20 --relation S1=S4",
+    "flat-family-mismatch": "flat-verify --family square --relation H2+H6=2H3",
+    "flat-emit-square": "flat-verify --family square --max-norm 12 --emit-spectrum S4",
+    "flat-emit-hex": "flat-verify --family hex --max-norm 12 --emit-spectrum h3",
+    "compare-exact-self": "compare --a {exact} --b {exact}",
+    "compare-scenario": "compare --a {first} --b {second}",
+    "compare-numeric": "compare --a {numeric} --b {other}",
+    "compare-horizon-mismatch": "compare --a {numeric} --b {far}",
+    "weights-exact": "weights --spectrum {exact}",
+    "weights-numeric": "weights --spectrum {numeric}",
+    "weights-scenario": "weights --spectrum {second}",
+    "weights-bad-nu": "weights --spectrum {bad}",
+    "dirichlet-exact": "dirichlet --spectrum {exact} --sigma 2.0 --t 0.5",
+    "dirichlet-numeric": "dirichlet --spectrum {numeric} --sigma 1.5 --t -1.0",
+    "enumerate": "enumerate --generators {gens} --max-word-length 4 --cutoff 6.0",
+}
+
+
+def _digest(data: bytes | None) -> str:
+    return "-" if data is None else hashlib.sha256(data).hexdigest()[:12]
+
+
+def golden_digests(case: str, tmp_path, capsysbinary) -> list:
+    """"exit stdout stderr out" for each of no --out, csv and json: the exit code,
+    then the leading 12 hex digits of each sha256 ("-" where no file was written)."""
+    paths = _golden_inputs(tmp_path)
+    argv = GOLDEN_CASES[case].format(**paths).split()
+    found = []
+    for fmt in (None, "csv", "json"):
+        out = tmp_path / f"out.{fmt}"
+        extra = [] if fmt is None else ["--out", str(out), "--format", fmt]
+        capsysbinary.readouterr()
+        code = main(argv + extra)
+        stdout, stderr = capsysbinary.readouterr()
+        written = out.read_bytes() if out.exists() else None
+        found.append(f"{code} {_digest(stdout)} {_digest(stderr)} {_digest(written)}")
+    return found
+
+
+# recorded before the CLI's single --out writer; e3b0c44298fc is the empty stream
+GOLDEN = {
+    "compare-exact-self": [
+        "0 a603222ec818 e3b0c44298fc -",
+        "0 a603222ec818 e3b0c44298fc 1cb7895feddc",
+        "0 a603222ec818 e3b0c44298fc 91d7bd161e38",
+    ],
+    "compare-horizon-mismatch": [
+        "2 e3b0c44298fc ffa1579d0fcd -",
+        "2 e3b0c44298fc ffa1579d0fcd -",
+        "2 e3b0c44298fc ffa1579d0fcd -",
+    ],
+    "compare-numeric": [
+        "1 3d762eefd2ef e3b0c44298fc -",
+        "1 3d762eefd2ef e3b0c44298fc 24b2ea56fed6",
+        "1 3d762eefd2ef e3b0c44298fc aae02353ccb8",
+    ],
+    "compare-scenario": [
+        "1 f15c929c9b3c e3b0c44298fc -",
+        "1 f15c929c9b3c e3b0c44298fc e9d8fdfb0d0e",
+        "1 f15c929c9b3c e3b0c44298fc 0ec4d0aca443",
+    ],
+    "dirichlet-exact": [
+        "0 635e9523051e e3b0c44298fc -",
+        "0 635e9523051e e3b0c44298fc aef95beea79c",
+        "0 635e9523051e e3b0c44298fc e924e70e8b2c",
+    ],
+    "dirichlet-numeric": [
+        "0 abd350aa7848 e3b0c44298fc -",
+        "0 abd350aa7848 e3b0c44298fc 36caa8a9c50c",
+        "0 abd350aa7848 e3b0c44298fc 9183105358ba",
+    ],
+    "enumerate": [
+        "0 e65198ed2a21 e3b0c44298fc -",
+        "0 512acfd4a237 e3b0c44298fc 47e2f1165c1c",
+        "0 512acfd4a237 e3b0c44298fc ae40be88d90a",
+    ],
+    "flat-emit-hex": [
+        "0 73d95bfb426b e3b0c44298fc -",
+        "0 9dbeb70bb7f1 e3b0c44298fc 34274dad40ea",
+        "0 9dbeb70bb7f1 e3b0c44298fc 539a21ce52d4",
+    ],
+    "flat-emit-square": [
+        "0 eb986c44966a e3b0c44298fc -",
+        "0 aa23d4b2093d e3b0c44298fc dedb40caf9d9",
+        "0 aa23d4b2093d e3b0c44298fc 99194f7bd296",
+    ],
+    "flat-failing-relation": [
+        "1 1cbec80a6384 e3b0c44298fc -",
+        "1 1cbec80a6384 e3b0c44298fc 55ceeca18cbc",
+        "1 1cbec80a6384 e3b0c44298fc 076b571b71b0",
+    ],
+    "flat-family-mismatch": [
+        "2 e3b0c44298fc d8b46729c7e9 -",
+        "2 e3b0c44298fc d8b46729c7e9 -",
+        "2 e3b0c44298fc d8b46729c7e9 -",
+    ],
+    "flat-hex": [
+        "0 db1351742814 e3b0c44298fc -",
+        "0 db1351742814 e3b0c44298fc 8f40389ecd3e",
+        "0 db1351742814 e3b0c44298fc b183f63e4464",
+    ],
+    "flat-square": [
+        "0 cdc3bd9002d7 e3b0c44298fc -",
+        "0 cdc3bd9002d7 e3b0c44298fc f65f68a4fefa",
+        "0 cdc3bd9002d7 e3b0c44298fc 6ba0eaae0910",
+    ],
+    "scenario": [
+        "0 1feab3b9f2f3 e3b0c44298fc -",
+        "0 1feab3b9f2f3 e3b0c44298fc 740578b6bb8d",
+        "0 1feab3b9f2f3 e3b0c44298fc edb138bb31ac",
+    ],
+    "scenario-verbose": [
+        "0 b6f024411a24 e3b0c44298fc -",
+        "0 b6f024411a24 e3b0c44298fc 9bf494f31fa8",
+        "0 b6f024411a24 e3b0c44298fc 5c8859053290",
+    ],
+    "weights-bad-nu": [
+        "2 e3b0c44298fc 7fcfd6fdee53 -",
+        "2 e3b0c44298fc 7fcfd6fdee53 -",
+        "2 e3b0c44298fc 7fcfd6fdee53 -",
+    ],
+    "weights-exact": [
+        "0 ecd9020f0ee3 e3b0c44298fc -",
+        "0 ecd9020f0ee3 e3b0c44298fc 4e7a1e993ea0",
+        "0 ecd9020f0ee3 e3b0c44298fc ca751762e035",
+    ],
+    "weights-numeric": [
+        "0 32adb5c6cc74 e3b0c44298fc -",
+        "0 32adb5c6cc74 e3b0c44298fc 0daf43a2b896",
+        "0 32adb5c6cc74 e3b0c44298fc 5f245409c6f9",
+    ],
+    "weights-scenario": [
+        "0 8a70b93f5ee9 e3b0c44298fc -",
+        "0 8a70b93f5ee9 e3b0c44298fc 81c41bdcaa1b",
+        "0 8a70b93f5ee9 e3b0c44298fc 3239e3d06dfc",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_output_bytes_are_pinned(case, tmp_path, capsysbinary):
+    assert golden_digests(case, tmp_path, capsysbinary) == GOLDEN[case]
+
+
+def test_json_output_builds_no_csv_cells(tmp_path, capsys, monkeypatch):
+    # compare and enumerate write a JSON document, for which neither a CSV
+    # length cell nor the spectrum's entry view is needed
+    paths = _golden_inputs(tmp_path)
+
+    def refuse(*args):
+        raise AssertionError("built only for CSV output")
+
+    monkeypatch.setattr(interchange, "length_cell", refuse)
+    monkeypatch.setattr(LengthTwistSpectrum, "entries", property(refuse))
+    for case, code in (("compare-scenario", 1), ("compare-numeric", 1), ("enumerate", 0)):
+        argv = GOLDEN_CASES[case].format(**paths).split()
+        assert main(argv + ["--out", str(tmp_path / "out.json"), "--format", "json"]) == code

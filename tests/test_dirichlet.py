@@ -147,6 +147,14 @@ def test_partial_sum_accepts_series_point():
     assert a == b
 
 
+@pytest.mark.parametrize("s", [math.nan, complex(2.0, math.inf), SeriesPoint(-math.inf)])
+@pytest.mark.parametrize("partial_sum", [dirichlet_partial_sum, dirichlet_partial_sum_grouped])
+def test_partial_sum_refuses_a_non_finite_point(s, partial_sum):
+    spec = LengthTwistSpectrum([GeodesicEntry(Numeric(1.0), P)], Numeric(2.0))
+    with pytest.raises(ValueError, match="s must be finite, got"):
+        partial_sum(spec, s)
+
+
 def test_partial_sum_warns_outside_half_plane():
     spec = LengthTwistSpectrum([GeodesicEntry(Numeric(1.0), P)], Numeric(5.0))
     with pytest.warns(ConvergenceWarning):

@@ -163,13 +163,30 @@ def test_dump_determinism():
 
 
 @pytest.mark.parametrize("field", ["a", "b"])
-@pytest.mark.parametrize("value", [1.5, "3", [2]])
+@pytest.mark.parametrize("value", [1.5, "3", [2], False, "", [], None])
 def test_discrepancy_rejects_non_integral_counts(field, value):
     doc = {
         "horizon": {"exact": {"q": 2, "num": 10}},
         "entries": [{"length": {"exact": {"q": 2, "num": 1}}, field: value}],
     }
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        discrepancy_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ({"exact": {"q": 2, "num": 1}}, {"exact": {"q": 2, "num": 1}}),
+        ({"exact": {"q": 4, "num": 1}}, {"exact": {"q": 2, "num": 2}}),
+        ({"numeric": 1.5}, {"numeric": 1.5}),
+    ],
+)
+def test_discrepancy_rejects_a_repeated_length(first, second):
+    doc = {
+        "horizon": {"exact": {"q": 2, "num": 10}},
+        "entries": [{"length": first, "a": 2}, {"length": second, "b": 3}],
+    }
+    with pytest.raises(ValueError, match="is listed twice"):
         discrepancy_from_json(doc)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -75,6 +76,13 @@ def test_numeric_validation():
         Numeric(-1.0)
     with pytest.raises(ValueError):
         Numeric(math.inf)
+
+
+@pytest.mark.parametrize("value", [True, False, "1.5", "inf"])
+def test_numeric_refuses_what_is_no_number(value):
+    # float() would take each of these; a document refuses them with the same message
+    with pytest.raises(ValueError, match=re.escape(f"numeric must be a number, got {value!r}")):
+        Numeric(value)
 
 
 def test_equality_and_ordering():

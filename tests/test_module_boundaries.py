@@ -48,3 +48,57 @@ def test_the_check_sees_each_kind_of_crossing():
     ])
     assert private_crossings(source) == [(2, "_integer_root"), (3, "_damped"), (6, "flat._census"),
                                          (6, "np._private")]
+
+
+def _writes(call: ast.Call) -> bool:
+    """Does this call write a file: open(...) with a mode that can write (or a mode
+    only known at run time), or a .write_text/.write_bytes call?"""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr in ("write_text", "write_bytes")
+    if not (isinstance(func, ast.Name) and func.id == "open"):
+        return False
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    return any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes)
+
+
+def calls(source: str, matches=_writes) -> list:
+    """(line, enclosing function or None) of every call that matches; by default
+    of every call that writes a file."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and matches(child):
+                found.append((child.lineno, function))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_the_cli_writer_writes_files():
+    # --out is written in one place, by main; every subcommand returns its output
+    writers = {(path.name, function) for path in SRC.glob("*.py") for _, function in calls(path.read_text())}
+    assert writers == {("cli.py", "_write_output")}
+    named = lambda call: isinstance(call.func, ast.Name) and call.func.id == "_write_output"
+    assert [function for _, function in calls((SRC / "cli.py").read_text(), named)] == ["main"]
+
+
+def test_the_write_check_sees_a_second_writer():
+    source = "\n".join([
+        "def _write_output(path):",
+        "    with open(path, 'w', newline='') as fp: ...",
+        "def _cmd_x(args):",
+        "    with open(args.spectrum) as fp, open(args.generators, 'r') as gp: ...",
+        "    open(args.out, mode='a')",
+        "    Path(args.out).write_text('x')",
+        "    def inner(mode):",
+        "        return open(args.out, mode)",
+        "fp = open('log', 'r+')",
+    ])
+    assert calls(source) == [(2, "_write_output"), (5, "_cmd_x"), (6, "_cmd_x"), (8, "inner"),
+                                   (9, None)]
