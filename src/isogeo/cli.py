@@ -30,11 +30,12 @@ import csv
 import functools
 import json
 import sys
+import warnings
 from fractions import Fraction
 from typing import Any, Sequence, Tuple
 
 from . import flat, interchange, scenario
-from .dirichlet import dirichlet_partial_sum
+from .dirichlet import ConvergenceWarning, dirichlet_partial_sum
 from .errors import IsogeoError
 from .hyperbolic import EnumConfig, enumerate_geodesics
 from .lengths import DEFAULT_TOLERANCE
@@ -85,14 +86,15 @@ def _cmd_scenario(args) -> Tuple[int, Any]:
 
 def _cmd_flat_verify(args) -> Tuple[int, Any]:
     family = flat.LatticeKind.SQUARE if args.family == "square" else flat.LatticeKind.HEXAGONAL
-    if args.relation:
-        relations = [flat.parse_relation(args.relation)]
-        if relations[0].lattice is not family:
-            raise IsogeoError(
-                f"relation {args.relation!r} is not in the {args.family} family"
-            )
-    else:
-        relations = list(flat.relations_for_family(family))
+    relations = [flat.parse_relation(args.relation)] if args.relation else flat.relations_for_family(family)
+    oid = flat.OrbifoldId.__members__.get((args.emit_spectrum or "").upper())
+    if args.emit_spectrum and oid is None:
+        raise IsogeoError(f"unknown orbifold id {args.emit_spectrum!r}")
+    # a named relation or orbifold must be of the family, checked before any relation is verified
+    for kind, name, lattice in (("relation", args.relation, relations[0].lattice),
+                                ("orbifold id", args.emit_spectrum, oid and oid.lattice)):
+        if name and lattice is not family:
+            raise IsogeoError(f"{kind} {name!r} is not in the {args.family} family")
 
     rows = [["relation", "status", "witness_n", "left", "right"]]
     for rel, (ok, witness) in zip(relations, flat.verify_relations(relations, args.max_norm)):
@@ -109,10 +111,6 @@ def _cmd_flat_verify(args) -> Tuple[int, Any]:
     code = EXIT_FAIL if any(row[1] == "FAIL" for row in rows) else EXIT_OK
     if not args.emit_spectrum:
         return code, rows
-    try:
-        oid = flat.OrbifoldId[args.emit_spectrum.upper()]
-    except KeyError:
-        raise IsogeoError(f"unknown orbifold id {args.emit_spectrum!r}") from None
     spec_rows = sorted(flat.orbifold_spectrum(oid, args.max_norm).multiplicities.items())
     if not args.out:
         print(f"spectrum of {oid.label} up to {args.max_norm}:")
@@ -187,7 +185,11 @@ def _cmd_weights(args) -> Tuple[int, Any]:
 
 def _cmd_dirichlet(args) -> Tuple[int, Any]:
     spec = _load_spectrum(args.spectrum, args.epsilon)
-    value = dirichlet_partial_sum(spec, complex(args.sigma, args.t))
+    with warnings.catch_warnings(record=True) as caught:  # a ConvergenceWarning, as one line
+        warnings.simplefilter("always", ConvergenceWarning)
+        value = dirichlet_partial_sum(spec, complex(args.sigma, args.t))
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     sigma, t, real, imag = (f"{x:.15g}" for x in (args.sigma, args.t, value.real, value.imag))
     print(f"D(s) at s = {sigma} + {t}i")
     print(f"real: {real}")

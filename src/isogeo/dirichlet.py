@@ -114,11 +114,12 @@ def _as_complex(s: Union[SeriesPoint, complex, float]) -> complex:
     return z
 
 
-def _warn_if_diverging(s: complex, dimension: int = 2):
-    if s.real <= dimension - 1:
+def _warn_if_diverging(s: complex):
+    """Warn outside a surface's convergence half-plane sigma > d - 1, d = 2."""
+    if s.real <= 1:
         warnings.warn(
             f"partial sum evaluated at sigma={s.real}, outside the "
-            f"convergence half-plane sigma > {dimension - 1}",
+            "convergence half-plane sigma > 1",
             ConvergenceWarning,
             stacklevel=3,
         )

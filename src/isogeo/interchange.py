@@ -98,20 +98,17 @@ def spectrum_to_json(spec: LengthTwistSpectrum) -> Dict[str, Any]:
 
 def _entry_columns(entries: List[Dict[str, Any]]) -> tuple:
     """The entries as columns (approx, exact, reversing, nu, multiplicity), each field
-    gathered and checked in one pass; only exact lengths reach _length_column.  Raises
-    unless every count is an int >= 1 and every numeric length a positive finite int or float."""
+    gathered in one pass; only exact lengths reach _length_column.  Raises unless every
+    numeric length is an int or a float (numpy would take a bool or a string); the
+    spectrum checks the values."""
     lengths = [e["length"] for e in entries]
     reversing = [_REVERSING[e["orientation"]] for e in entries]
     nu, mult = [e.get("nu", 1) for e in entries], [e.get("multiplicity", 1) for e in entries]
     pairs = [_length_column(l) if "exact" in l else (l["numeric"], None) for l in lengths]
     x, exact = zip(*pairs) if pairs else ((), ())
-    if (set(map(type, x)) - {int, float} or set(map(type, nu + mult)) - {int}
-            or min(nu + mult, default=1) < 1):
+    if set(map(type, x)) - {int, float}:
         raise ValueError("a column holds a value that is not plain")
-    x = np.array(x, dtype=float)
-    if not np.all((x > 0) & (x < np.inf)):  # NaN fails both
-        raise ValueError("a length is not positive and finite")
-    return x, exact, reversing, nu, mult
+    return np.array(x, dtype=float), exact, reversing, nu, mult
 
 
 @_document
@@ -122,6 +119,7 @@ def spectrum_from_json(
         raise ValueError("spectrum document needs 'horizon' and 'entries'")
     try:
         columns = _entry_columns(doc["entries"])
+        return LengthTwistSpectrum.from_columns(columns, length_from_json(doc["horizon"]), tolerance)
     except (LookupError, TypeError, ValueError, ArithmeticError):
         # entry by entry: the first fault in document order raises, and nu 2.0 converts
         rows = [(*_length_column(e["length"]), Orientation(e["orientation"]) is Orientation.REVERSING,

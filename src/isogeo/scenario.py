@@ -32,7 +32,7 @@ from typing import Dict, List, NamedTuple, Tuple
 from .errors import BeyondHorizon, TooLarge
 from .hyperbolic import necklace_walk
 from .lengths import Exact
-from .spectrum import DiscrepancyTable, LengthTwistSpectrum, entry_counts
+from .spectrum import DiscrepancyTable, LengthTwistSpectrum
 
 ORACLE_CAP = 10**7
 
@@ -178,18 +178,24 @@ def verify_constraint(sol: ScenarioSolution, n: int) -> Fraction:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > sol.horizon:
         raise BeyondHorizon(f"n={n} exceeds scenario horizon {sol.horizon}")
-    # n times each side is an integer: A = sum (n/k) a(n/k), and O, E the
-    # same sums of b(n/k) over odd and even k; tanh(n*l0/2) = (Q-1)/(Q+1)
+    return Fraction(*_residual(sol.a, sol.b, n, _divisors(n), sol.q**n))
+
+
+def _residual(a: Dict[int, int], b: Dict[int, int], n: int, divisors: List[int], Q: int) -> Tuple[int, int]:
+    """verify_constraint's residual at n, given the divisors of n and Q = q**n, as
+    (num, den) in lowest terms.  n times each side is an integer: A sums m*a(m)
+    over the divisors m = n/k, O and E sum m*b(m) over odd and even k, and
+    tanh(n*l0/2) = (Q-1)/(Q+1)."""
     A = O = E = 0
-    for k in _divisors(n):
-        m = n // k
-        A += m * sol.a_at(m)
-        if k % 2 == 1:
-            O += m * sol.b_at(m)
+    for m in divisors:
+        A += m * a.get(m, 0)
+        if (n // m) % 2 == 1:
+            O += m * b.get(m, 0)
         else:
-            E += m * sol.b_at(m)
-    Q = sol.q**n
-    return Fraction((A - E) * (Q + 1) - (Q - 1) * O, n * (Q + 1))
+            E += m * b.get(m, 0)
+    num, den = (A - E) * (Q + 1) - (Q - 1) * O, n * (Q + 1)
+    g = math.gcd(num, den)  # den > 0, so these are a Fraction's lowest terms
+    return num // g, den // g
 
 
 def asymptotic_ratio(q: int, n: int) -> Fraction:
@@ -235,7 +241,7 @@ def to_spectra(sol: ScenarioSolution) -> Tuple[LengthTwistSpectrum, LengthTwistS
             exact += grid[n - 1::n]
             rev += [k % 2 for k in powers] if reversing else [0] * len(powers)
             nu += powers
-            mult += [entry_counts(1, abs(v))[1]] * len(powers)
+            mult += [abs(v)] * len(powers)
     return tuple(LengthTwistSpectrum.from_columns(side, sol.grid_length(h)) for side in sides)
 
 
@@ -257,17 +263,6 @@ def scenario_rows(sol: ScenarioSolution) -> List[ScenarioRow]:
     from one divisor, Mobius and power table built for the whole horizon.
     """
     divisors, powers, counts = _grid_tables(sol.q, sol.horizon)
-    a, b, rows = sol.a, sol.b, []
-    for n in range(1, sol.horizon + 1):
-        A = O = E = 0  # as in verify_constraint, over the divisors m = n/k
-        for m in divisors[n]:
-            A += m * a.get(m, 0)
-            if (n // m) % 2 == 1:
-                O += m * b.get(m, 0)
-            else:
-                E += m * b.get(m, 0)
-        Q = powers[n]
-        num, den = (A - E) * (Q + 1) - (Q - 1) * O, n * (Q + 1)
-        g = math.gcd(num, den)  # den > 0: num/g, den/g are the Fraction's lowest terms
-        rows.append(ScenarioRow(n, counts[n], a.get(n, 0), b.get(n, 0), num // g, den // g))
-    return rows
+    a, b = sol.a, sol.b
+    return [ScenarioRow(n, counts[n], a.get(n, 0), b.get(n, 0), *_residual(a, b, n, divisors[n], powers[n]))
+            for n in range(1, sol.horizon + 1)]

@@ -21,12 +21,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, List, Mapping, Sequence, Tuple
 
@@ -52,6 +51,7 @@ from .lengths import (
     exact_ratio,
     length_le,
     lengths_equal,
+    positive_length,
     sorted_order,
     tanh_half,
 )
@@ -124,7 +124,8 @@ class LengthTwistSpectrum:
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], horizon: LengthValue,
                      tolerance: float = DEFAULT_TOLERANCE) -> "LengthTwistSpectrum":
-        """From columns (approx, exact, reversing, nu, multiplicity) in any order."""
+        """From columns (approx, exact, reversing, nu, multiplicity) in any order,
+        checked as entries are: counts ints >= 1, lengths positive and finite."""
         spec = cls.__new__(cls)
         spec._build(*columns, horizon, tolerance)
         return spec
@@ -132,7 +133,13 @@ class LengthTwistSpectrum:
     def _build(self, approx, exact, reversing, nu, mult, horizon, tolerance):
         if not 0 < tolerance < math.inf:
             raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+        counts = [*nu, *mult]
+        if set(map(type, counts)) - {int} or min(counts, default=1) < 1:  # 2.0 converts, the rest raises
+            nu, mult = map(list, zip(*map(entry_counts, nu, mult)))
         x, rev = np.asarray(approx, dtype=float), np.asarray(reversing, dtype=np.int8)
+        bad = ~((x > 0) & (x < np.inf))  # NaN fails both
+        if bad.any():
+            positive_length(x[bad][0])
         order = sorted_order(x, exact, rev, nu)
         xs, rs, at = x[order], rev[order], order.tolist()
         mult = [mult[i] for i in at]
@@ -354,18 +361,20 @@ class DiscrepancyTable:
 
     Immutable: a and b are read-only mappings once constructed, so the
     support order and the support analysis of support_sets are computed
-    once per table and can never go stale.
+    once per table and can never go stale.  Support lengths are checked
+    against the horizon within the tolerance, which equality ignores.
     """
 
     a: Mapping[LengthValue, int]
     b: Mapping[LengthValue, int]
     horizon: LengthValue
+    tolerance: float = field(default=DEFAULT_TOLERANCE, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", MappingProxyType({l: int(v) for l, v in self.a.items() if v != 0}))
         object.__setattr__(self, "b", MappingProxyType({l: int(v) for l, v in self.b.items() if v != 0}))
         for l in self._support:
-            if not length_le(l, self.horizon):
+            if not length_le(l, self.horizon, self.tolerance):
                 raise ValueError(f"support length {l} exceeds horizon {self.horizon}")
 
     def a_at(self, l: LengthValue) -> int:
@@ -375,11 +384,16 @@ class DiscrepancyTable:
         return self.b.get(l, 0)
 
     def support(self) -> List[LengthValue]:
+        """The lengths where a or b is nonzero, in the order of lengths.sorted_order:
+        ascending float, an Exact before a Numeric of the same float, exact
+        lengths by (base, multiplier)."""
         return list(self._support)
 
     @cached_property
     def _support(self) -> Tuple[LengthValue, ...]:
-        return tuple(_length_order(self.a.keys() | self.b.keys()))
+        support = list(self.a.keys() | self.b.keys())
+        order = sorted_order(np.array([l.approx() for l in support], dtype=float), support)
+        return tuple(support[i] for i in order.tolist())
 
     @cached_property
     def _support_sets(self) -> Tuple[frozenset, frozenset]:
@@ -391,8 +405,8 @@ class DiscrepancyTable:
         if len(bases) > 1:
             raise MixedBases(f"support spans incommensurable grids: bases {sorted(bases)}")
 
-        L0 = []  # a multiple of a smaller length is one of a minimal length: test those in order
-        for l in sorted(support, key=lambda l: l.mult):
+        L0 = []  # the support ascends by multiplier; a multiple of a smaller length is one of a minimal one
+        for l in support:
             if not any(_is_multiple(l, m) for m in L0):
                 L0.append(l)
         for l in support:
@@ -402,20 +416,6 @@ class DiscrepancyTable:
 
     def __repr__(self) -> str:
         return f"DiscrepancyTable({len(self.a)} a-values, {len(self.b)} b-values)"
-
-
-def _length_order(lengths: Iterable[LengthValue]) -> List[LengthValue]:
-    """The lengths sorted by (approx(), str): a stable sort on the float, then
-    each run of tied floats by str, so a string is formatted only on a tie.
-    Distinct lengths never share both keys, so the order is total."""
-    keyed = sorted(((l.approx(), l) for l in lengths), key=itemgetter(0))
-    out, first = [l for _, l in keyed], 0
-    for i in range(1, len(keyed) + 1):
-        if i == len(keyed) or keyed[i][0] != keyed[first][0]:  # a run of equal floats ends at i
-            if i - first > 1:
-                out[first:i] = sorted(out[first:i], key=str)
-            first = i
-    return out
 
 
 def discrepancy(a: LengthTwistSpectrum, b: LengthTwistSpectrum) -> DiscrepancyTable:
@@ -434,7 +434,7 @@ def discrepancy(a: LengthTwistSpectrum, b: LengthTwistSpectrum) -> DiscrepancyTa
     d = np.zeros((2, clusters.size), dtype=object)
     np.add.at(d, (rev, np.concatenate(clusters.ids)), np.array(signed, dtype=object))
     a_map, b_map = ({clusters.rep(c): int(r[c]) for c in np.flatnonzero(r).tolist()} for r in d)
-    return DiscrepancyTable(a_map, b_map, a.horizon)
+    return DiscrepancyTable(a_map, b_map, a.horizon, tol)
 
 
 def support_sets(table: DiscrepancyTable) -> Tuple[set, set]:

@@ -413,6 +413,19 @@ def test_flat_verify_output_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_compare_reads_the_table_within_epsilon(tmp_path, capsys):
+    # 3.0005 is within --epsilon 1e-3 of the horizon 3.0 in both spectra and in their table
+    a = LengthTwistSpectrum([GeodesicEntry(Numeric(3.0005), Orientation.PRESERVING)], Numeric(3.0), 1e-3)
+    b = LengthTwistSpectrum([], Numeric(3.0))
+    pa, pb, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "r.csv"
+    for p, s in ((pa, a), (pb, b)):
+        with open(p, "w") as fp:
+            dump_spectrum(s, fp)
+    assert main(["compare", "--a", str(pa), "--b", str(pb), "--epsilon", "1e-3", "--out", str(out)]) == 1
+    assert out.read_text() == 'length,a,b\n"{""numeric"": 3.0005}",1,0\n'
+    assert capsys.readouterr().err == ""
+
+
 def test_compare_horizon_mismatch_is_usage_error(tmp_path, capsys):
     a = LengthTwistSpectrum([], Numeric(5.0))
     b = LengthTwistSpectrum([], Numeric(6.0))
@@ -470,6 +483,8 @@ GOLDEN_CASES = {
     "flat-family-mismatch": "flat-verify --family square --relation H2+H6=2H3",
     "flat-emit-square": "flat-verify --family square --max-norm 12 --emit-spectrum S4",
     "flat-emit-hex": "flat-verify --family hex --max-norm 12 --emit-spectrum h3",
+    "flat-emit-family-mismatch": "flat-verify --family square --max-norm 12 --emit-spectrum H3",
+    "flat-emit-unknown": "flat-verify --family square --max-norm 12 --emit-spectrum X9",
     "compare-exact-self": "compare --a {exact} --b {exact}",
     "compare-scenario": "compare --a {first} --b {second}",
     "compare-numeric": "compare --a {numeric} --b {other}",
@@ -480,6 +495,7 @@ GOLDEN_CASES = {
     "weights-bad-nu": "weights --spectrum {bad}",
     "dirichlet-exact": "dirichlet --spectrum {exact} --sigma 2.0 --t 0.5",
     "dirichlet-numeric": "dirichlet --spectrum {numeric} --sigma 1.5 --t -1.0",
+    "dirichlet-diverging": "dirichlet --spectrum {numeric} --sigma 0.5",
     "enumerate": "enumerate --generators {gens} --max-word-length 4 --cutoff 6.0",
 }
 
@@ -527,6 +543,12 @@ GOLDEN = {
         "1 f15c929c9b3c e3b0c44298fc e9d8fdfb0d0e",
         "1 f15c929c9b3c e3b0c44298fc 0ec4d0aca443",
     ],
+    # the dirichlet warning as one line, and --emit-spectrum checked before any relation
+    "dirichlet-diverging": [
+        "0 f332997bf61a 5e8351f9fd96 -",
+        "0 f332997bf61a 5e8351f9fd96 cef85fdf1678",
+        "0 f332997bf61a 5e8351f9fd96 6613e38f2a8a",
+    ],
     "dirichlet-exact": [
         "0 635e9523051e e3b0c44298fc -",
         "0 635e9523051e e3b0c44298fc aef95beea79c",
@@ -542,6 +564,11 @@ GOLDEN = {
         "0 512acfd4a237 e3b0c44298fc 47e2f1165c1c",
         "0 512acfd4a237 e3b0c44298fc ae40be88d90a",
     ],
+    "flat-emit-family-mismatch": [
+        "2 e3b0c44298fc 232573e45811 -",
+        "2 e3b0c44298fc 232573e45811 -",
+        "2 e3b0c44298fc 232573e45811 -",
+    ],
     "flat-emit-hex": [
         "0 73d95bfb426b e3b0c44298fc -",
         "0 9dbeb70bb7f1 e3b0c44298fc 34274dad40ea",
@@ -551,6 +578,11 @@ GOLDEN = {
         "0 eb986c44966a e3b0c44298fc -",
         "0 aa23d4b2093d e3b0c44298fc dedb40caf9d9",
         "0 aa23d4b2093d e3b0c44298fc 99194f7bd296",
+    ],
+    "flat-emit-unknown": [
+        "2 e3b0c44298fc f3b97994230f -",
+        "2 e3b0c44298fc f3b97994230f -",
+        "2 e3b0c44298fc f3b97994230f -",
     ],
     "flat-failing-relation": [
         "1 1cbec80a6384 e3b0c44298fc -",

@@ -1,4 +1,5 @@
-"""No module of the package reaches into another module's private names."""
+"""No module of the package reaches into another module's private names, writes
+a file outside the CLI's writer or states an invariant as an assert."""
 
 import ast
 from pathlib import Path
@@ -102,3 +103,24 @@ def test_the_write_check_sees_a_second_writer():
     ])
     assert calls(source) == [(2, "_write_output"), (5, "_cmd_x"), (6, "_cmd_x"), (8, "inner"),
                                    (9, None)]
+
+
+def asserts(source: str) -> list:
+    """The line of every assert statement: python -O strips them, so an invariant raises."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_invariant_is_an_assert(path):
+    assert asserts(path.read_text()) == []
+
+
+def test_the_assert_check_sees_an_assert():
+    source = "\n".join([
+        "def f(x):",
+        "    assert x > 0, 'positive'",
+        "    if x:",
+        "        assert (x, 'a tuple')",
+        "    return 'assert x'",
+    ])
+    assert asserts(source) == [2, 4]

@@ -10,6 +10,7 @@ from isogeo.errors import HorizonMismatch, QueryBeyondHorizon
 from isogeo.lengths import Exact, Numeric
 from isogeo.spectrum import (
     CountingFunction,
+    DiscrepancyTable,
     GeodesicEntry,
     LengthTwistSpectrum,
     Orientation,
@@ -98,6 +99,33 @@ def test_entry_counts_must_be_integral():
     e = GeodesicEntry(Numeric(1.0), P, nu=2.0, multiplicity=3.0)
     assert (e.nu, e.multiplicity) == (2, 3)
     assert type(e.nu) is int and type(e.multiplicity) is int
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        (([1.0, -3.0], [None, None], [0, 1], [0, 1], [-5, 1]), "imprimitivity index must be >= 1, got 0"),
+        (([1.0], [None], [0], [1], [0]), "multiplicity must be >= 1, got 0"),
+        (([1.0], [None], [0], [True], [1]), "nu must be an integer, got True"),
+        (([1.0], [None], [0], [1], [1.5]), "multiplicity must be an integer, got 1.5"),
+        (([1.0, -3.0], [None, None], [0, 1], [1, 1], [1, 1]), "positive and finite, got -3.0"),
+        (([0.0], [None], [0], [1], [1]), "positive and finite, got 0.0"),
+        (([math.nan], [None], [0], [1], [1]), "positive and finite, got nan"),
+        (([math.inf], [None], [0], [1], [1]), "positive and finite, got inf"),
+    ],
+    ids=["negative-counts", "zero-multiplicity", "bool-nu", "fractional-multiplicity", "negative-length",
+         "zero-length", "nan-length", "inf-length"],
+)
+def test_from_columns_checks_what_an_entry_checks(columns, message):
+    with pytest.raises(ValueError, match=message):
+        LengthTwistSpectrum.from_columns(columns, Numeric(2.0))
+
+
+def test_from_columns_converts_integral_float_counts():
+    s = LengthTwistSpectrum.from_columns(([1.0, 1.5], [None, None], [0, 1], [2.0, 1], [1, 3.0]), Numeric(2.0))
+    assert s == spec_of([GeodesicEntry(Numeric(1.0), P, nu=2), GeodesicEntry(Numeric(1.5), R, multiplicity=3)],
+                        Numeric(2.0))
+    assert list(map(type, s.nu + s.multiplicity)) == [int] * 4
 
 
 def test_total_weight_additive_over_union():
@@ -233,6 +261,16 @@ def test_discrepancy_zero_on_equal():
     t = discrepancy(s, s)
     assert t.a == {} and t.b == {}
     assert t.a_at(Numeric(1.0)) == 0
+
+
+def test_discrepancy_checks_its_support_within_the_pair_tolerance():
+    # a length the spectra accept within their tolerance stays within it in their table
+    a = spec_of([GeodesicEntry(Numeric(3.0005), P)], Numeric(3.0), 1e-3)
+    t = discrepancy(a, spec_of([], Numeric(3.0), 1e-4))
+    assert (t.support(), t.a_at(Numeric(3.0005)), t.tolerance) == ([Numeric(3.0005)], 1, 1e-3)
+    assert t == DiscrepancyTable(t.a, t.b, t.horizon, 1e-2)  # equality ignores the tolerance
+    with pytest.raises(ValueError, match="support length 3.0005 exceeds horizon 3.0"):
+        DiscrepancyTable(t.a, t.b, t.horizon)
 
 
 def test_discrepancy_counts_primitives_only():
