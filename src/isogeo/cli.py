@@ -178,8 +178,9 @@ def _cmd_weights(args) -> Tuple[int, Any]:
     print(f"total weight function up to horizon {spec.horizon}:")
     rows = [["length", "weight"]]
     for rep, w in weight_function(spec):
-        print(f"  l={rep}: W={_rational_str(w)}")
-        rows.append([interchange.length_cell(rep), _rational_str(w)])
+        w = _rational_str(w)
+        print(f"  l={rep}: W={w}")
+        rows.append([interchange.length_cell(rep), w])
     return EXIT_OK, rows
 
 

@@ -15,7 +15,7 @@ Discrepancy document: same length encoding with integer "a"/"b" fields:
 
     {"horizon": <length>, "entries": [{"length": <length>, "a": 1, "b": 3}]}
 
-Generator document:
+Generator document, each entry a finite int or float of either sign:
 
     {"generators": [[[a, b], [c, d]], ...]}
 """
@@ -30,7 +30,15 @@ from typing import IO, Any, Callable, Dict, List, Tuple
 import numpy as np
 
 from .hyperbolic import Isometry
-from .lengths import DEFAULT_TOLERANCE, Exact, LengthValue, Numeric, as_integer, positive_length
+from .lengths import (
+    DEFAULT_TOLERANCE,
+    Exact,
+    LengthValue,
+    Numeric,
+    as_integer,
+    finite_number,
+    positive_length,
+)
 from .spectrum import (
     ORIENTATIONS,
     DiscrepancyTable,
@@ -98,13 +106,24 @@ def spectrum_to_json(spec: LengthTwistSpectrum) -> Dict[str, Any]:
 
 def _entry_columns(entries: List[Dict[str, Any]]) -> tuple:
     """The entries as columns (approx, exact, reversing, nu, multiplicity), each field
-    gathered in one pass; only exact lengths reach _length_column.  Raises unless every
-    numeric length is an int or a float (numpy would take a bool or a string); the
-    spectrum checks the values."""
+    gathered in one pass; only exact lengths reach _length_column, once per distinct
+    (q, num, den) of plain ints.  Raises unless every numeric length is an int or a
+    float (numpy would take a bool or a string); the spectrum checks the values."""
     lengths = [e["length"] for e in entries]
     reversing = [_REVERSING[e["orientation"]] for e in entries]
     nu, mult = [e.get("nu", 1) for e in entries], [e.get("multiplicity", 1) for e in entries]
-    pairs = [_length_column(l) if "exact" in l else (l["numeric"], None) for l in lengths]
+    shared: Dict[tuple, Tuple[float, Exact]] = {}
+
+    def exact_column(doc: Dict[str, Any]) -> Tuple[float, Exact]:
+        e = doc["exact"]
+        key = (e.get("q"), e.get("num"), e.get("den", 1)) if type(e) is dict else None
+        if key is None or set(map(type, key)) != {int}:  # True == 1.0 == 1 as keys; only 1 is a plain int
+            return _length_column(doc)
+        if key not in shared:
+            shared[key] = _length_column(doc)
+        return shared[key]
+
+    pairs = [exact_column(l) if "exact" in l else (l["numeric"], None) for l in lengths]
     x, exact = zip(*pairs) if pairs else ((), ())
     if set(map(type, x)) - {int, float}:
         raise ValueError("a column holds a value that is not plain")
@@ -162,12 +181,25 @@ def dump_spectrum(spec: LengthTwistSpectrum, fp: IO[str]):
     dump_json(spectrum_to_json(spec), fp)
 
 
+def _matrix(rows: Any, path: str) -> List[List[float]]:
+    """A 2x2 matrix document as rows of floats; a fault names its path."""
+    if type(rows) is not list or len(rows) != 2:
+        raise ValueError(f"{path} must be a 2x2 matrix, got {rows!r}")
+    for i, row in enumerate(rows):
+        if type(row) is not list or len(row) != 2:
+            raise ValueError(f"{path}[{i}] must be a row of 2 numbers, got {row!r}")
+    return [[finite_number(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)] for i, row in enumerate(rows)]
+
+
 @_document
 def load_generators(fp: IO[str]) -> List[Isometry]:
     doc = json.load(fp)
     if "generators" not in doc:
         raise ValueError("generator document needs a 'generators' key")
-    return [Isometry.from_matrix(rows) for rows in doc["generators"]]
+    generators = doc["generators"]
+    if type(generators) is not list:
+        raise ValueError(f"generators must be a list of 2x2 matrices, got {generators!r}")
+    return [Isometry.from_matrix(_matrix(rows, f"generators[{k}]")) for k, rows in enumerate(generators)]
 
 
 def dump_generators(generators: List[Isometry], fp: IO[str]):

@@ -16,8 +16,10 @@ bases are normalised to their canonical root (``Exact(4, r)`` becomes
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Integral
 from typing import Iterable, List, Sequence, Tuple, Union
 
@@ -65,6 +67,9 @@ def canonical_power_root(q: int) -> tuple[int, int]:
     return q, 1
 
 
+_canonical_root = lru_cache(maxsize=1024)(canonical_power_root)  # bases repeat: one grid per document
+
+
 @dataclass(frozen=True, slots=True)
 class Exact:
     """Length ``mult * log(base)``, held in exact rational arithmetic."""
@@ -76,12 +81,12 @@ class Exact:
         if isinstance(mult, float):
             # Fraction(0.1) is the exact binary expansion, never what was meant
             raise TypeError("exact multiplier must be int, str, or Fraction, not float")
-        r = Fraction(mult)
+        r = mult if type(mult) is Fraction else Fraction(mult)
         if r <= 0:
             raise ValueError(f"length multiplier must be positive, got {r}")
-        g, e = canonical_power_root(as_integer(base, "base"))
+        g, e = _canonical_root(as_integer(base, "base"))
         object.__setattr__(self, "base", g)
-        object.__setattr__(self, "mult", r * e)
+        object.__setattr__(self, "mult", r if e == 1 else r * e)
 
     def approx(self) -> float:
         return float(self.mult) * math.log(self.base)
@@ -126,6 +131,33 @@ def positive_length(value) -> float:
     if not math.isfinite(v) or v <= 0:
         raise ValueError(f"numeric length must be positive and finite, got {v}")
     return v
+
+
+def finite_number(value, name: str) -> float:
+    """``value`` as a finite float, either sign; ValueError for anything but an int
+    or a float (a bool or a string included, although float() takes both) and for
+    a value with no finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        v = float(value)
+    except OverflowError:  # an int past the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return v
+
+
+_SET_VALUE = Numeric.value.__set__  # a frozen dataclass's field, set on a bare instance
+
+
+def numerics(values: Iterable[float]) -> List[Numeric]:
+    """Numeric lengths of floats already checked positive and finite, set without
+    checking them again."""
+    values = list(values)
+    out = [object.__new__(Numeric) for _ in values]
+    deque(map(_SET_VALUE, out, values), 0)
+    return out
 
 
 LengthValue = Union[Exact, Numeric]
@@ -244,10 +276,17 @@ class Clusters:
             self._exact[int(c[j])] = (tied[0] if tied.count(tied[0]) == len(tied)
                                       else min(tied, key=lambda l: (l.base, l.mult)))
 
+    def reps(self, at: Sequence[int]) -> List[LengthValue]:
+        """The representative of each cluster of at: its least Exact length, else
+        its least length (lo holds checked column floats, so none is checked again)."""
+        out = list(map(self._exact.get, at))
+        numeric = [i for i, l in enumerate(out) if l is None]
+        for i, l in zip(numeric, numerics([self.lo[at[i]] for i in numeric])):
+            out[i] = l
+        return out
+
     def rep(self, c: int) -> LengthValue:
-        """The representative of cluster c: its least Exact length, else its least length."""
-        l = self._exact.get(c)
-        return l if l is not None else Numeric(self.lo[c])
+        return self.reps([c])[0]
 
 
 def cluster_lengths(

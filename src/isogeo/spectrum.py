@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Iterable, List, Mapping, Sequence, Tuple
+from typing import Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .lengths import (
     exact_ratio,
     length_le,
     lengths_equal,
+    numerics,
     positive_length,
     sorted_order,
     tanh_half,
@@ -99,7 +100,6 @@ class GeodesicEntry:
         return self.nu == 1
 
 
-_SET_VALUE = Numeric.value.__set__  # a frozen dataclass's fields, set on a bare instance
 _SET_ENTRY = tuple(getattr(GeodesicEntry, f).__set__ for f in ("length", "orientation", "nu", "multiplicity"))
 
 
@@ -162,9 +162,8 @@ class LengthTwistSpectrum:
     def entries(self) -> Tuple[GeodesicEntry, ...]:
         """The columns as entries, set field by field: nothing is checked again."""
         at = [i for i, l in enumerate(self.exact) if l is None]
-        numeric = [object.__new__(Numeric) for _ in at]
-        deque(map(_SET_VALUE, numeric, self.approx[at].tolist()), 0)
-        numeric, entries = iter(numeric), [object.__new__(GeodesicEntry) for _ in self.nu]
+        numeric = iter(numerics(self.approx[at].tolist()))
+        entries = [object.__new__(GeodesicEntry) for _ in self.nu]
         columns = ([l or next(numeric) for l in self.exact],
                    [ORIENTATIONS[r] for r in self.reversing.tolist()], self.nu, self.multiplicity)
         for set_field, column in zip(_SET_ENTRY, columns):
@@ -211,7 +210,7 @@ class LengthTwistSpectrum:
     @cached_property
     def cluster_weights(self) -> List[Fraction | float]:
         """W of each of the spectrum's own length clusters."""
-        return _weight_sums(self, self.clusters.ids[0], self.clusters.size)
+        return _cluster_weights(self, self.clusters.ids[0], self.clusters.size).values()
 
 
 def validate_surface(spec: LengthTwistSpectrum) -> List[str]:
@@ -247,21 +246,114 @@ def weight(entry: GeodesicEntry) -> Fraction | float:
     return _damped(unit, tanh_half(entry.length)) if entry.orientation is Orientation.REVERSING else unit
 
 
-def _weight_sums(spec: LengthTwistSpectrum, ids: np.ndarray, size: int) -> List[Fraction | float]:
-    """W of each of size clusters, adding multiplicity * weight in entry order as
-    Fraction/float promotion does: exact terms sum as an integer rational up to
-    the first float term, and each later exact term adds as its rounded value."""
-    num, den, flo = [0] * size, [1] * size, [None] * size
-    for c, m, w in zip(ids.tolist(), spec.multiplicity, spec.weights):
-        if type(w) is float:
-            flo[c] = (num[c] / den[c] if flo[c] is None else flo[c]) + m * w
-        elif flo[c] is None:
-            q, g = den[c], math.gcd(den[c], w.denominator)
-            num[c] = num[c] * (w.denominator // g) + m * w.numerator * (q // g)
-            den[c] = q // g * w.denominator
+class _Weights(NamedTuple):
+    """W of each cluster as columns: ``num``/``den`` in lowest terms where W is
+    exact (for a float W, the exact sum before its first float term), ``flo``
+    where W is a float (``is_float``)."""
+
+    num: np.ndarray
+    den: np.ndarray
+    flo: np.ndarray
+    is_float: np.ndarray
+
+    def values(self, at: np.ndarray | slice = slice(None)) -> List[Fraction | float]:
+        """W of the clusters at (of every cluster by default), each a Fraction or a float."""
+        return [f if x else _rational(p, q) for p, q, f, x in
+                zip(self.num[at].tolist(), self.den[at].tolist(), self.flo[at].tolist(), self.is_float[at].tolist())]
+
+    def floats(self, at: np.ndarray) -> np.ndarray:
+        """float(W) of the clusters at: an exact W as num/den, correctly rounded."""
+        out, exact = self.flo[at], ~self.is_float[at]
+        out[exact] = self.num[at[exact]] / self.den[at[exact]]  # ints below 2**53, or Python ints
+        return out
+
+
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """The positions where a run of equal keys begins."""
+    cut = np.zeros(len(keys[0]), dtype=bool)
+    cut[:1] = True
+    for k in keys:
+        cut[1:] |= k[1:] != k[:-1]
+    return np.flatnonzero(cut)
+
+
+def _run_sums(p: np.ndarray, d: np.ndarray, starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sum p/d over each run of terms that begins at starts: a numerator over the
+    lcm of the run's denominators."""
+    den = np.lcm.reduceat(d, starts)
+    return np.add.reduceat(p * (np.repeat(den, np.append(starts[1:], len(d)) - starts) // d), starts), den
+
+
+def _cluster_weights(spec: LengthTwistSpectrum, ids: np.ndarray, size: int) -> _Weights:
+    """W of each of size clusters from the spectrum's columns (ids: the cluster of
+    each entry, never decreasing, so a cluster is a run of entries).
+
+    The terms add as Fraction/float promotion adds multiplicity * weight in entry
+    order: exact terms sum as an integer rational up to the cluster's first float
+    term, and each later term adds as its rounded value.  A term is m/nu, or
+    m/nu * tanh(l/2) for a reversing type: exact, (q^n - 1)/(q^n + 1), at
+    l = n*log(q) (one class of terms per distinct factor), else m * (tanh(l/2)/nu)
+    in floats.  Counts are int64 where, in every cluster, the product over its
+    entries of nu * (m + 1) and of each exact tanh's denominator stays below
+    2**52: that bounds every sum and product below, so each converts to a float
+    exactly.  Python ints (object arrays) hold them otherwise."""
+    n, rev = len(spec), spec.reversing.astype(bool)
+    t, cls = np.zeros(n), np.zeros(n, dtype=np.intp)  # tanh(l/2) of a float term; the class of an exact one
+    exact_rev = [] if spec.exact.count(None) == n else [
+        i for i in np.flatnonzero(rev).tolist() if spec.exact[i] is not None]
+    tanh, classes = {}, {(1, 1): 0}  # by identity: one Exact object per grid point, mostly
+    for i in exact_rev:
+        l = spec.exact[i]
+        h = tanh.get(id(l))
+        if h is None:
+            h = tanh[id(l)] = tanh_half(l)
+        if type(h) is float:
+            t[i] = h
         else:
-            flo[c] += m * w.numerator / w.denominator
-    return [_rational(p, q) if f is None else f for p, q, f in zip(num, den, flo)]
+            cls[i] = classes.setdefault((h.numerator, h.denominator), len(classes))
+    numeric = rev.copy()
+    numeric[exact_rev] = False
+    t[numeric] = list(map(math.tanh, (spec.approx[numeric] / 2.0).tolist()))
+    is_float = rev & (cls == 0)
+
+    try:
+        nu, m = np.array(spec.nu, dtype=np.int64), np.array(spec.multiplicity, dtype=np.int64)
+        bits = np.log2(nu * (m + 1.0)) + np.array([math.log2(q) for _, q in classes])[cls]
+        small = np.bincount(ids, bits, size).max(initial=0) < 52
+    except OverflowError:  # a count past int64
+        small = False
+    if not small:
+        nu, m = np.array(spec.nu, dtype=object), np.array(spec.multiplicity, dtype=object)
+    tp, tq = (np.array(col, dtype=nu.dtype)[cls] for col in zip(*classes))
+
+    f = np.flatnonzero(is_float)
+    first = np.full(size, n)  # each cluster's first float term
+    np.minimum.at(first, ids[f], f)
+    later = np.arange(n) >= first[ids]
+    num, den = np.zeros(size, dtype=nu.dtype), np.ones(size, dtype=nu.dtype)
+    if n:  # the exact prefixes: sum m/nu per run of one class, factor in its tanh, sum per cluster
+        runs = _run_starts(ids, cls)
+        p, d = _run_sums(np.where(later, 0, m), nu, runs)
+        c = ids[runs]
+        if len(classes) > 1:
+            ends = _run_starts(c)
+            p, d = _run_sums(p * tp[runs], d * tq[runs], ends)
+            c = c[ends]
+        g = np.gcd(p, d)
+        num[c], den[c] = p // g, d // g
+
+    flo = np.zeros(size)
+    if len(f):
+        seg = np.flatnonzero(later)
+        fl, ex = is_float[seg], seg[~is_float[seg]]
+        terms = np.empty(len(seg))
+        terms[fl] = m[seg[fl]] * (t[seg[fl]] / nu[seg[fl]])
+        terms[~fl] = (m[ex] * tp[ex]) / (nu[ex] * tq[ex])  # rounded once
+        # each float cluster starts from its exact prefix, rounded; bincount adds in input order
+        floating = np.flatnonzero(first < n)
+        flo = np.bincount(np.concatenate((floating, ids[seg])),
+                          np.concatenate(((num[floating] / den[floating]).astype(float), terms)), size)
+    return _Weights(num, den, flo, first < n)
 
 
 def total_weight(spec: LengthTwistSpectrum, l: LengthValue) -> Fraction | float:
@@ -288,7 +380,7 @@ def weight_function(spec: LengthTwistSpectrum) -> List[Tuple[LengthValue, Fracti
     ascending order; W sums multiplicity*weight over every entry of the
     cluster, exactly when all of them are exact rationals.
     """
-    return [(spec.clusters.rep(c), w) for c, w in enumerate(spec.cluster_weights)]
+    return list(zip(spec.clusters.reps(range(spec.clusters.size)), spec.cluster_weights))
 
 
 def compare_weights(
@@ -301,13 +393,13 @@ def compare_weights(
     """
     tol = _require_common_horizon(a, b)
     clusters = Clusters([(a.approx, a.exact), (b.approx, b.exact)], tol)
-    wa, wb = (_weight_sums(s, ids, clusters.size) for s, ids in zip((a, b), clusters.ids))
-    out = []
-    for c, (va, vb) in enumerate(zip(wa, wb)):
-        exact = type(va) is Fraction and type(vb) is Fraction
-        if (va != vb) if exact else (abs(float(va) - float(vb)) > tol):
-            out.append((clusters.rep(c), va, vb))
-    return out
+    wa, wb = (_cluster_weights(s, ids, clusters.size) for s, ids in zip((a, b), clusters.ids))
+    exact = ~(wa.is_float | wb.is_float)
+    differ = exact & ((wa.num != wb.num) | (wa.den != wb.den))
+    loose = np.flatnonzero(~exact)
+    differ[loose] = np.abs(wa.floats(loose) - wb.floats(loose)) > tol
+    at = np.flatnonzero(differ)
+    return list(zip(clusters.reps(at.tolist()), wa.values(at), wb.values(at)))
 
 
 @dataclass(frozen=True)
@@ -433,7 +525,8 @@ def discrepancy(a: LengthTwistSpectrum, b: LengthTwistSpectrum) -> DiscrepancyTa
               for k, (s, t) in enumerate(sides) for i in t]
     d = np.zeros((2, clusters.size), dtype=object)
     np.add.at(d, (rev, np.concatenate(clusters.ids)), np.array(signed, dtype=object))
-    a_map, b_map = ({clusters.rep(c): int(r[c]) for c in np.flatnonzero(r).tolist()} for r in d)
+    nonzero = [np.flatnonzero(r).tolist() for r in d]
+    a_map, b_map = (dict(zip(clusters.reps(at), map(int, r[at]))) for r, at in zip(d, nonzero))
     return DiscrepancyTable(a_map, b_map, a.horizon, tol)
 
 
@@ -565,7 +658,7 @@ class CountingFunction:
         running = list(accumulate(spec.multiplicity))
         self._cums = [running[i - 1] for i in clusters.starts[1:] + [len(running)]] if running else []
         self._jumps = [c - p for c, p in zip(self._cums, [0] + self._cums)]
-        self._reps = [clusters.rep(c) for c in range(clusters.size)]
+        self._reps = clusters.reps(range(clusters.size))
         # strictly ascending: clusters are more than tol apart
         self._xs = [rep.approx() for rep in self._reps]
 

@@ -203,6 +203,33 @@ def test_enumerate_out_of_range_is_usage_error(tmp_path, capsys, generators, mes
     assert capsys.readouterr() == ("", message + "\n")
 
 
+# generator documents that float() would take or that fail on unpacking
+BAD_GENERATORS = {
+    "gens_strings": [[["3", 0], [0, "0.3333333333333333"]], [[True, False], [False, True]]],
+    "gens_object": {"a": 1},
+    "gens_one_row": [[[2.0, 0.0]]],
+}
+
+
+@pytest.mark.parametrize(
+    "generators, message",
+    [
+        (BAD_GENERATORS["gens_strings"], "error: generators[0][0][0] must be a number, got '3'"),
+        ([[[True, False], [False, True]]], "error: generators[0][0][0] must be a number, got True"),
+        ([[[2.0, 0.0], [0.0, float("nan")]]], "error: generators[0][1][1] must be finite, got nan"),
+        (BAD_GENERATORS["gens_object"], "error: generators must be a list of 2x2 matrices, got {'a': 1}"),
+        (BAD_GENERATORS["gens_one_row"], "error: generators[0] must be a 2x2 matrix, got [[2.0, 0.0]]"),
+    ],
+    ids=["strings", "booleans", "nan", "object", "one-row"],
+)
+def test_generator_document_faults_are_usage_errors(tmp_path, capsys, generators, message):
+    gens, out = tmp_path / "gens.json", tmp_path / "out.csv"
+    gens.write_text(json.dumps({"generators": generators}))
+    capsys.readouterr()
+    assert main(["enumerate", "--generators", str(gens), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", message + "\n") and not out.exists()
+
+
 def test_usage_errors(tmp_path, capsys):
     assert main(["compare", "--a", "/nonexistent.json", "--b", "/nonexistent.json"]) == 2
     with pytest.raises(SystemExit) as exc:
@@ -470,6 +497,10 @@ def _golden_inputs(tmp_path):
     with open(paths["bad"], "w") as fp:
         json.dump({"horizon": {"numeric": 4.0},
                    "entries": [{"length": {"numeric": 1.0}, "orientation": "preserving", "nu": 1.5}]}, fp)
+    for name, generators in BAD_GENERATORS.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w") as fp:
+            json.dump({"generators": generators}, fp)
     return paths
 
 
@@ -497,6 +528,9 @@ GOLDEN_CASES = {
     "dirichlet-numeric": "dirichlet --spectrum {numeric} --sigma 1.5 --t -1.0",
     "dirichlet-diverging": "dirichlet --spectrum {numeric} --sigma 0.5",
     "enumerate": "enumerate --generators {gens} --max-word-length 4 --cutoff 6.0",
+    "enumerate-string-entries": "enumerate --generators {gens_strings}",
+    "enumerate-generators-object": "enumerate --generators {gens_object}",
+    "enumerate-one-row-matrix": "enumerate --generators {gens_one_row}",
 }
 
 
@@ -563,6 +597,22 @@ GOLDEN = {
         "0 e65198ed2a21 e3b0c44298fc -",
         "0 512acfd4a237 e3b0c44298fc 47e2f1165c1c",
         "0 512acfd4a237 e3b0c44298fc ae40be88d90a",
+    ],
+    # a generator document's fault names its path: one error line, exit 2, nothing written
+    "enumerate-generators-object": [
+        "2 e3b0c44298fc ac82fc6e86e5 -",
+        "2 e3b0c44298fc ac82fc6e86e5 -",
+        "2 e3b0c44298fc ac82fc6e86e5 -",
+    ],
+    "enumerate-one-row-matrix": [
+        "2 e3b0c44298fc 4ddc3db2bc2c -",
+        "2 e3b0c44298fc 4ddc3db2bc2c -",
+        "2 e3b0c44298fc 4ddc3db2bc2c -",
+    ],
+    "enumerate-string-entries": [
+        "2 e3b0c44298fc 78efd1c3d0ba -",
+        "2 e3b0c44298fc 78efd1c3d0ba -",
+        "2 e3b0c44298fc 78efd1c3d0ba -",
     ],
     "flat-emit-family-mismatch": [
         "2 e3b0c44298fc 232573e45811 -",

@@ -324,3 +324,87 @@ def test_columns_round_trip_and_keep_the_canonical_form(case, rnd: random.Random
     built = LengthTwistSpectrum(entries, HORIZON, tol)
     assert built.entries == oracle_entries(entries)
     assert [e.length.approx() for e in built.entries] == built.approx.tolist()
+
+
+# --- the column kernel of W against the promotion rule ------------------------------
+
+
+def test_w_keeps_the_exact_prefix_where_a_float_sum_would_round_it():
+    # one cluster: 1/3 twice as exact terms (nu = 3, and tanh(log(2)/2) = 1/3), then a
+    # reversing float term, then a later 5/3 that adds as its rounded value
+    l0 = Exact(2, 1)
+    x0 = l0.approx()
+    entries = [GeodesicEntry(l0, P, 3, 1), GeodesicEntry(l0, R, 1, 1),
+               GeodesicEntry(Numeric(x0 + 4e-10), R, 1, 1), GeodesicEntry(Numeric(x0 + 8e-10), P, 3, 5)]
+    spec = LengthTwistSpectrum(entries, HORIZON)
+    clusters = oracle_clusters([e.length for e in spec.entries], spec.tolerance)
+    [want] = oracle_clustered_weights(spec, clusters, spec.tolerance)
+    [(rep, got)] = weight_function(spec)
+    assert rep == l0 and type(got) is float and got.hex() == want.hex()
+    # every term rounded first and summed as floats misses the last bit
+    naive = np.bincount([0] * len(spec), [m * float(w) for m, w in zip(spec.multiplicity, spec.weights)])
+    assert naive[0] != got
+
+
+def test_w_of_two_exact_grids_in_one_cluster_at_counts_past_int64():
+    # 3*log(2) and 2*log(3) lie 0.118 apart: one cluster at tol 0.2, with the exact
+    # factors tanh = 7/9 and 4/5; a later cluster adds a float term after big exact ones
+    tol, big = 0.2, 2**63
+    l2, l3, far = Exact(2, 3), Exact(3, 2), Exact(5, 2)
+
+    def spec(k: int) -> LengthTwistSpectrum:
+        return LengthTwistSpectrum([
+            GeodesicEntry(l2, P, big + 1, 2**70 + k), GeodesicEntry(l2, R, 1, 2 * big + 3),
+            GeodesicEntry(l3, R, 3, 2**65 - k), GeodesicEntry(l3, P, 1, big),
+            GeodesicEntry(far, P, 2, 2**66 + k), GeodesicEntry(far, R, big + 5, 2**64),
+            GeodesicEntry(Numeric(far.approx() + 0.1), R, 1, big + 7 * k),
+        ], HORIZON, tol)
+
+    a, b = spec(0), spec(2**20)
+    w2 = Fraction(2**70, big + 1) + Fraction(7, 9) * (2 * big + 3)
+    w3 = Fraction(4, 5) * Fraction(2**65, 3) + big
+    assert weight_function(a)[0] == (l2, w2 + w3)
+    for s in (a, b):
+        got = weight_function(s)
+        assert [tuple(map(type, row)) for row in got] == [(Exact, Fraction), (Exact, float)]
+        assert got == oracle_weight_function(s)
+    assert compare_weights(a, b) == oracle_compare_weights(a, b, tol)
+    assert len(compare_weights(a, b)) == 2
+
+
+def test_w_of_counts_between_2_53_and_int64():
+    # every count fits int64, but the lcm of two large coprime nu times a count does
+    # not, and past 2**53 an int no longer converts to a float exactly
+    x = Numeric(2.0)
+    entries = [GeodesicEntry(x, P, 2**31 - 1, 2**40 + 7), GeodesicEntry(x, P, 2**31 - 19, 2**41 + 3),
+               GeodesicEntry(Numeric(5.0), P, 3, 2**54 + 1), GeodesicEntry(Numeric(5.0), R, 3, 2**55 + 1),
+               GeodesicEntry(Numeric(5.0 + 5e-10), P, 7, 2**62 + 3)]
+    spec = LengthTwistSpectrum(entries, HORIZON)
+    got = weight_function(spec)
+    assert [type(w) for _, w in got] == [Fraction, float]
+    assert got == oracle_weight_function(spec)
+    assert got[0][1] == Fraction(2**40 + 7, 2**31 - 1) + Fraction(2**41 + 3, 2**31 - 19)
+    # (2**54 + 1)/3 rounds to 6004799503160662.0, float(2**54)/3 to one less: equal W here
+    a = LengthTwistSpectrum([GeodesicEntry(x, P, 3, 2**54 + 1)], HORIZON)
+    b = LengthTwistSpectrum([GeodesicEntry(x, P, 1, 6004799503160662), GeodesicEntry(x, R, 2**40, 1)], HORIZON)
+    assert compare_weights(a, b) == oracle_compare_weights(a, b, a.tolerance) == []
+
+
+def test_the_w_path_reads_neither_weights_nor_entries(tmp_path, monkeypatch):
+    l0 = Exact(2, 1)
+    entries = [GeodesicEntry(l0, P, 3, 1), GeodesicEntry(l0, R, 1, 2**70),
+               GeodesicEntry(Numeric(l0.approx() + 4e-10), R, 1, 1), GeodesicEntry(Numeric(2.5), P, 2, 3),
+               GeodesicEntry(Exact(3, Fraction(1, 2)), R, 1, 2), GeodesicEntry(Numeric(3.25), R, 2**64, 1)]
+    queries = [l0, Numeric(2.5), Numeric(1.0), Exact(3, Fraction(1, 2))]
+    a = LengthTwistSpectrum(entries, HORIZON)
+    b = LengthTwistSpectrum(entries[1:], HORIZON)
+    want = (compare_weights(a, b), weight_function(a), [total_weight(a, q) for q in queries])
+
+    def refuse(*args):
+        raise AssertionError("the W path reads the columns only")
+
+    monkeypatch.setattr(LengthTwistSpectrum, "weights", property(refuse))
+    monkeypatch.setattr(LengthTwistSpectrum, "entries", property(refuse))
+    a = LengthTwistSpectrum(entries, HORIZON)
+    b = LengthTwistSpectrum(entries[1:], HORIZON)
+    assert (compare_weights(a, b), weight_function(a), [total_weight(a, q) for q in queries]) == want

@@ -24,6 +24,7 @@ from isogeo.interchange import (
     spectrum_to_json,
 )
 from isogeo.lengths import DEFAULT_TOLERANCE, Exact, Numeric, as_integer, positive_length
+from isogeo.scenario import build_scenario, to_spectra
 from isogeo.spectrum import (
     DiscrepancyTable,
     GeodesicEntry,
@@ -147,6 +148,54 @@ def test_generators_roundtrip():
     assert back == gens
     with pytest.raises(ValueError):
         load_generators(io.StringIO('{"matrices": []}'))
+
+
+@pytest.mark.parametrize("generators, message", [
+    ([[["3", 0], [0, "0.3333333333333333"]]], "generators[0][0][0] must be a number, got '3'"),
+    ([[[2.0, 0.0], [0.0, 0.5]], [[True, False], [False, True]]], "generators[1][0][0] must be a number, got True"),
+    ([[[2.0, None], [0.0, 0.5]]], "generators[0][0][1] must be a number, got None"),
+    ([[[2.0, 0.0], [0.0, 1e999]]], "generators[0][1][1] must be finite, got inf"),
+    ([[[2.0, 0.0], [0.0, -10**400]]], f"generators[0][1][1] must be finite, got {-10**400}"),
+    ({"a": 1}, "generators must be a list of 2x2 matrices, got {'a': 1}"),
+    ([[[2.0, 0.0]]], "generators[0] must be a 2x2 matrix, got [[2.0, 0.0]]"),
+    ([[[2.0, 0.0], [0.0, 0.5]], [[1.0, 0.0], [0.0]]], "generators[1][1] must be a row of 2 numbers, got [0.0]"),
+    ([[[2.0, 0.0], [0.0, 0.5], [1.0, 1.0]]], "generators[0] must be a 2x2 matrix"),
+    ([5], "generators[0] must be a 2x2 matrix, got 5"),
+    ([[1.0, 2.0]], "generators[0][0] must be a row of 2 numbers, got 1.0"),
+], ids=["string", "bool", "null", "inf", "huge-int", "object", "one-row", "short-row", "three-rows",
+        "number-matrix", "number-row"])
+def test_generator_faults_name_their_path(generators, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_generators(io.StringIO(json.dumps({"generators": generators})))
+
+
+def test_generator_numbers_keep_their_sign_and_convert_ints():
+    [g] = load_generators(io.StringIO('{"generators": [[[-2, 0], [0, -0.5]]]}'))
+    assert g.rows() == ((-2.0, 0.0), (0.0, -0.5)) and all(type(x) is float for row in g.rows() for x in row)
+
+
+def test_a_scenario_document_holds_one_exact_per_length():
+    spec = to_spectra(build_scenario(10, 314))[0]
+    doc = spectrum_to_json(spec)
+    assert len(doc["entries"]) == 1190
+    loaded = spectrum_from_json(doc)
+    exact = [l for l in loaded.exact if l is not None]
+    assert loaded == spec and len({id(l) for l in exact}) == len(set(exact)) == 314
+
+
+def test_spellings_that_json_tells_apart_share_no_exact():
+    # True == 1 == 1.0 as dict keys; only a plain int may share a loaded length
+    entry = {"orientation": "preserving"}
+    doc = {"horizon": {"numeric": 5.0}, "entries": [
+        {**entry, "length": {"exact": {"q": 2, "num": 1}}}, {**entry, "length": {"exact": {"q": 2.0, "num": 1.0}}}]}
+    spec = spectrum_from_json(doc)
+    assert spec.multiplicity == [2] and spec.exact == [Exact(2, 1)]
+    for fault in ({"q": True, "num": 1}, {"q": 2, "num": True}, {"q": 2, "num": 1, "den": True}):
+        bad = copy.deepcopy(doc)
+        bad["entries"].append({**entry, "length": {"exact": fault}})
+        name, value = next((k, v) for k, v in fault.items() if v is True)
+        with pytest.raises(ValueError, match=re.escape(f"{'base' if name == 'q' else name} must be an integer, got True")):
+            spectrum_from_json(bad)
 
 
 def test_dump_determinism():
@@ -281,6 +330,9 @@ _FAULTS = {
     "bool-multiplicity": lambda e: e.update(multiplicity=False),
     "bool-numeric": lambda e: e.update(length={"numeric": True}),
     "bool-num": lambda e: e.update(length={"exact": {"q": 2, "num": True}}),
+    "bool-q": lambda e: e.update(length={"exact": {"q": True, "num": 1}}),
+    "bool-den": lambda e: e.update(length={"exact": {"q": 2, "num": 1, "den": True}}),
+    "exact-number": lambda e: e.update(length={"exact": 2}),
     "string-numeric": lambda e: e.update(length={"numeric": "1.5"}),
     "string-nu": lambda e: e.update(nu="2"),
     "missing-length": lambda e: e.pop("length", None),

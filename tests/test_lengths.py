@@ -45,6 +45,27 @@ def test_canonical_power_root_round_trip(g, e):
     assert canonical_power_root(g**e) == (root, k * e)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 10**6), st.integers(1, 6), st.fractions(min_value=Fraction(1, 10**6), max_value=10**6))
+def test_exact_is_one_length_on_any_power_of_its_base(g, e, r):
+    a, b = Exact(g**e, r), Exact(g, r * e)
+    assert a == b and hash(a) == hash(b) and (a.base, a.mult) == (b.base, b.mult)
+    assert type(a.mult) is Fraction and a.base == canonical_power_root(g)[0]
+
+
+@pytest.mark.parametrize("base, mult, error, message", [
+    (True, 1, ValueError, "base must be an integer, got True"),
+    (2, 0.5, TypeError, "exact multiplier must be int, str, or Fraction, not float"),
+    (4, Fraction(-1, 2), ValueError, "length multiplier must be positive, got -1/2"),
+    (1, 1, ValueError, "base must be an integer >= 2, got 1"),
+])
+def test_exact_keeps_every_check_on_a_known_base(base, mult, error, message):
+    Exact(4, 1)  # the base's root is known before the faulty construction
+    for _ in range(2):  # and a refused base is refused again
+        with pytest.raises(error, match=re.escape(message)):
+            Exact(base, mult)
+
+
 def test_exact_normalizes_base():
     assert Exact(4, 1) == Exact(2, 2)
     assert Exact(8, Fraction(1, 3)) == Exact(2, 1)
