@@ -32,7 +32,7 @@ import json
 import sys
 import warnings
 from fractions import Fraction
-from typing import Any, Sequence, Tuple
+from typing import Any, Callable, Sequence, Tuple
 
 from . import flat, interchange, scenario
 from .dirichlet import ConvergenceWarning, dirichlet_partial_sum
@@ -119,14 +119,36 @@ def _cmd_flat_verify(args) -> Tuple[int, Any]:
     return code, [["n", "multiplicity"], *spec_rows]
 
 
-def _load_spectrum(path: str, tolerance: float) -> LengthTwistSpectrum:
-    with open(path) as fp:
-        return interchange.load_spectrum(fp, tolerance)
+def _int_digits(limit: int) -> int:
+    """Set the interpreter's bound on the decimal digits of an int converted from
+    or to a string (0: none) and return the bound it replaces.  Pythons before
+    3.10.7 have no bound."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return 0
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    return old
+
+
+def _read(args, path: str, load: Callable, *extra):
+    """load(fp, *extra) on the file at path, under the bound on integer digits
+    that main lifts for output: a document's huge literal would stall the parse
+    and the exact arithmetic after it."""
+    _int_digits(args.int_digits)
+    try:
+        with open(path) as fp:
+            return load(fp, *extra)
+    finally:
+        _int_digits(0)
+
+
+def _load_spectrum(args, path: str) -> LengthTwistSpectrum:
+    return _read(args, path, interchange.load_spectrum, args.epsilon)
 
 
 def _cmd_compare(args) -> Tuple[int, Any]:
-    spec_a = _load_spectrum(args.a, args.epsilon)
-    spec_b = _load_spectrum(args.b, args.epsilon)
+    spec_a = _load_spectrum(args, args.a)
+    spec_b = _load_spectrum(args, args.b)
     equal, witness = almost_conjugate(spec_a, spec_b)
     diffs = compare_weights(spec_a, spec_b)
     table = discrepancy(spec_a, spec_b)
@@ -174,10 +196,11 @@ def _cmd_compare(args) -> Tuple[int, Any]:
 
 
 def _cmd_weights(args) -> Tuple[int, Any]:
-    spec = _load_spectrum(args.spectrum, args.epsilon)
+    spec = _load_spectrum(args, args.spectrum)
+    table = weight_function(spec)  # before any report line: W past the float range raises
     print(f"total weight function up to horizon {spec.horizon}:")
     rows = [["length", "weight"]]
-    for rep, w in weight_function(spec):
+    for rep, w in table:
         w = _rational_str(w)
         print(f"  l={rep}: W={w}")
         rows.append([interchange.length_cell(rep), w])
@@ -185,7 +208,7 @@ def _cmd_weights(args) -> Tuple[int, Any]:
 
 
 def _cmd_dirichlet(args) -> Tuple[int, Any]:
-    spec = _load_spectrum(args.spectrum, args.epsilon)
+    spec = _load_spectrum(args, args.spectrum)
     with warnings.catch_warnings(record=True) as caught:  # a ConvergenceWarning, as one line
         warnings.simplefilter("always", ConvergenceWarning)
         value = dirichlet_partial_sum(spec, complex(args.sigma, args.t))
@@ -199,8 +222,7 @@ def _cmd_dirichlet(args) -> Tuple[int, Any]:
 
 
 def _cmd_enumerate(args) -> Tuple[int, Any]:
-    with open(args.generators) as fp:
-        generators = interchange.load_generators(fp)
+    generators = _read(args, args.generators, interchange.load_generators)
     config = EnumConfig(
         max_word_length=args.max_word_length,
         length_cutoff=args.cutoff,
@@ -288,6 +310,7 @@ _parser = functools.cache(build_parser)  # built on the first call of main, then
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    args.int_digits = _int_digits(0)  # exact integers print whole; documents are read under the bound
     try:
         code, output = args.func(args)
         if args.out:
@@ -296,6 +319,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (IsogeoError, OSError, ValueError, OverflowError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        _int_digits(args.int_digits)
 
 
 if __name__ == "__main__":

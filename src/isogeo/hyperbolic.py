@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import EmptyGenerators, NotTranslating
-from .lengths import Numeric, cluster_ids
+from .lengths import Numeric, cluster_ids, run_starts
 from .spectrum import LengthTwistSpectrum
 
 DET_TOLERANCE = 1e-12
@@ -109,7 +109,7 @@ class Isometry:
                 base = base @ base
         return result
 
-    def rows(self) -> Tuple[Tuple[float, float], Tuple[float, float]]:
+    def rows(self) -> tuple[tuple[float, float], tuple[float, float]]:
         return ((self.a, self.b), (self.c, self.d))
 
 
@@ -188,7 +188,7 @@ class EnumConfig:
             raise ValueError(f"dedup_tolerance must be positive and finite, got {self.dedup_tolerance}")
 
 
-Mat4 = Tuple[float, float, float, float]
+Mat4 = tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,7 @@ class EnumerationResult:
     """Spectrum plus the torsion side channel from one enumeration run."""
 
     spectrum: LengthTwistSpectrum
-    elliptic: Tuple[Tuple[Tuple[int, ...], Mat4], ...]  # (word, sign-normalised matrix)
+    elliptic: tuple[tuple[tuple[int, ...], Mat4], ...]  # (word, sign-normalised matrix)
     dropped: int
 
 
@@ -210,7 +210,7 @@ def _mul4(m, n):
 
 def necklace_walk(
     letters: Iterable[int], max_len: int
-) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Every prenecklace up to max_len over nonzero letters, a length at a time.
 
     For n = 1 .. max_len yields (words, periods, parents): the words of
@@ -332,7 +332,7 @@ def enumerate_geodesics(
 
     rank, mat, nu, sign = _walk_products(generators, config.max_word_length)
 
-    def word(i: int) -> Tuple[int, ...]:
+    def word(i: int) -> tuple[int, ...]:
         return tuple((-rank[i][rank[i] > -len(generators) - 1]).tolist())
 
     # sign-normalise on the first entry beyond tol, then key on the tol grid
@@ -350,8 +350,7 @@ def enumerate_geodesics(
 
     # each key's first word in walk order stands for it, with the largest nu of its words
     by_key = np.lexsort(keys)
-    sorted_keys = keys[:, by_key]
-    starts = np.flatnonzero(np.r_[True, (sorted_keys[:, 1:] != sorted_keys[:, :-1]).any(axis=0)])
+    starts = run_starts(*keys[:, by_key])
     first, nu = by_key[starts], np.maximum.reduceat(nu[by_key], starts)
 
     a, b, c, d = mat[:, first]
@@ -370,12 +369,14 @@ def enumerate_geodesics(
     within = length <= config.length_cutoff + tol
     length, reversing, nu = length[within], kind[within] == _GLIDE, nu[within]
 
-    order = np.lexsort((nu, reversing, length))
-    length, reversing, nu = length[order], reversing[order].tolist(), nu[order].tolist()
-    cluster = cluster_ids(length, tol).tolist()
-    # records ascend in length, so a bucket's first word has its least length
-    least: Dict[Tuple[int, bool, int], float] = {}
-    bucket_lengths = [least.setdefault(key, l) for key, l in zip(zip(cluster, reversing, nu), length.tolist())]
-    columns = (bucket_lengths, [None] * len(nu), reversing, nu, [1] * len(nu))
+    order = np.argsort(length, kind="stable")
+    length, reversing, nu = length[order], reversing[order], nu[order]
+    cluster = cluster_ids(length, tol)
+    # a stable sort keeps the records ascending in length, so a bucket's first word has its least length
+    bucket = np.lexsort((nu, reversing, cluster))
+    starts = run_starts(cluster[bucket], reversing[bucket], nu[bucket])
+    first = bucket[starts]
+    columns = (length[first], [None] * len(first), reversing[first], nu[first].tolist(),
+               np.diff(starts, append=len(bucket)).tolist())
     spectrum = LengthTwistSpectrum.from_columns(columns, Numeric(config.length_cutoff), tol)
     return EnumerationResult(spectrum, elliptic, dropped)

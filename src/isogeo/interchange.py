@@ -52,7 +52,8 @@ _REVERSING = {o.value: o is Orientation.REVERSING for o in Orientation}
 
 def _document(parse: Callable) -> Callable:
     """Report a document of the wrong shape (a missing key, a value of the
-    wrong type) as a ValueError, like any other malformed input."""
+    wrong type, nesting too deep for the parser) as a ValueError, like any
+    other malformed input."""
 
     @functools.wraps(parse)
     def checked(*args, **kwargs):
@@ -62,6 +63,8 @@ def _document(parse: Callable) -> Callable:
             raise ValueError(f"malformed document: missing key {exc}") from None
         except TypeError as exc:
             raise ValueError(f"malformed document: {exc}") from None
+        except RecursionError:
+            raise ValueError("malformed document: nested too deeply") from None
 
     return checked
 
@@ -168,6 +171,7 @@ def discrepancy_from_json(doc: Dict[str, Any]) -> DiscrepancyTable:
     return DiscrepancyTable(a, b, length_from_json(doc["horizon"]))
 
 
+@_document
 def load_spectrum(fp: IO[str], tolerance: float = DEFAULT_TOLERANCE) -> LengthTwistSpectrum:
     return spectrum_from_json(json.load(fp), tolerance)
 

@@ -235,6 +235,16 @@ def sorted_order(x: np.ndarray, lengths: Sequence[LengthValue | None], *keys: Se
     return order
 
 
+def run_starts(*keys: np.ndarray) -> np.ndarray:
+    """The positions where a run of equal keys begins, over columns of one
+    length: each group of columns sorted on the keys starts at one of them."""
+    cut = np.zeros(len(keys[0]), dtype=bool)
+    cut[:1] = True
+    for k in keys:
+        cut[1:] |= k[1:] != k[:-1]
+    return np.flatnonzero(cut)
+
+
 def cluster_ids(x: np.ndarray, tol: float) -> np.ndarray:
     """The length cluster of each value of an ascending float column: a new
     cluster starts wherever the gap to the previous value exceeds tol
@@ -261,20 +271,21 @@ class Clusters:
         bounds = np.cumsum([0] + [len(c[0]) for c in columns]).tolist()
         self.ids = [ids[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         self.size = int(merged[-1]) + 1 if len(merged) else 0
-        self.starts = np.flatnonzero(np.diff(merged, prepend=-1)).tolist()
-        last = np.flatnonzero(np.diff(merged, append=self.size))  # last merged position of each
-        self.lo, self.hi = x[order[self.starts]].tolist(), x[order[last]].tolist()
+        starts = run_starts(merged)
+        self.starts = starts.tolist()
+        last = np.append(starts, len(merged))[1:] - 1  # last merged position of each
+        self.lo, self.hi = x[order[starts]].tolist(), x[order[last]].tolist()
         self._exact: dict = {}  # each cluster's least Exact length
         exact = [l for c in columns for l in c[1]]
         # merged positions of the Exact lengths; the first of each cluster has its least float
         pos = order[np.array([l is not None for l in exact], dtype=bool)[order]]
-        c, xe = ids[pos], x[pos]
-        first = np.flatnonzero(np.diff(c, prepend=-1))
-        ends = np.flatnonzero(np.append((c[1:] != c[:-1]) | (xe[1:] != xe[:-1]), True)) + 1
-        for j, k in zip(first.tolist(), ends[np.searchsorted(ends, first, "right")].tolist()):
+        c = ids[pos]
+        runs = run_starts(c, x[pos])  # runs of one (cluster, float)
+        first = run_starts(c[runs])  # each cluster's first run
+        for j, k in zip(runs[first].tolist(), np.append(runs, len(pos))[first + 1].tolist()):
             tied = [exact[i] for i in pos[j:k].tolist()]  # at the cluster's least float; often one object
             self._exact[int(c[j])] = (tied[0] if tied.count(tied[0]) == len(tied)
-                                      else min(tied, key=lambda l: (l.base, l.mult)))
+                                      else tied[sorted_order(x[pos[j:k]], tied)[0]])
 
     def reps(self, at: Sequence[int]) -> List[LengthValue]:
         """The representative of each cluster of at: its least Exact length, else
@@ -301,5 +312,5 @@ def cluster_lengths(
     x = np.array([v.approx() for v in values], dtype=float)
     order = sorted_order(x, values)
     ordered = [values[i] for i in order.tolist()]
-    starts = np.flatnonzero(np.diff(cluster_ids(x[order], tol), prepend=-1)).tolist()
+    starts = run_starts(cluster_ids(x[order], tol)).tolist()
     return [ordered[lo:hi] for lo, hi in zip(starts, starts[1:] + [len(values)])]

@@ -53,6 +53,7 @@ from .lengths import (
     lengths_equal,
     numerics,
     positive_length,
+    run_starts,
     sorted_order,
     tanh_half,
 )
@@ -200,7 +201,7 @@ class LengthTwistSpectrum:
         units = {n: Fraction(1, n) for n in set(self.nu)}
         rev = self.reversing.tolist()
         tanh = {l: tanh_half(l) for l in {l for l, r in zip(self.exact, rev) if r and l}}  # once per distinct Exact
-        return [_damped(units[n], tanh[l] if l else tanh_half(x)) if r else units[n]
+        return [(tanh[l] if l else tanh_half(x)) / n if r else units[n]
                 for x, l, r, n in zip(self.approx.tolist(), self.exact, rev, self.nu)]
 
     @cached_property
@@ -231,19 +232,13 @@ def validate_surface(spec: LengthTwistSpectrum) -> List[str]:
     return problems
 
 
-def _damped(unit: Fraction, t: Fraction | float) -> Fraction | float:
-    """A reversing type's weight from 1/nu and tanh(l/2)."""
-    return unit * t if isinstance(t, Fraction) else t / unit.denominator
-
-
 def weight(entry: GeodesicEntry) -> Fraction | float:
     """Per-geodesic weight: 1/nu, damped by tanh(l/2) for reversing types.
 
     Exact rational whenever the damping factor is exactly representable
     (length an integer multiple of log q); float otherwise.
     """
-    unit = Fraction(1, entry.nu)
-    return _damped(unit, tanh_half(entry.length)) if entry.orientation is Orientation.REVERSING else unit
+    return tanh_half(entry.length) / entry.nu if entry.orientation is Orientation.REVERSING else Fraction(1, entry.nu)
 
 
 class _Weights(NamedTuple):
@@ -266,15 +261,6 @@ class _Weights(NamedTuple):
         out, exact = self.flo[at], ~self.is_float[at]
         out[exact] = self.num[at[exact]] / self.den[at[exact]]  # ints below 2**53, or Python ints
         return out
-
-
-def _run_starts(*keys: np.ndarray) -> np.ndarray:
-    """The positions where a run of equal keys begins."""
-    cut = np.zeros(len(keys[0]), dtype=bool)
-    cut[:1] = True
-    for k in keys:
-        cut[1:] |= k[1:] != k[:-1]
-    return np.flatnonzero(cut)
 
 
 def _run_sums(p: np.ndarray, d: np.ndarray, starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -332,11 +318,11 @@ def _cluster_weights(spec: LengthTwistSpectrum, ids: np.ndarray, size: int) -> _
     later = np.arange(n) >= first[ids]
     num, den = np.zeros(size, dtype=nu.dtype), np.ones(size, dtype=nu.dtype)
     if n:  # the exact prefixes: sum m/nu per run of one class, factor in its tanh, sum per cluster
-        runs = _run_starts(ids, cls)
+        runs = run_starts(ids, cls)
         p, d = _run_sums(np.where(later, 0, m), nu, runs)
         c = ids[runs]
         if len(classes) > 1:
-            ends = _run_starts(c)
+            ends = run_starts(c)
             p, d = _run_sums(p * tp[runs], d * tq[runs], ends)
             c = c[ends]
         g = np.gcd(p, d)
@@ -428,9 +414,7 @@ def almost_conjugate(
     keys = (np.array(a.nu + b.nu, dtype=object), np.concatenate((a.reversing, b.reversing)),
             np.concatenate(clusters.ids))
     order = np.lexsort(keys)  # one pass over both sides, in (cluster, orientation, nu) order
-    starts = np.ones(len(order), dtype=bool)  # where a (cluster, orientation, nu) group starts
-    starts[1:] = np.any([k[order[1:]] != k[order[:-1]] for k in keys], axis=0)
-    starts = np.flatnonzero(starts)
+    starts = run_starts(*(k[order] for k in keys))  # where a (cluster, orientation, nu) group starts
     va, vb = (np.add.reduceat(np.array(m, dtype=object)[order], starts)
               for m in (a.multiplicity + [0] * len(b), [0] * len(a) + b.multiplicity))
     differ = np.flatnonzero(va != vb)

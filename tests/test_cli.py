@@ -1,15 +1,20 @@
+import copy
 import hashlib
 import json
+import sys
+from decimal import Decimal
 
 import mpmath
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from isogeo import interchange
 from isogeo.cli import main
 from isogeo.hyperbolic import Isometry
 from isogeo.interchange import dump_generators, dump_spectrum
 from isogeo.lengths import Exact, Numeric
-from isogeo.scenario import build_scenario, to_spectra
+from isogeo.scenario import build_scenario, necklace_count, to_spectra
 from isogeo.spectrum import GeodesicEntry, LengthTwistSpectrum, Orientation
 
 
@@ -462,6 +467,127 @@ def test_compare_horizon_mismatch_is_usage_error(tmp_path, capsys):
             dump_spectrum(s, fp)
     assert main(["compare", "--a", str(pa), "--b", str(pb)]) == 2
     capsys.readouterr()
+
+
+def _document_commands(path, valid):
+    """Every subcommand that reads a document, each given path."""
+    return [
+        ["compare", "--a", path, "--b", valid],
+        ["weights", "--spectrum", path],
+        ["dirichlet", "--spectrum", path, "--sigma", "2.0"],
+        ["enumerate", "--generators", path, "--max-word-length", "3", "--cutoff", "5.0"],
+    ]
+
+
+@pytest.mark.parametrize("command", range(4), ids=["compare", "weights", "dirichlet", "enumerate"])
+def test_deeply_nested_document_is_usage_error(tmp_path, capsys, command):
+    # past the JSON parser's recursion limit: one line of error, not a traceback with exit 1
+    path, out = tmp_path / "deep.json", tmp_path / "out.csv"
+    path.write_text("[" * 100000 + "]" * 100000)
+    capsys.readouterr()
+    assert main(_document_commands(str(path), str(path))[command] + ["--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: malformed document: nested too deeply\n")
+    assert not out.exists()
+
+
+def test_exact_integers_print_past_the_conversion_bound(tmp_path, capsys):
+    # c_n of q = 10 at n = 4310 has more than 4300 digits, the interpreter's default bound
+    bound = sys.get_int_max_str_digits()
+    c_n = str(Decimal(necklace_count(10, 4310)))  # Decimal prints an int whole under the bound
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"rows.{fmt}"
+        assert main(["scenario", "--q", "10", "--n", "4310", "--out", str(out), "--format", fmt]) == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith(", " + c_n)
+        if fmt == "csv":
+            got = out.read_text().splitlines()[-1].split(",")[1]
+        else:
+            got = str(json.loads(out.read_text(), parse_int=Decimal)[-1]["c_n"])
+        assert got == c_n
+        assert sys.get_int_max_str_digits() == bound
+    # W = (10**5000 - 1)/(10**5000 + 1) of one reversing type at 5000*log(10)
+    length = {"exact": {"q": 10, "num": 5000}}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"horizon": length, "entries": [{"length": length, "orientation": "reversing"}]}))
+    assert main(["weights", "--spectrum", str(path), "--out", str(tmp_path / "w.csv")]) == 0
+    assert (tmp_path / "w.csv").read_text().split(",")[-1] == "9" * 5000 + "/1" + "0" * 4999 + "1\n"
+    assert sys.get_int_max_str_digits() == bound
+
+
+def test_document_integers_keep_the_conversion_bound(tmp_path, capsys):
+    # a 4301-digit literal in a document is refused, as the interpreter refuses it
+    path, out = tmp_path / "big.json", tmp_path / "out.csv"
+    entry = '{"length": {"numeric": 1.0}, "orientation": "preserving", "multiplicity": %s}' % ("9" * 4301)
+    path.write_text('{"horizon": {"numeric": 5.0}, "entries": [%s]}' % entry)
+    capsys.readouterr()
+    assert main(["weights", "--spectrum", str(path), "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: Exceeds the limit (4300 digits)") and not out.exists()
+
+
+FUZZ_SPECTRUM = {
+    "horizon": {"exact": {"q": 2, "num": 6, "den": 1}},
+    "entries": [
+        {"length": {"exact": {"q": 2, "num": 1, "den": 1}}, "orientation": "preserving", "nu": 1, "multiplicity": 2},
+        {"length": {"numeric": 1.5}, "orientation": "reversing", "nu": 1, "multiplicity": 1},
+        {"length": {"exact": {"q": 4, "num": 3, "den": 2}}, "orientation": "preserving", "nu": 2, "multiplicity": 1},
+    ],
+}
+FUZZ_GENERATORS = {"generators": [[[2.0, 1.0], [1.0, 1.0]], [[3.0, 0.0], [0.0, -1.0 / 3.0]]]}
+MISSING = object()  # the mutation that deletes a key or a list element
+MUTATIONS = [True, False, "1", None, [], [1.0], {}, {"q": 2}, -1, -2.5, 0.5, 1.5, 10**400, MISSING]
+
+
+def _nodes(doc, path=()):
+    """The path of every node of a JSON document, the root's first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield from _nodes(v, path + (k,))
+
+
+def _mutated(base, path, value):
+    """(whether base is the generator document, base with the node at path set
+    to value or deleted)."""
+    if not path:
+        return base is FUZZ_GENERATORS, {} if value is MISSING else value
+    doc = copy.deepcopy(base)
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    if value is MISSING:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return base is FUZZ_GENERATORS, doc
+
+
+@st.composite
+def mutated_documents(draw):
+    base = draw(st.sampled_from([FUZZ_SPECTRUM, FUZZ_GENERATORS]))
+    return _mutated(base, draw(st.sampled_from(list(_nodes(base)))), draw(st.sampled_from(MUTATIONS)))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_documents(), st.sampled_from(["csv", "json"]))
+# W past the float range raises after weights has read the document
+@example(_mutated(FUZZ_SPECTRUM, ("entries", 1, "multiplicity"), 10**400), "csv")
+def test_mutated_documents_exit_cleanly(tmp_path, capsys, case, fmt):
+    # one node of a valid document changed: every subcommand reading it succeeds,
+    # fails a verification or gives one line of error, never a traceback
+    generators, doc = case
+    path, valid, out = tmp_path / "doc.json", tmp_path / "valid.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(doc))
+    valid.write_text(json.dumps(FUZZ_SPECTRUM))
+    commands = _document_commands(str(path), str(valid))
+    for argv in commands[3:] if generators else commands[:3]:
+        out.unlink(missing_ok=True)
+        capsys.readouterr()
+        code = main(argv + ["--out", str(out), "--format", fmt])
+        assert code in (0, 1, 2)
+        if code == 2:
+            stdout, stderr = capsys.readouterr()
+            assert stdout == "" and len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
+            assert not out.exists()
 
 
 def _golden_inputs(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -17,6 +18,7 @@ from isogeo.lengths import (
     integer_ratio,
     length_le,
     lengths_equal,
+    run_starts,
     sorted_order,
     tanh_half,
 )
@@ -229,3 +231,26 @@ def test_clusters_least_exact_length_may_sit_in_a_later_column():
     near = np.array([math.log(3) - 1e-10])
     clusters = Clusters([(near, [None]), (np.array([math.log(3)]), [Exact(3, 1)])], 1e-9)
     assert clusters.rep(0) == Exact(3, 1)
+
+
+# key values that make runs: -0.0 and 0.0 are one value, and Python ints past 2**63 stay whole
+RUN_KEYS = {
+    np.int64: st.integers(-2, 2),
+    np.float64: st.sampled_from([-0.0, 0.0, 1.5, -2.25]),
+    object: st.sampled_from([5, 2**63, 2**63 + 1, -(2**70)]),
+}
+
+
+@st.composite
+def sorted_key_columns(draw):
+    dtypes = draw(st.lists(st.sampled_from(list(RUN_KEYS)), min_size=1, max_size=3))
+    rows = sorted(draw(st.lists(st.tuples(*(RUN_KEYS[t] for t in dtypes)), max_size=30)))
+    return [np.array([r[k] for r in rows], dtype=t) for k, t in enumerate(dtypes)], rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(sorted_key_columns())
+def test_run_starts_matches_groupby(case):
+    columns, rows = case
+    starts = list(itertools.accumulate((len(list(g)) for _, g in itertools.groupby(rows)), initial=0))[:-1]
+    assert run_starts(*columns).tolist() == starts
