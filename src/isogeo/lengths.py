@@ -55,16 +55,17 @@ def _integer_root(q: int, e: int) -> int:
 def canonical_power_root(q: int) -> tuple[int, int]:
     """Return ``(g, e)`` with ``q == g**e`` and ``g`` not a perfect power.
 
-    Exponents are tried from the largest down, so the first hit's root is
-    not itself a perfect power.
+    Prime exponents are tried in ascending order, each again on the root after
+    a hit: a composite exponent ab succeeds only where a and b do.
     """
     if q < 2:
         raise ValueError(f"base must be an integer >= 2, got {q}")
-    for e in range(q.bit_length() - 1, 1, -1):
-        g = _integer_root(q, e)
-        if g**e == q:
-            return g, e
-    return q, 1
+    g, e = q, 1
+    for p in range(2, q.bit_length()):  # a p-th power of an integer >= 2 is at least 2**p
+        if all(p % f for f in range(2, math.isqrt(p) + 1)):  # p is prime
+            while (r := _integer_root(g, p)) ** p == g:
+                g, e = r, e * p
+    return g, e
 
 
 _canonical_root = lru_cache(maxsize=1024)(canonical_power_root)  # bases repeat: one grid per document
@@ -127,7 +128,10 @@ def positive_length(value) -> float:
     finite number (a string or a bool is none, although float() takes both)."""
     if isinstance(value, (bool, str)):
         raise ValueError(f"numeric must be a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an int past the float range
+        v = math.inf
     if not math.isfinite(v) or v <= 0:
         raise ValueError(f"numeric length must be positive and finite, got {v}")
     return v

@@ -196,13 +196,32 @@ class LengthTwistSpectrum:
         return LengthTwistSpectrum(self.entries + other.entries, self.horizon, tol)
 
     @cached_property
+    def _damping(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each entry's damping factor, tanh(l/2) for a reversing type and 1 for a
+        preserving one, as columns (p, q, t, is_float): exact p/q in lowest terms,
+        (q^n - 1)/(q^n + 1), at l = n*log(q), from one :func:`tanh_half` per Exact
+        object (by identity: a document shares one per length), int64 unless a q
+        is past it; elsewhere the float t = math.tanh(l/2) (is_float, p = q = 1).
+        W and :attr:`weights` evaluate the weight formula from this column alone."""
+        n, rev, tanh = len(self), self.reversing.astype(bool), {}
+        at = [i for i in np.flatnonzero(rev).tolist() if self.exact[i]] if any(self.exact) else []
+        h = [tanh.get(id(l)) or tanh.setdefault(id(l), tanh_half(l)) for l in map(self.exact.__getitem__, at)]
+        at, h = [i for i, x in zip(at, h) if type(x) is Fraction], [x for x in h if type(x) is Fraction]
+        is_float, t = rev.copy(), np.zeros(n)
+        is_float[at] = False
+        t[is_float] = np.fromiter(map(math.tanh, (self.approx[is_float] / 2.0).tolist()), float)
+        dtype = np.int64 if all(x.denominator < 2**63 for x in h) else object
+        p, q = np.ones(n, dtype=dtype), np.ones(n, dtype=dtype)
+        p[at], q[at] = [x.numerator for x in h], [x.denominator for x in h]
+        return p, q, t, is_float
+
+    @cached_property
     def weights(self) -> List[Fraction | float]:
-        """The :func:`weight` of every entry, in entry order."""
-        units = {n: Fraction(1, n) for n in set(self.nu)}
-        rev = self.reversing.tolist()
-        tanh = {l: tanh_half(l) for l in {l for l, r in zip(self.exact, rev) if r and l}}  # once per distinct Exact
-        return [(tanh[l] if l else tanh_half(x)) / n if r else units[n]
-                for x, l, r, n in zip(self.approx.tolist(), self.exact, rev, self.nu)]
+        """The :func:`weight` of every entry, in entry order: its damping factor
+        over nu, a Fraction where the factor is exact."""
+        p, q, t, is_float = self._damping
+        return [x / n if f else _rational(a, b * n)
+                for a, b, x, f, n in zip(p.tolist(), q.tolist(), t.tolist(), is_float.tolist(), self.nu)]
 
     @cached_property
     def clusters(self) -> Clusters:
@@ -276,57 +295,33 @@ def _cluster_weights(spec: LengthTwistSpectrum, ids: np.ndarray, size: int) -> _
 
     The terms add as Fraction/float promotion adds multiplicity * weight in entry
     order: exact terms sum as an integer rational up to the cluster's first float
-    term, and each later term adds as its rounded value.  A term is m/nu, or
-    m/nu * tanh(l/2) for a reversing type: exact, (q^n - 1)/(q^n + 1), at
-    l = n*log(q) (one class of terms per distinct factor), else m * (tanh(l/2)/nu)
-    in floats.  Counts are int64 where, in every cluster, the product over its
-    entries of nu * (m + 1) and of each exact tanh's denominator stays below
-    2**52: that bounds every sum and product below, so each converts to a float
-    exactly.  Python ints (object arrays) hold them otherwise."""
-    n, rev = len(spec), spec.reversing.astype(bool)
-    t, cls = np.zeros(n), np.zeros(n, dtype=np.intp)  # tanh(l/2) of a float term; the class of an exact one
-    exact_rev = [] if spec.exact.count(None) == n else [
-        i for i in np.flatnonzero(rev).tolist() if spec.exact[i] is not None]
-    tanh, classes = {}, {(1, 1): 0}  # by identity: one Exact object per grid point, mostly
-    for i in exact_rev:
-        l = spec.exact[i]
-        h = tanh.get(id(l))
-        if h is None:
-            h = tanh[id(l)] = tanh_half(l)
-        if type(h) is float:
-            t[i] = h
-        else:
-            cls[i] = classes.setdefault((h.numerator, h.denominator), len(classes))
-    numeric = rev.copy()
-    numeric[exact_rev] = False
-    t[numeric] = list(map(math.tanh, (spec.approx[numeric] / 2.0).tolist()))
-    is_float = rev & (cls == 0)
-
+    term, and each later term adds as its rounded value.  With the damping factor
+    p/q or t of the spectrum's damping column, a term is m*p / (nu*q), so a
+    cluster's exact prefix is one run sum, or m * (t/nu) in floats.  Counts are
+    int64 where, in every cluster, the product over its entries of
+    nu*q + m*p stays below 2**52: that bounds every sum and product below, so
+    each converts to a float exactly.  Python ints (object arrays) hold them
+    otherwise."""
+    n, (p, q, t, is_float) = len(spec), spec._damping
     try:
         nu, m = np.array(spec.nu, dtype=np.int64), np.array(spec.multiplicity, dtype=np.int64)
-        bits = np.log2(nu * (m + 1.0)) + np.array([math.log2(q) for _, q in classes])[cls]
-        small = np.bincount(ids, bits, size).max(initial=0) < 52
-    except OverflowError:  # a count past int64
+        small = np.bincount(ids, np.log2(nu * q.astype(float) + m * p.astype(float)), size).max(initial=0) < 52
+    except OverflowError:  # a count past int64, or a factor past the float range
         small = False
     if not small:
-        nu, m = np.array(spec.nu, dtype=object), np.array(spec.multiplicity, dtype=object)
-    tp, tq = (np.array(col, dtype=nu.dtype)[cls] for col in zip(*classes))
+        nu, m, p, q = (np.array(c, dtype=object) for c in (spec.nu, spec.multiplicity, p, q))
+    mp, nq = m * p, nu * q
 
     f = np.flatnonzero(is_float)
     first = np.full(size, n)  # each cluster's first float term
     np.minimum.at(first, ids[f], f)
     later = np.arange(n) >= first[ids]
     num, den = np.zeros(size, dtype=nu.dtype), np.ones(size, dtype=nu.dtype)
-    if n:  # the exact prefixes: sum m/nu per run of one class, factor in its tanh, sum per cluster
-        runs = run_starts(ids, cls)
-        p, d = _run_sums(np.where(later, 0, m), nu, runs)
-        c = ids[runs]
-        if len(classes) > 1:
-            ends = run_starts(c)
-            p, d = _run_sums(p * tp[runs], d * tq[runs], ends)
-            c = c[ends]
-        g = np.gcd(p, d)
-        num[c], den[c] = p // g, d // g
+    if n:  # the exact prefixes: sum m*p/(nu*q) per cluster
+        starts = run_starts(ids)
+        s, d = _run_sums(np.where(later, 0, mp), nq, starts)
+        g = np.gcd(s, d)
+        num[ids[starts]], den[ids[starts]] = s // g, d // g
 
     flo = np.zeros(size)
     if len(f):
@@ -334,7 +329,7 @@ def _cluster_weights(spec: LengthTwistSpectrum, ids: np.ndarray, size: int) -> _
         fl, ex = is_float[seg], seg[~is_float[seg]]
         terms = np.empty(len(seg))
         terms[fl] = m[seg[fl]] * (t[seg[fl]] / nu[seg[fl]])
-        terms[~fl] = (m[ex] * tp[ex]) / (nu[ex] * tq[ex])  # rounded once
+        terms[~fl] = mp[ex] / nq[ex]  # rounded once
         # each float cluster starts from its exact prefix, rounded; bincount adds in input order
         floating = np.flatnonzero(first < n)
         flo = np.bincount(np.concatenate((floating, ids[seg])),

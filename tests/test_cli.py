@@ -334,6 +334,15 @@ MALFORMED = "error: malformed document: "
             [{"length": {"numeric": "  2.0 "}, "orientation": "preserving"}],
             "error: numeric must be a number, got '  2.0 '",
         ),
+        # an int past the float range has no finite float, as an entry or as the horizon
+        (
+            [{"length": {"numeric": 10**400}, "orientation": "preserving"}],
+            "error: numeric length must be positive and finite, got inf",
+        ),
+        (
+            {"horizon": {"numeric": 10**400}, "entries": []},
+            "error: numeric length must be positive and finite, got inf",
+        ),
     ],
     ids=[
         "length-not-an-object",
@@ -346,12 +355,16 @@ MALFORMED = "error: malformed document: "
         "boolean-numeric",
         "string-numeric",
         "padded-string-numeric",
+        "numeric-entry-past-float-range",
+        "numeric-horizon-past-float-range",
     ],
 )
 def test_malformed_document_is_usage_error(tmp_path, capsys, entries, message):
-    # a malformed message is checked by its prefix, any other one whole
+    # a malformed message is checked by its prefix, any other one whole; a case with a horizon
+    # is the whole document
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"horizon": {"numeric": 5.0}, "entries": entries}))
+    doc = entries if "horizon" in entries else {"horizon": {"numeric": 5.0}, "entries": entries}
+    path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["weights", "--spectrum", str(path)]) == 2
     [line] = capsys.readouterr().err.splitlines()

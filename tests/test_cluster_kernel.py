@@ -11,6 +11,7 @@ per-entry key, as spectra were built before they were held as columns.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, List
 
@@ -18,8 +19,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isogeo import spectrum as spectrum_module
+from isogeo.dirichlet import dirichlet_partial_sum, dirichlet_partial_sum_grouped
 from isogeo.interchange import spectrum_from_json, spectrum_to_json
-from isogeo.lengths import Exact, Numeric, cluster_lengths
+from isogeo.lengths import Exact, Numeric, cluster_lengths, tanh_half
+from isogeo.scenario import build_scenario, to_spectra
 from isogeo.spectrum import (
     ConjugacyWitness,
     CountingFunction,
@@ -408,3 +412,54 @@ def test_the_w_path_reads_neither_weights_nor_entries(tmp_path, monkeypatch):
     a = LengthTwistSpectrum(entries, HORIZON)
     b = LengthTwistSpectrum(entries[1:], HORIZON)
     assert (compare_weights(a, b), weight_function(a), [total_weight(a, q) for q in queries]) == want
+
+
+# --- the damping column behind W and weights ------------------------------------------
+
+
+def same_number(x, y) -> bool:
+    """Equal type and value, a float to the bit."""
+    return type(x) is type(y) and (x.hex() == y.hex() if type(x) is float else x == y)
+
+
+# below a horizon of 100: exact damping p/q (its q past int64 from 2**63 and 3**41 on), float damping
+# at fractional multiples, numeric lengths
+damped_lengths = st.one_of(
+    st.builds(Exact, st.sampled_from([2, 3]), st.integers(1, 90)),
+    st.builds(Exact, st.sampled_from([2, 3]), st.integers(1, 360).map(lambda n: Fraction(n, 4))),
+    st.floats(0.01, 99.0).map(Numeric),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(GeodesicEntry, damped_lengths, st.sampled_from([P, R]), st.integers(1, 7),
+                          st.one_of(st.integers(1, 4), st.integers(1, 2**70))), max_size=20))
+def test_weights_are_the_scalar_weight_of_each_entry(entries):
+    spec = LengthTwistSpectrum(entries, Numeric(100.0))
+    want = [weight(e) for e in spec.entries]
+    assert len(spec.weights) == len(want)
+    assert all(map(same_number, spec.weights, want))
+
+
+def test_tanh_half_runs_once_per_reversing_exact_object(monkeypatch):
+    # W, weights and both Dirichlet sums read one damping column per spectrum
+    calls = []
+
+    def counted(l):
+        calls.append(id(l))
+        return tanh_half(l)
+
+    monkeypatch.setattr(spectrum_module, "tanh_half", counted)
+    a, b = to_spectra(build_scenario(3, 30))
+    compare_weights(a, b)
+    compare_weights(b, a)
+    want = Counter()
+    for spec in (a, b):
+        weight_function(spec)
+        for l in spec.exact[::7]:
+            total_weight(spec, l)
+        assert len(spec.weights) == len(spec)
+        dirichlet_partial_sum(spec, 2.0)
+        dirichlet_partial_sum_grouped(spec, 2.0)
+        want.update({id(l) for l, r in zip(spec.exact, spec.reversing.tolist()) if r and l is not None})
+    assert want and Counter(calls) == want

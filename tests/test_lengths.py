@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isogeo.lengths import (
     Clusters,
     Exact,
     Numeric,
+    _integer_root,
     canonical_power_root,
     cluster_lengths,
     exact_ratio,
@@ -22,6 +23,26 @@ from isogeo.lengths import (
     sorted_order,
     tanh_half,
 )
+
+
+def all_exponent_root(q: int) -> tuple:
+    """The root search before only prime exponents were tried: every exponent from
+    the largest down, so the first hit's root is no perfect power."""
+    for e in range(q.bit_length() - 1, 1, -1):
+        g = _integer_root(q, e)
+        if g**e == q:
+            return g, e
+    return q, 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 10**6), st.integers(1, 60))
+@example(2, 64)
+@example(6, 12)
+@example(12, 35)
+@example(15, 40)
+def test_canonical_power_root_matches_the_all_exponent_search(g, e):
+    assert canonical_power_root(g**e) == all_exponent_root(g**e)
 
 
 def test_canonical_power_root():
@@ -101,10 +122,17 @@ def test_numeric_validation():
         Numeric(math.inf)
 
 
-@pytest.mark.parametrize("value", [True, False, "1.5", "inf"])
-def test_numeric_refuses_what_is_no_number(value):
-    # float() would take each of these; a document refuses them with the same message
-    with pytest.raises(ValueError, match=re.escape(f"numeric must be a number, got {value!r}")):
+@pytest.mark.parametrize(
+    "value, message",
+    [(True, "numeric must be a number, got True"), (False, "numeric must be a number, got False"),
+     ("1.5", "numeric must be a number, got '1.5'"), ("inf", "numeric must be a number, got 'inf'"),
+     # an int past the float range has no finite float: no bare OverflowError
+     (10**400, "numeric length must be positive and finite, got inf")],
+    ids=["True", "False", "1.5", "inf", "int-past-float-range"],
+)
+def test_numeric_refuses_what_is_no_number(value, message):
+    # float() would take the first four; a document refuses each with the same message
+    with pytest.raises(ValueError, match=re.escape(message)):
         Numeric(value)
 
 
