@@ -19,13 +19,17 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from functools import reduce
+from itertools import repeat
+from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from .lengths import run_starts
 from .spectrum import LengthTwistSpectrum, weight_function
 
 ORTHOGONALITY_TOLERANCE = 1e-12
@@ -144,6 +148,53 @@ def _weighted_term(m: int, w: Fraction | float, l: float, s: complex) -> complex
     return mw * _series_term(l, s)
 
 
+def _floats(f, *columns) -> Tuple[np.ndarray, List[int]]:
+    """f of each row of the columns as a float, and the rows where that is past
+    the float range (0 there): their terms take the log path of _weighted_term."""
+    out, big = np.zeros(len(columns[0])), []
+    for i, row in enumerate(zip(*columns)):
+        try:
+            out[i] = f(*row)
+        except OverflowError:
+            big.append(i)
+    return out, big
+
+
+def _series_sum(x: np.ndarray, coef: np.ndarray, big: Iterable[Tuple[int, int, Fraction | float]],
+                s: complex, reference: Callable[[], Iterable[Tuple[int, Fraction | float, float]]]) -> complex:
+    """The sum over the ascending float column x of coef[i] * _series_term(x[i], s),
+    with _weighted_term(m, w, x[i], s) as term i for each (i, m, w) of big.
+
+    The scalar loop's bits, in fewer steps: each libm call of _series_term runs
+    once per distinct float, mapped at C level; its +, -, *, / and sqrt run in
+    numpy, which rounds them as Python does; every product with a complex is a
+    Python one (numpy's complex loops may fuse); the terms are added one at a
+    time from 0j, as the loop adds them.  Where a step raises (cmath.exp past the
+    float range, a zero root), the scalar loop over the (m, w, l) of reference()
+    runs instead, so the exception is the one of its first term that has one."""
+    try:
+        starts = run_starts(x)
+        u, k = x[starts], len(starts)
+        ul = u.tolist()
+        log_cosh = u + np.fromiter(map(math.log1p, map(math.exp, map((-2.0).__mul__, ul))), float, k) - math.log(2.0)
+        root = (np.sqrt(np.fromiter(map(math.tanh, (u / 2.0).tolist()), float, k))
+                * np.sqrt(np.fromiter(map(math.tanh, ul), float, k)))
+        if not root.all():
+            raise ZeroDivisionError("float division by zero")
+        powers = map(cmath.exp, map(operator.add, map(operator.mul, repeat(-s), log_cosh.tolist()), repeat(0.0)))
+        terms = list(map(operator.mul, (u / root).tolist(), powers))
+        at = u.searchsorted(x).tolist()  # each entry's distinct float
+        out = list(map(operator.mul, coef.tolist(), map(terms.__getitem__, at)))
+        for i, m, w in big:
+            out[i] = _weighted_term(m, w, x.item(i), s)
+        return reduce(operator.add, out, 0j)
+    except (ArithmeticError, ValueError):
+        acc = 0j
+        for m, w, l in reference():
+            acc += _weighted_term(m, w, l, s)
+        return acc
+
+
 def dirichlet_partial_sum(
     spec: LengthTwistSpectrum, s: Union[SeriesPoint, complex, float]
 ) -> complex:
@@ -151,14 +202,22 @@ def dirichlet_partial_sum(
 
     Sums multiplicity * wt * l * (cosh l/(cosh l-1))**(1/2) * cosh(l)**-s
     over all entries, in canonical entry order (ascending length, then
-    orientation, then nu) for run-to-run bit stability.
+    orientation, then nu) for run-to-run bit stability: each term is the
+    float m * float(wt) times the series term, from the spectrum's count and
+    weight-float columns (no weight list is built), and each series term is
+    evaluated once per distinct length with the scalar code's libm calls.  A
+    multiplicity past the float range joins the exponent as log(m * wt).
     """
     z = _as_complex(s)
     _warn_if_diverging(z)
-    acc = 0j
-    for m, w, x in zip(spec.multiplicity, spec.weights, spec.approx.tolist()):
-        acc += _weighted_term(m, w, x, z)
-    return acc
+    m = spec.counts[1]
+    try:
+        mf, big = m.astype(float), ()
+    except OverflowError:  # a multiplicity past the float range
+        mf, at = _floats(float, m.tolist())
+        big = zip(at, m[at].tolist(), spec.weights_at(at))
+    return _series_sum(spec.approx, mf * spec.weight_floats, big, z,
+                       lambda: zip(spec.multiplicity, spec.weights, spec.approx.tolist()))
 
 
 def dirichlet_partial_sum_grouped(
@@ -166,12 +225,22 @@ def dirichlet_partial_sum_grouped(
 ) -> complex:
     """Partial sum computed through the total weight function.
 
-    Groups entries by length cluster and sums W(l) * l * Q * cosh(l)**-s;
-    agrees with the per-geodesic form to floating-point accuracy.
+    Groups entries by length cluster and sums W(l) * l * Q * cosh(l)**-s at
+    each cluster's representative, in ascending order; agrees with the
+    per-geodesic form to floating-point accuracy.  Each term is float(W) times
+    the series term, from the spectrum's W columns and its clusters'
+    representative floats (no representative is built, and a Fraction only for
+    a W past the float range, which joins the exponent as log W), with the
+    kernel of :func:`dirichlet_partial_sum`.
     """
     z = _as_complex(s)
     _warn_if_diverging(z)
-    acc = 0j
-    for rep, w in weight_function(spec):
-        acc += _weighted_term(1, w, rep.approx(), z)
-    return acc
+    w = spec.weight_columns
+    try:
+        coef, big = w.floats(np.arange(len(w.flo))), ()
+    except OverflowError:  # an exact W past the float range
+        coef, at = _floats(operator.truediv, w.num.tolist(), w.den.tolist())
+        coef[w.is_float] = w.flo[w.is_float]
+        big = zip(at, repeat(1), w.values(at))
+    return _series_sum(spec.clusters.rep_floats, coef, big, z,
+                       lambda: ((1, W, rep.approx()) for rep, W in weight_function(spec)))

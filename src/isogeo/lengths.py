@@ -264,7 +264,8 @@ class Clusters:
     approx()): the columns are merged by a stable argsort and split by
     :func:`cluster_ids`.  ``ids[k]`` holds the cluster of each value of
     column k; ``starts``, ``lo`` and ``hi`` the first merged position and the
-    least and greatest value of each cluster."""
+    least and greatest value of each cluster, and ``rep_floats`` the float of
+    each cluster's representative (see :meth:`reps`), as an array."""
 
     def __init__(self, columns: Sequence[Tuple[np.ndarray, Sequence[Exact | None]]], tol: float):
         x = np.concatenate([c[0] for c in columns])
@@ -278,7 +279,8 @@ class Clusters:
         starts = run_starts(merged)
         self.starts = starts.tolist()
         last = np.append(starts, len(merged))[1:] - 1  # last merged position of each
-        self.lo, self.hi = x[order[starts]].tolist(), x[order[last]].tolist()
+        self.rep_floats = x[order[starts]]
+        self.lo, self.hi = self.rep_floats.tolist(), x[order[last]].tolist()
         self._exact: dict = {}  # each cluster's least Exact length
         exact = [l for c in columns for l in c[1]]
         # merged positions of the Exact lengths; the first of each cluster has its least float
@@ -286,6 +288,7 @@ class Clusters:
         c = ids[pos]
         runs = run_starts(c, x[pos])  # runs of one (cluster, float)
         first = run_starts(c[runs])  # each cluster's first run
+        self.rep_floats[c[runs[first]]] = x[pos[runs[first]]]
         for j, k in zip(runs[first].tolist(), np.append(runs, len(pos))[first + 1].tolist()):
             tied = [exact[i] for i in pos[j:k].tolist()]  # at the cluster's least float; often one object
             self._exact[int(c[j])] = (tied[0] if tied.count(tied[0]) == len(tied)

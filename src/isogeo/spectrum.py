@@ -202,7 +202,8 @@ class LengthTwistSpectrum:
         (q^n - 1)/(q^n + 1), at l = n*log(q), from one :func:`tanh_half` per Exact
         object (by identity: a document shares one per length), int64 unless a q
         is past it; elsewhere the float t = math.tanh(l/2) (is_float, p = q = 1).
-        W and :attr:`weights` evaluate the weight formula from this column alone."""
+        W, :attr:`weight_floats` and :attr:`weights` evaluate the weight formula
+        from this column and :attr:`counts` alone."""
         n, rev, tanh = len(self), self.reversing.astype(bool), {}
         at = [i for i in np.flatnonzero(rev).tolist() if self.exact[i]] if any(self.exact) else []
         h = [tanh.get(id(l)) or tanh.setdefault(id(l), tanh_half(l)) for l in map(self.exact.__getitem__, at)]
@@ -216,21 +217,65 @@ class LengthTwistSpectrum:
         return p, q, t, is_float
 
     @cached_property
-    def weights(self) -> List[Fraction | float]:
-        """The :func:`weight` of every entry, in entry order: its damping factor
-        over nu, a Fraction where the factor is exact."""
+    def counts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The nu and multiplicity columns as arrays, each int64 unless a value is
+        past it, then Python ints (object)."""
+        return _int_column(self.nu), _int_column(self.multiplicity)
+
+    @cached_property
+    def weight_floats(self) -> np.ndarray:
+        """float(w) of the :func:`weight` w of every entry, without building w: an
+        exact damping factor p/q over nu correctly rounded, as float(Fraction)
+        rounds it, and a float factor t as t / nu (see :func:`weight`)."""
         p, q, t, is_float = self._damping
-        return [x / n if f else _rational(a, b * n)
-                for a, b, x, f, n in zip(p.tolist(), q.tolist(), t.tolist(), is_float.tolist(), self.nu)]
+        nu = self.counts[0]
+        if q.dtype == nu.dtype == np.int64 and (q * nu.astype(float) < 2**53).all():
+            return np.where(is_float, t / nu, p / (q * nu))  # ints below 2**53 convert exactly: one rounding
+        return np.array([_damped(x, n) if f else a / (b * n) for a, b, x, f, n in
+                         zip(p.tolist(), q.tolist(), t.tolist(), is_float.tolist(), nu.tolist())], dtype=float)
+
+    @cached_property
+    def weights(self) -> List[Fraction | float]:
+        """The :func:`weight` of every entry, in entry order."""
+        return self.weights_at(np.arange(len(self)))
+
+    def weights_at(self, at: np.ndarray) -> List[Fraction | float]:
+        """The :func:`weight` of the entries at: the damping factor over nu, a
+        Fraction where the factor is exact, else the entry's weight float."""
+        p, q, _, is_float = self._damping
+        return [x if f else _rational(a, b * n) for a, b, x, f, n in zip(
+            p[at].tolist(), q[at].tolist(), self.weight_floats[at].tolist(), is_float[at].tolist(),
+            self.counts[0][at].tolist())]
 
     @cached_property
     def clusters(self) -> Clusters:
         return Clusters([(self.approx, self.exact)], self.tolerance)
 
     @cached_property
+    def weight_columns(self) -> WeightColumns:
+        """W of each of the spectrum's own length clusters, as columns."""
+        return _cluster_weights(self, self.clusters.ids[0], self.clusters.size)
+
+    @cached_property
     def cluster_weights(self) -> List[Fraction | float]:
         """W of each of the spectrum's own length clusters."""
-        return _cluster_weights(self, self.clusters.ids[0], self.clusters.size).values()
+        return self.weight_columns.values()
+
+
+def _int_column(values: List[int]) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _damped(t: float, nu: int) -> float:
+    """t / nu; for a nu past the float range, where that raises, the correctly
+    rounded quotient (0.0 or a subnormal)."""
+    try:
+        return t / nu
+    except OverflowError:
+        return float(Fraction(t) / nu)
 
 
 def validate_surface(spec: LengthTwistSpectrum) -> List[str]:
@@ -257,10 +302,13 @@ def weight(entry: GeodesicEntry) -> Fraction | float:
     Exact rational whenever the damping factor is exactly representable
     (length an integer multiple of log q); float otherwise.
     """
-    return tanh_half(entry.length) / entry.nu if entry.orientation is Orientation.REVERSING else Fraction(1, entry.nu)
+    if entry.orientation is Orientation.PRESERVING:
+        return Fraction(1, entry.nu)
+    t = tanh_half(entry.length)
+    return t / entry.nu if type(t) is Fraction else _damped(t, entry.nu)
 
 
-class _Weights(NamedTuple):
+class WeightColumns(NamedTuple):
     """W of each cluster as columns: ``num``/``den`` in lowest terms where W is
     exact (for a float W, the exact sum before its first float term), ``flo``
     where W is a float (``is_float``)."""
@@ -289,7 +337,7 @@ def _run_sums(p: np.ndarray, d: np.ndarray, starts: np.ndarray) -> Tuple[np.ndar
     return np.add.reduceat(p * (np.repeat(den, np.append(starts[1:], len(d)) - starts) // d), starts), den
 
 
-def _cluster_weights(spec: LengthTwistSpectrum, ids: np.ndarray, size: int) -> _Weights:
+def _cluster_weights(spec: LengthTwistSpectrum, ids: np.ndarray, size: int) -> WeightColumns:
     """W of each of size clusters from the spectrum's columns (ids: the cluster of
     each entry, never decreasing, so a cluster is a run of entries).
 
@@ -297,19 +345,16 @@ def _cluster_weights(spec: LengthTwistSpectrum, ids: np.ndarray, size: int) -> _
     order: exact terms sum as an integer rational up to the cluster's first float
     term, and each later term adds as its rounded value.  With the damping factor
     p/q or t of the spectrum's damping column, a term is m*p / (nu*q), so a
-    cluster's exact prefix is one run sum, or m * (t/nu) in floats.  Counts are
-    int64 where, in every cluster, the product over its entries of
-    nu*q + m*p stays below 2**52: that bounds every sum and product below, so
-    each converts to a float exactly.  Python ints (object arrays) hold them
-    otherwise."""
-    n, (p, q, t, is_float) = len(spec), spec._damping
-    try:
-        nu, m = np.array(spec.nu, dtype=np.int64), np.array(spec.multiplicity, dtype=np.int64)
-        small = np.bincount(ids, np.log2(nu * q.astype(float) + m * p.astype(float)), size).max(initial=0) < 52
-    except OverflowError:  # a count past int64, or a factor past the float range
-        small = False
+    cluster's exact prefix is one run sum, or m * (t/nu) in floats, m times the
+    entry's weight float.  Counts are int64 where, in every cluster, the product
+    over its entries of nu*q + m*p stays below 2**52: that bounds every sum and
+    product below, so each converts to a float exactly.  Python ints (object
+    arrays) hold them otherwise."""
+    n, (p, q, _, is_float), (nu, m) = len(spec), spec._damping, spec.counts
+    small = (nu.dtype == m.dtype == q.dtype == np.int64
+             and np.bincount(ids, np.log2(nu * q.astype(float) + m * p.astype(float)), size).max(initial=0) < 52)
     if not small:
-        nu, m, p, q = (np.array(c, dtype=object) for c in (spec.nu, spec.multiplicity, p, q))
+        nu, m, p, q = (c.astype(object) for c in (nu, m, p, q))
     mp, nq = m * p, nu * q
 
     f = np.flatnonzero(is_float)
@@ -328,13 +373,13 @@ def _cluster_weights(spec: LengthTwistSpectrum, ids: np.ndarray, size: int) -> _
         seg = np.flatnonzero(later)
         fl, ex = is_float[seg], seg[~is_float[seg]]
         terms = np.empty(len(seg))
-        terms[fl] = m[seg[fl]] * (t[seg[fl]] / nu[seg[fl]])
+        terms[fl] = m[seg[fl]] * spec.weight_floats[seg[fl]]
         terms[~fl] = mp[ex] / nq[ex]  # rounded once
         # each float cluster starts from its exact prefix, rounded; bincount adds in input order
         floating = np.flatnonzero(first < n)
         flo = np.bincount(np.concatenate((floating, ids[seg])),
                           np.concatenate(((num[floating] / den[floating]).astype(float), terms)), size)
-    return _Weights(num, den, flo, first < n)
+    return WeightColumns(num, den, flo, first < n)
 
 
 def total_weight(spec: LengthTwistSpectrum, l: LengthValue) -> Fraction | float:
@@ -638,8 +683,7 @@ class CountingFunction:
         self._cums = [running[i - 1] for i in clusters.starts[1:] + [len(running)]] if running else []
         self._jumps = [c - p for c, p in zip(self._cums, [0] + self._cums)]
         self._reps = clusters.reps(range(clusters.size))
-        # strictly ascending: clusters are more than tol apart
-        self._xs = [rep.approx() for rep in self._reps]
+        self._xs = clusters.rep_floats.tolist()  # strictly ascending: clusters are more than tol apart
 
     def jumps(self) -> List[Tuple[LengthValue, int]]:
         return list(zip(self._reps, self._jumps))

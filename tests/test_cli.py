@@ -1,8 +1,10 @@
 import copy
 import hashlib
 import json
+import math
 import sys
 from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from isogeo import interchange
 from isogeo.cli import main
+from isogeo.dirichlet import _series_term
 from isogeo.hyperbolic import Isometry
 from isogeo.interchange import dump_generators, dump_spectrum
 from isogeo.lengths import Exact, Numeric
@@ -419,6 +422,25 @@ def test_dirichlet_tiny_numeric_length(tmp_path, capsys, l):
         c = mpmath.cosh(x)
         ref = complex(x * mpmath.sqrt(c / (c - 1)) * mpmath.power(c, -mpmath.mpc(2.0, 1.0)))
     assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("nu", [10**400, 2**1030 + 1], ids=["10**400", "2**1030+1"])
+@pytest.mark.parametrize("command", [["weights"], ["dirichlet", "--sigma", "2"]], ids=["weights", "dirichlet"])
+def test_huge_nu_of_a_reversing_numeric_type(tmp_path, capsys, command, nu):
+    # tanh(0.75) / nu is 0.0 or a subnormal, correctly rounded; t / nu in floats raises on nu
+    w = float(Fraction(math.tanh(0.75)) / nu)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"horizon": {"numeric": 5}, "entries": [
+        {"length": {"numeric": 1.5}, "orientation": "reversing", "nu": nu}]}))
+    capsys.readouterr()
+    assert main(command + ["--spectrum", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if command == ["weights"]:
+        assert out == f"total weight function up to horizon 5.0:\n  l=1.5: W={w!r}\n"
+    else:
+        d = w * _series_term(1.5, complex(2.0, 0.0))
+        assert out.splitlines()[1:] == [f"real: {d.real:.15g}", f"imag: {d.imag:.15g}"]
 
 
 @pytest.mark.parametrize("nums", [[2000], [1, 2000]])

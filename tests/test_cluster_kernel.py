@@ -10,13 +10,14 @@ object-based canonical form: entries merged in a dict and sorted by a
 per-entry key, as spectra were built before they were held as columns.
 """
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 from typing import Dict, List
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isogeo import spectrum as spectrum_module
@@ -431,14 +432,24 @@ damped_lengths = st.one_of(
 )
 
 
+# nu past the float range: t / nu would raise; near 2**1030 the quotient is subnormal
+huge_nu = st.one_of(st.integers(1, 10**400), st.integers(2**1029, 2**1031))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.builds(GeodesicEntry, damped_lengths, st.sampled_from([P, R]), st.integers(1, 7),
+@given(st.lists(st.builds(GeodesicEntry, damped_lengths, st.sampled_from([P, R]),
+                          st.one_of(st.integers(1, 7), huge_nu),
                           st.one_of(st.integers(1, 4), st.integers(1, 2**70))), max_size=20))
+@example([GeodesicEntry(Numeric(1.5), R, 2**1030 + 1, 1), GeodesicEntry(Exact(2, Fraction(3, 4)), R, 10**400, 3)])
 def test_weights_are_the_scalar_weight_of_each_entry(entries):
     spec = LengthTwistSpectrum(entries, Numeric(100.0))
     want = [weight(e) for e in spec.entries]
     assert len(spec.weights) == len(want)
     assert all(map(same_number, spec.weights, want))
+    for e, w in zip(spec.entries, want):
+        if type(w) is float and e.nu > 2**1024:  # the correctly rounded quotient, 0.0 or a subnormal
+            assert w == float(Fraction(math.tanh(e.length.approx() / 2.0)) / e.nu) < 2.3e-308
+    assert weight_function(spec) == oracle_weight_function(spec)
 
 
 def test_tanh_half_runs_once_per_reversing_exact_object(monkeypatch):

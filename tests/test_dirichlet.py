@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import warnings
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -13,13 +14,14 @@ from isogeo.dirichlet import (
     SeriesPoint,
     TwistData,
     _series_term,
+    _weighted_term,
     dirichlet_partial_sum,
     dirichlet_partial_sum_grouped,
     q_factor,
 )
-from isogeo.lengths import Exact, Numeric
+from isogeo.lengths import Clusters, Exact, Numeric
 from isogeo.scenario import build_scenario, to_spectra
-from isogeo.spectrum import GeodesicEntry, LengthTwistSpectrum, Orientation
+from isogeo.spectrum import GeodesicEntry, LengthTwistSpectrum, Orientation, weight_function
 
 P = Orientation.PRESERVING
 R = Orientation.REVERSING
@@ -211,3 +213,97 @@ def test_term_decay_in_sigma():
         [GeodesicEntry(Numeric(1.0), P), GeodesicEntry(Numeric(2.0), P)], Numeric(5.0)
     )
     assert abs(dirichlet_partial_sum(spec, 3.0)) < abs(dirichlet_partial_sum(spec, 2.0))
+
+
+# --- the column kernel of both sums against the scalar loops it replaced --------------
+
+
+def _outcome(form, spec, s):
+    """The sum's bits (float.hex of each part, so a zero's sign counts), or the
+    exception it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        try:
+            v = form(spec, s)
+        except Exception as exc:
+            return type(exc), str(exc)
+    return v.real.hex(), v.imag.hex()
+
+
+def _scalar_sum(spec, s):
+    acc = 0j
+    for m, w, x in zip(spec.multiplicity, spec.weights, spec.approx.tolist()):
+        acc += _weighted_term(m, w, x, s)
+    return acc
+
+
+def _scalar_sum_grouped(spec, s):
+    acc = 0j
+    for rep, w in weight_function(spec):
+        acc += _weighted_term(1, w, rep.approx(), s)
+    return acc
+
+
+# exact grid points past int64 (2**63, 3**40, 10**19) and past log DBL_MAX (10**309),
+# fractional exact multiples (a float damping factor), numeric lengths from 1e-300 to 800
+series_lengths = st.one_of(
+    st.builds(Exact, st.sampled_from([2, 3, 10]), st.integers(1, 320)),
+    st.builds(Exact, st.just(10), st.integers(300, 320)),
+    st.builds(Exact, st.sampled_from([2, 3, 10]),
+              st.builds(Fraction, st.integers(1, 1280), st.sampled_from([2, 3, 4]))
+              .filter(lambda r: r.denominator > 1 and r <= 320)),
+    st.floats(-300.0, math.log10(800.0)).map(lambda e: Numeric(10.0**e)),
+    st.floats(0.01, 40.0).map(Numeric),  # where tanh(l) and tanh(l/2) round differently in numpy
+)
+
+
+def _with_neighbours(lengths, offsets):
+    """The lengths and a numeric one at each offset from the first, for clusters of
+    several lengths at a wide tolerance."""
+    x = lengths[0].approx()
+    return lengths + [Numeric(x + d) for d in offsets if x + d > 0]
+
+
+series_spectra = st.builds(
+    lambda entries, tol: LengthTwistSpectrum(entries, Numeric(1000.0), tol),
+    st.builds(_with_neighbours, st.lists(series_lengths, min_size=1, max_size=5),
+              st.lists(st.floats(-0.5, 0.5), max_size=3)).flatmap(lambda ls: st.lists(st.builds(
+                  GeodesicEntry, st.sampled_from(ls), st.sampled_from([P, R]), st.integers(1, 7),
+                  st.one_of(st.integers(1, 4), st.integers(0, 329).flatmap(lambda e: st.integers(1, 10 * 10**e)))),
+                  max_size=16)),
+    st.one_of(st.just(1e-9), st.floats(1e-9, 0.5)),  # up to 0.5: clusters of several lengths
+)
+series_points = st.builds(complex, st.one_of(st.floats(1.5, 4.0), st.floats(-2.0, 1.0)),
+                          st.one_of(st.just(0.0), st.floats(-50.0, 50.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_spectra, series_points)
+@example(LengthTwistSpectrum([GeodesicEntry(Exact(10, 312), R, 1, 10**330)], Exact(10, 320)), complex(1.5, 2.0))
+@example(LengthTwistSpectrum([GeodesicEntry(Numeric(800.0), P), GeodesicEntry(Numeric(1.0), P)], Numeric(1000.0)),
+         complex(-1.0, 0.0))
+@example(LengthTwistSpectrum([GeodesicEntry(Numeric(5e-324), R, 1, 10**330), GeodesicEntry(Numeric(1.0), P)],
+                             Numeric(1000.0)), complex(2.0, 0.0))
+# the log-path term at 0.5 overflows first; the kernel's cexp at 700 meets an infinite phase first
+@example(LengthTwistSpectrum([GeodesicEntry(Numeric(0.5), P, 1, 10**330), GeodesicEntry(Numeric(700.0), P)],
+                             Numeric(1000.0)), complex(2.0, 1e306))
+def test_both_sums_have_the_bits_of_the_scalar_loops(spec, s):
+    for form, scalar in ((dirichlet_partial_sum, _scalar_sum), (dirichlet_partial_sum_grouped, _scalar_sum_grouped)):
+        # a copy with nothing cached: the scalar loops fill the caches they read
+        columns = LengthTwistSpectrum.from_columns(
+            (spec.approx, spec.exact, spec.reversing, spec.nu, spec.multiplicity), spec.horizon, spec.tolerance)
+        assert _outcome(form, columns, s) == _outcome(scalar, spec, s)
+
+
+def test_the_sums_build_neither_weights_nor_representatives(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sums read the columns only")
+
+    monkeypatch.setattr(Clusters, "reps", refuse)
+    entries = [GeodesicEntry(Exact(2, 1), P, 1, 3), GeodesicEntry(Exact(2, 1), R, 3, 2),
+               GeodesicEntry(Numeric(0.7), R, 2, 1), GeodesicEntry(Exact(10, 312), P, 1, 10**330),
+               GeodesicEntry(Exact(3, Fraction(5, 2)), R, 1, 4)]
+    for form in (dirichlet_partial_sum, dirichlet_partial_sum_grouped):
+        spec = LengthTwistSpectrum(entries, Exact(10, 320))
+        form(spec, complex(2.0, 1.0))
+        assert "weights" not in spec.__dict__
