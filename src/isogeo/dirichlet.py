@@ -22,15 +22,14 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from typing import Callable, Iterable, List, Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
 from .lengths import run_starts
-from .spectrum import LengthTwistSpectrum, weight_function
+from .spectrum import LengthTwistSpectrum
 
 ORTHOGONALITY_TOLERANCE = 1e-12
 
@@ -99,7 +98,7 @@ def q_factor(l: float, twist: TwistData) -> float:
     eigenvalues beta >= 0 of I - sym, as log(u + sech*beta) with
     log u = log tanh(l/2) + log tanh(l); no length down to 1e-300 underflows.
     """
-    if l <= 0:
+    if not l > 0:  # NaN fails too; the limit at l = inf is 1
         raise ValueError(f"length must be positive, got {l}")
     d = twist.dimension
     a = np.asarray(twist.matrix, dtype=float)
@@ -137,62 +136,22 @@ def _series_term(l: float, s: complex, log_weight: float = 0.0) -> complex:
     return l / root * cmath.exp(-s * log_cosh + log_weight)
 
 
-def _weighted_term(m: int, w: Fraction | float, l: float, s: complex) -> complex:
-    """m * w times the series term at l.  An exact m * w past the float range
-    (a necklace count near q**n) joins the exponent as its log instead."""
-    try:
-        mw = m * float(w)
-    except OverflowError:
-        big = m * Fraction(w)
-        return _series_term(l, s, math.log(big.numerator) - math.log(big.denominator))
-    return mw * _series_term(l, s)
-
-
-def _floats(f, *columns) -> Tuple[np.ndarray, List[int]]:
-    """f of each row of the columns as a float, and the rows where that is past
-    the float range (0 there): their terms take the log path of _weighted_term."""
-    out, big = np.zeros(len(columns[0])), []
-    for i, row in enumerate(zip(*columns)):
-        try:
-            out[i] = f(*row)
-        except OverflowError:
-            big.append(i)
-    return out, big
-
-
-def _series_sum(x: np.ndarray, coef: np.ndarray, big: Iterable[Tuple[int, int, Fraction | float]],
-                s: complex, reference: Callable[[], Iterable[Tuple[int, Fraction | float, float]]]) -> complex:
+def _series_sum(x: np.ndarray, coef: np.ndarray, exact: Callable[[list], list], s: complex) -> complex:
     """The sum over the ascending float column x of coef[i] * _series_term(x[i], s),
-    with _weighted_term(m, w, x[i], s) as term i for each (i, m, w) of big.
-
-    The scalar loop's bits, in fewer steps: each libm call of _series_term runs
-    once per distinct float, mapped at C level; its +, -, *, / and sqrt run in
-    numpy, which rounds them as Python does; every product with a complex is a
-    Python one (numpy's complex loops may fuse); the terms are added one at a
-    time from 0j, as the loop adds them.  Where a step raises (cmath.exp past the
-    float range, a zero root), the scalar loop over the (m, w, l) of reference()
-    runs instead, so the exception is the one of its first term that has one."""
-    try:
-        starts = run_starts(x)
-        u, k = x[starts], len(starts)
-        ul = u.tolist()
-        log_cosh = u + np.fromiter(map(math.log1p, map(math.exp, map((-2.0).__mul__, ul))), float, k) - math.log(2.0)
-        root = (np.sqrt(np.fromiter(map(math.tanh, (u / 2.0).tolist()), float, k))
-                * np.sqrt(np.fromiter(map(math.tanh, ul), float, k)))
-        if not root.all():
-            raise ZeroDivisionError("float division by zero")
-        powers = map(cmath.exp, map(operator.add, map(operator.mul, repeat(-s), log_cosh.tolist()), repeat(0.0)))
-        terms = list(map(operator.mul, (u / root).tolist(), powers))
-        at = u.searchsorted(x).tolist()  # each entry's distinct float
-        out = list(map(operator.mul, coef.tolist(), map(terms.__getitem__, at)))
-        for i, m, w in big:
-            out[i] = _weighted_term(m, w, x.item(i), s)
-        return reduce(operator.add, out, 0j)
-    except (ArithmeticError, ValueError):
-        acc = 0j
-        for m, w, l in reference():
-            acc += _weighted_term(m, w, l, s)
-        return acc
+    with _series_term called once per distinct float and the terms added one at a
+    time from 0j in entry order, as the entry-by-entry loop adds them.  A row whose
+    coef is NaN (its float past the float range) takes its exact coefficient from
+    exact(rows) instead, whose log joins the exponent of a term of its own.  A fault
+    (a zero root, cmath.exp past the float range) raises as _series_term raises it."""
+    big = np.isnan(coef)
+    fx = x[~big]
+    u = fx[run_starts(fx)]
+    terms = list(map(_series_term, u.tolist(), repeat(s)))
+    out = list(map(operator.mul, coef[~big].tolist(), map(terms.__getitem__, u.searchsorted(fx).tolist())))
+    rows = np.flatnonzero(big).tolist()
+    for i, c in zip(rows, exact(rows)):  # ascending: each goes in at its own place
+        out.insert(i, _series_term(x.item(i), s, math.log(c.numerator) - math.log(c.denominator)))
+    return reduce(operator.add, out, 0j)
 
 
 def dirichlet_partial_sum(
@@ -205,19 +164,12 @@ def dirichlet_partial_sum(
     orientation, then nu) for run-to-run bit stability: each term is the
     float m * float(wt) times the series term, from the spectrum's count and
     weight-float columns (no weight list is built), and each series term is
-    evaluated once per distinct length with the scalar code's libm calls.  A
-    multiplicity past the float range joins the exponent as log(m * wt).
+    evaluated once per distinct length.  A multiplicity past the float range
+    joins the exponent as the log of its exact m * wt (``spec.exact_terms``).
     """
     z = _as_complex(s)
     _warn_if_diverging(z)
-    m = spec.counts[1]
-    try:
-        mf, big = m.astype(float), ()
-    except OverflowError:  # a multiplicity past the float range
-        mf, at = _floats(float, m.tolist())
-        big = zip(at, m[at].tolist(), spec.weights_at(at))
-    return _series_sum(spec.approx, mf * spec.weight_floats, big, z,
-                       lambda: zip(spec.multiplicity, spec.weights, spec.approx.tolist()))
+    return _series_sum(spec.approx, spec.multiplicity_floats * spec.weight_floats, spec.exact_terms, z)
 
 
 def dirichlet_partial_sum_grouped(
@@ -230,17 +182,10 @@ def dirichlet_partial_sum_grouped(
     per-geodesic form to floating-point accuracy.  Each term is float(W) times
     the series term, from the spectrum's W columns and its clusters'
     representative floats (no representative is built, and a Fraction only for
-    a W past the float range, which joins the exponent as log W), with the
-    kernel of :func:`dirichlet_partial_sum`.
+    a W past the float range, whose log joins the exponent), with the kernel
+    of :func:`dirichlet_partial_sum`.
     """
     z = _as_complex(s)
     _warn_if_diverging(z)
     w = spec.weight_columns
-    try:
-        coef, big = w.floats(np.arange(len(w.flo))), ()
-    except OverflowError:  # an exact W past the float range
-        coef, at = _floats(operator.truediv, w.num.tolist(), w.den.tolist())
-        coef[w.is_float] = w.flo[w.is_float]
-        big = zip(at, repeat(1), w.values(at))
-    return _series_sum(spec.clusters.rep_floats, coef, big, z,
-                       lambda: ((1, W, rep.approx()) for rep, W in weight_function(spec)))
+    return _series_sum(spec.clusters.rep_floats, w.floats_or_nan(), w.values, z)

@@ -182,8 +182,8 @@ class EnumConfig:
     def __post_init__(self):
         if self.max_word_length < 1:
             raise ValueError("max_word_length must be >= 1")
-        if self.length_cutoff <= 0:
-            raise ValueError("length_cutoff must be positive")
+        if not 0 < self.length_cutoff < math.inf:
+            raise ValueError(f"length_cutoff must be positive and finite, got {self.length_cutoff}")
         if not 0 < self.dedup_tolerance < math.inf:
             raise ValueError(f"dedup_tolerance must be positive and finite, got {self.dedup_tolerance}")
 

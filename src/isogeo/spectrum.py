@@ -69,6 +69,7 @@ class Orientation(str, Enum):
 
 ORIENTATIONS = (Orientation.PRESERVING, Orientation.REVERSING)  # by reversing flag
 _rational = lru_cache(maxsize=256)(Fraction)  # exact W values repeat: 0, m/nu, ...
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def entry_counts(nu, multiplicity) -> Tuple[int, int]:
@@ -202,8 +203,8 @@ class LengthTwistSpectrum:
         (q^n - 1)/(q^n + 1), at l = n*log(q), from one :func:`tanh_half` per Exact
         object (by identity: a document shares one per length), int64 unless a q
         is past it; elsewhere the float t = math.tanh(l/2) (is_float, p = q = 1).
-        W, :attr:`weight_floats` and :attr:`weights` evaluate the weight formula
-        from this column and :attr:`counts` alone."""
+        W, :attr:`weight_floats` and :meth:`exact_terms` evaluate the weight
+        formula from this column and :attr:`counts` alone."""
         n, rev, tanh = len(self), self.reversing.astype(bool), {}
         at = [i for i in np.flatnonzero(rev).tolist() if self.exact[i]] if any(self.exact) else []
         h = [tanh.get(id(l)) or tanh.setdefault(id(l), tanh_half(l)) for l in map(self.exact.__getitem__, at)]
@@ -235,17 +236,22 @@ class LengthTwistSpectrum:
                          zip(p.tolist(), q.tolist(), t.tolist(), is_float.tolist(), nu.tolist())], dtype=float)
 
     @cached_property
-    def weights(self) -> List[Fraction | float]:
-        """The :func:`weight` of every entry, in entry order."""
-        return self.weights_at(np.arange(len(self)))
+    def multiplicity_floats(self) -> np.ndarray:
+        """float(m) of every entry's multiplicity, NaN where m is past the float
+        range: that entry's term is read from :meth:`exact_terms` instead."""
+        try:
+            return self.counts[1].astype(float)
+        except OverflowError:
+            return np.fromiter(map(_float_or_nan, self.multiplicity), float, len(self))
 
-    def weights_at(self, at: np.ndarray) -> List[Fraction | float]:
-        """The :func:`weight` of the entries at: the damping factor over nu, a
-        Fraction where the factor is exact, else the entry's weight float."""
-        p, q, _, is_float = self._damping
-        return [x if f else _rational(a, b * n) for a, b, x, f, n in zip(
-            p[at].tolist(), q[at].tolist(), self.weight_floats[at].tolist(), is_float[at].tolist(),
-            self.counts[0][at].tolist())]
+    def exact_terms(self, at: List[int]) -> List[Fraction]:
+        """multiplicity * weight of the entries at, exact, from the damping and count
+        columns: m*p / (nu*q) for an exact damping factor p/q, m*Fraction(t) / nu
+        for a float factor t (the float tanh(l/2) taken exactly)."""
+        p, q, t, is_float = self._damping
+        (nu, m), at = self.counts, np.asarray(at, dtype=np.intp)
+        return [c * Fraction(x) / n if f else Fraction(c * a, b * n) for a, b, x, f, n, c in zip(
+            p[at].tolist(), q[at].tolist(), t[at].tolist(), is_float[at].tolist(), nu[at].tolist(), m[at].tolist())]
 
     @cached_property
     def clusters(self) -> Clusters:
@@ -267,6 +273,14 @@ def _int_column(values: List[int]) -> np.ndarray:
         return np.array(values, dtype=np.int64)
     except OverflowError:
         return np.array(values, dtype=object)
+
+
+def _float_or_nan(num: int, den: int = 1) -> float:
+    """num / den correctly rounded, or NaN where it is past the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.nan
 
 
 def _damped(t: float, nu: int) -> float:
@@ -329,6 +343,15 @@ class WeightColumns(NamedTuple):
         out[exact] = self.num[at[exact]] / self.den[at[exact]]  # ints below 2**53, or Python ints
         return out
 
+    def floats_or_nan(self) -> np.ndarray:
+        """float(W) of every cluster, as :meth:`floats` gives it, but NaN where an
+        exact W is past the float range."""
+        try:
+            return self.floats(np.arange(len(self.flo)))
+        except OverflowError:
+            exact = np.fromiter(map(_float_or_nan, self.num.tolist(), self.den.tolist()), float, len(self.flo))
+            return np.where(self.is_float, self.flo, exact)
+
 
 def _run_sums(p: np.ndarray, d: np.ndarray, starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Sum p/d over each run of terms that begins at starts: a numerator over the
@@ -346,7 +369,8 @@ def _cluster_weights(spec: LengthTwistSpectrum, ids: np.ndarray, size: int) -> W
     term, and each later term adds as its rounded value.  With the damping factor
     p/q or t of the spectrum's damping column, a term is m*p / (nu*q), so a
     cluster's exact prefix is one run sum, or m * (t/nu) in floats, m times the
-    entry's weight float.  Counts are int64 where, in every cluster, the product
+    entry's weight float (for an m past the float range, the exact m*Fraction(t)
+    / nu rounded once).  Counts are int64 where, in every cluster, the product
     over its entries of nu*q + m*p stays below 2**52: that bounds every sum and
     product below, so each converts to a float exactly.  Python ints (object
     arrays) hold them otherwise."""
@@ -373,8 +397,10 @@ def _cluster_weights(spec: LengthTwistSpectrum, ids: np.ndarray, size: int) -> W
         seg = np.flatnonzero(later)
         fl, ex = is_float[seg], seg[~is_float[seg]]
         terms = np.empty(len(seg))
-        terms[fl] = m[seg[fl]] * spec.weight_floats[seg[fl]]
+        terms[fl] = spec.multiplicity_floats[seg[fl]] * spec.weight_floats[seg[fl]]
         terms[~fl] = mp[ex] / nq[ex]  # rounded once
+        huge = np.isnan(terms)  # a multiplicity past the float range: its exact term, rounded once
+        terms[huge] = list(map(float, spec.exact_terms(seg[huge])))
         # each float cluster starts from its exact prefix, rounded; bincount adds in input order
         floating = np.flatnonzero(first < n)
         flo = np.bincount(np.concatenate((floating, ids[seg])),
@@ -719,14 +745,18 @@ def pgt_jump_report(spec: LengthTwistSpectrum, envelope_constant: float) -> Jump
 
     On a genuine compact hyperbolic surface jumps are o(e^l/l), so any
     fixed positive envelope is eventually violated only by synthetic
-    data.  Desk-scale sanity check, not an asymptotic test.
+    data.  Desk-scale sanity check, not an asymptotic test.  Both sides are
+    compared as logs, so neither e^l past l ~ 709.78 nor a count past the float
+    range overflows; an envelope past the float range is reported as inf.
     """
-    counting = CountingFunction(spec)
+    if not 0 < envelope_constant < math.inf:
+        raise ValueError(f"envelope constant must be positive and finite, got {envelope_constant}")
+    counting, log_c = CountingFunction(spec), math.log(envelope_constant)
     violations, max_norm = [], 0.0
     for rep, f in counting.jumps():
         x = rep.approx()
-        envelope = envelope_constant * math.exp(x) / x
-        max_norm = max(max_norm, f * x * math.exp(-x))
-        if f > envelope:
-            violations.append((rep, f, envelope))
+        log_f, log_envelope = math.log(f), log_c + x - math.log(x)
+        max_norm = max(max_norm, math.exp(log_f + math.log(x) - x))
+        if log_f > log_envelope:
+            violations.append((rep, f, math.exp(log_envelope) if log_envelope < _LOG_FLOAT_MAX else math.inf))
     return JumpReport(tuple(violations), max_norm)

@@ -386,6 +386,8 @@ def test_malformed_document_is_usage_error(tmp_path, capsys, entries, message):
         (["dirichlet", "--sigma", "nan"], "error: s must be finite, got (nan+0j)"),
         (["dirichlet", "--sigma=-inf"], "error: s must be finite, got (-inf+0j)"),
         (["dirichlet", "--sigma", "2", "--t", "inf"], "error: s must be finite, got (2+infj)"),
+        (["enumerate", "--cutoff", "nan"], "error: length_cutoff must be positive and finite, got nan"),
+        (["enumerate", "--cutoff", "inf"], "error: length_cutoff must be positive and finite, got inf"),
     ],
 )
 def test_non_finite_epsilon_is_usage_error(tmp_path, capsys, command, message):
@@ -424,23 +426,49 @@ def test_dirichlet_tiny_numeric_length(tmp_path, capsys, l):
     assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
-@pytest.mark.parametrize("nu", [10**400, 2**1030 + 1], ids=["10**400", "2**1030+1"])
+@pytest.mark.parametrize("nu, m", [(10**400, 1), (2**1030 + 1, 1), (10**400, 10**400)],
+                         ids=["10**400", "2**1030+1", "m=nu=10**400"])
 @pytest.mark.parametrize("command", [["weights"], ["dirichlet", "--sigma", "2"]], ids=["weights", "dirichlet"])
-def test_huge_nu_of_a_reversing_numeric_type(tmp_path, capsys, command, nu):
-    # tanh(0.75) / nu is 0.0 or a subnormal, correctly rounded; t / nu in floats raises on nu
-    w = float(Fraction(math.tanh(0.75)) / nu)
+def test_huge_nu_of_a_reversing_numeric_type(tmp_path, capsys, command, nu, m):
+    # W = m * tanh(0.75) / nu, correctly rounded: 0.0 or a subnormal for m = 1 (t / nu in
+    # floats raises on nu), tanh(0.75) itself for m = nu (m * t in floats raises on m)
+    w = float(m * Fraction(math.tanh(0.75)) / nu)
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"horizon": {"numeric": 5}, "entries": [
-        {"length": {"numeric": 1.5}, "orientation": "reversing", "nu": nu}]}))
+        {"length": {"numeric": 1.5}, "orientation": "reversing", "nu": nu, "multiplicity": m}]}))
     capsys.readouterr()
     assert main(command + ["--spectrum", str(path)]) == 0
     out, err = capsys.readouterr()
     assert err == ""
     if command == ["weights"]:
         assert out == f"total weight function up to horizon 5.0:\n  l=1.5: W={w!r}\n"
-    else:
+    elif m == 1:
         d = w * _series_term(1.5, complex(2.0, 0.0))
         assert out.splitlines()[1:] == [f"real: {d.real:.15g}", f"imag: {d.imag:.15g}"]
+    else:  # D(2) = tanh(0.75) * 1.5 * (c / (c - 1))**(1/2) * c**-2 at c = cosh(1.5)
+        lines = dict(line.split(": ") for line in out.splitlines()[1:])
+        with mpmath.workdps(40):
+            c = mpmath.cosh(mpmath.mpf(1.5))
+            ref = float(mpmath.tanh(mpmath.mpf(0.75)) * 1.5 * mpmath.sqrt(c / (c - 1)) / c**2)
+        assert abs(float(lines["real"]) - ref) <= 1e-12 * ref and float(lines["imag"]) == 0.0
+
+
+@pytest.mark.parametrize("command, length, m", [
+    (["weights"], 1.5, 10**400),  # W = 10**400 * tanh(0.75) is past the float range
+    (["dirichlet", "--sigma", "2"], 1.5, 10**400),  # so is its term
+    (["dirichlet", "--sigma", "2"], 5e-324, 1),  # tanh(l/2) is 0: a zero root
+    (["dirichlet", "--sigma=-1"], 800.0, 1),  # cosh(800)**1 overflows
+], ids=["weights-huge-W", "dirichlet-huge-W", "dirichlet-zero-root", "dirichlet-overflow"])
+def test_values_past_the_float_range_are_usage_errors(tmp_path, capsys, command, length, m):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"horizon": {"numeric": 1000}, "entries": [
+        {"length": {"numeric": length}, "orientation": "reversing", "multiplicity": m}]}))
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert main(command + ["--spectrum", str(path), "--out", str(out)]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("nums", [[2000], [1, 2000]])

@@ -347,7 +347,7 @@ def test_w_keeps_the_exact_prefix_where_a_float_sum_would_round_it():
     [(rep, got)] = weight_function(spec)
     assert rep == l0 and type(got) is float and got.hex() == want.hex()
     # every term rounded first and summed as floats misses the last bit
-    naive = np.bincount([0] * len(spec), [m * float(w) for m, w in zip(spec.multiplicity, spec.weights)])
+    naive = np.bincount([0] * len(spec), [e.multiplicity * float(weight(e)) for e in spec.entries])
     assert naive[0] != got
 
 
@@ -399,7 +399,8 @@ def test_the_w_path_reads_neither_weights_nor_entries(tmp_path, monkeypatch):
     l0 = Exact(2, 1)
     entries = [GeodesicEntry(l0, P, 3, 1), GeodesicEntry(l0, R, 1, 2**70),
                GeodesicEntry(Numeric(l0.approx() + 4e-10), R, 1, 1), GeodesicEntry(Numeric(2.5), P, 2, 3),
-               GeodesicEntry(Exact(3, Fraction(1, 2)), R, 1, 2), GeodesicEntry(Numeric(3.25), R, 2**64, 1)]
+               GeodesicEntry(Exact(3, Fraction(1, 2)), R, 1, 2), GeodesicEntry(Numeric(3.25), R, 2**64, 1),
+               GeodesicEntry(Numeric(3.5), R, 10**400, 10**400)]
     queries = [l0, Numeric(2.5), Numeric(1.0), Exact(3, Fraction(1, 2))]
     a = LengthTwistSpectrum(entries, HORIZON)
     b = LengthTwistSpectrum(entries[1:], HORIZON)
@@ -408,19 +409,13 @@ def test_the_w_path_reads_neither_weights_nor_entries(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("the W path reads the columns only")
 
-    monkeypatch.setattr(LengthTwistSpectrum, "weights", property(refuse))
     monkeypatch.setattr(LengthTwistSpectrum, "entries", property(refuse))
     a = LengthTwistSpectrum(entries, HORIZON)
     b = LengthTwistSpectrum(entries[1:], HORIZON)
     assert (compare_weights(a, b), weight_function(a), [total_weight(a, q) for q in queries]) == want
 
 
-# --- the damping column behind W and weights ------------------------------------------
-
-
-def same_number(x, y) -> bool:
-    """Equal type and value, a float to the bit."""
-    return type(x) is type(y) and (x.hex() == y.hex() if type(x) is float else x == y)
+# --- the damping column behind W and the weight floats ------------------------------
 
 
 # below a horizon of 100: exact damping p/q (its q past int64 from 2**63 and 3**41 on), float damping
@@ -444,8 +439,11 @@ huge_nu = st.one_of(st.integers(1, 10**400), st.integers(2**1029, 2**1031))
 def test_weights_are_the_scalar_weight_of_each_entry(entries):
     spec = LengthTwistSpectrum(entries, Numeric(100.0))
     want = [weight(e) for e in spec.entries]
-    assert len(spec.weights) == len(want)
-    assert all(map(same_number, spec.weights, want))
+    assert [x.hex() for x in spec.weight_floats.tolist()] == [float(w).hex() for w in want]
+    # the exact term of each entry: m * w, with a float damping factor taken exactly
+    assert spec.exact_terms(range(len(spec))) == [
+        e.multiplicity * (w if type(w) is Fraction else Fraction(math.tanh(e.length.approx() / 2.0)) / e.nu)
+        for e, w in zip(spec.entries, want)]
     for e, w in zip(spec.entries, want):
         if type(w) is float and e.nu > 2**1024:  # the correctly rounded quotient, 0.0 or a subnormal
             assert w == float(Fraction(math.tanh(e.length.approx() / 2.0)) / e.nu) < 2.3e-308
@@ -469,7 +467,7 @@ def test_tanh_half_runs_once_per_reversing_exact_object(monkeypatch):
         weight_function(spec)
         for l in spec.exact[::7]:
             total_weight(spec, l)
-        assert len(spec.weights) == len(spec)
+        assert len(spec.weight_floats) == len(spec.exact_terms(range(len(spec)))) == len(spec)
         dirichlet_partial_sum(spec, 2.0)
         dirichlet_partial_sum_grouped(spec, 2.0)
         want.update({id(l) for l, r in zip(spec.exact, spec.reversing.tolist()) if r and l is not None})

@@ -284,6 +284,13 @@ def test_enumerate_empty_generators():
         enumerate_geodesics([], EnumConfig(3, 5.0))
 
 
+@pytest.mark.parametrize("cutoff", [0.0, -1.0, math.nan, math.inf])
+def test_length_cutoff_must_be_positive_and_finite(cutoff):
+    # NaN passes a "<= 0" check, and a walk to an infinite cutoff visits every word
+    with pytest.raises(ValueError, match=re.escape(f"length_cutoff must be positive and finite, got {cutoff}")):
+        EnumConfig(3, cutoff)
+
+
 def schottky_pair():
     a = Isometry.diag(3.0, 1 / 3.0)
     t = Isometry(1.0, 2.0, 0.0, 1.0)

@@ -1,13 +1,16 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isogeo.errors import HorizonMismatch, QueryBeyondHorizon
 from isogeo.lengths import Exact, Numeric
+from isogeo.scenario import build_scenario, to_spectra
 from isogeo.spectrum import (
     CountingFunction,
     DiscrepancyTable,
@@ -373,6 +376,37 @@ def test_pgt_jump_report_flags_injected_growth():
     report = pgt_jump_report(s, 0.1)
     flagged = [v[0].approx() for v in report.violations]
     assert p * l in flagged
+
+
+def test_pgt_jump_report_past_log_dbl_max_against_mpmath():
+    # the q = 10 scenario spectrum: lengths n*log(10) up to n = 312, so e^l passes the float
+    # range from n = 309 on, and so does a necklace count near 10**n / n; f*l*e^-l stays near
+    # log(10).  At C = 1 the envelope e^l/l passes it too
+    spec = to_spectra(build_scenario(10, 312))[0]
+    for c in (1e-300, 1.0):
+        report = pgt_jump_report(spec, c)
+        with mpmath.workdps(40):
+            rows = [(rep, f, mpmath.mpf(rep.approx())) for rep, f in CountingFunction(spec).jumps()]
+            want_max = max(f * l * mpmath.exp(-l) for _, f, l in rows)
+            want = [(rep, f, c * mpmath.exp(l) / l) for rep, f, l in rows if f > c * mpmath.exp(l) / l]
+        assert abs(report.max_normalized - want_max) <= 1e-12 * want_max
+        assert [(rep, f) for rep, f, _ in report.violations] == [(rep, f) for rep, f, _ in want]
+        for (_, _, got), (_, _, env) in zip(report.violations, want):
+            assert got == math.inf if env > sys.float_info.max else abs(got - env) <= 1e-12 * env
+    assert report.max_normalized == pytest.approx(2.3417290395749433, rel=1e-12)
+    # a huge count on a long length: f * l and e^l both pass the float range
+    big = spec_of([GeodesicEntry(Numeric(800.0), P, multiplicity=10**400)], horizon=Numeric(1000.0))
+    report = pgt_jump_report(big, 1.0)
+    assert report.violations == ((Numeric(800.0), 10**400, math.inf),)
+    with mpmath.workdps(40):
+        want = float(10**400 * mpmath.mpf(800) * mpmath.exp(-800))
+    assert abs(report.max_normalized - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+def test_pgt_jump_report_refuses_a_bad_envelope_constant(c):
+    with pytest.raises(ValueError, match="envelope constant must be positive and finite"):
+        pgt_jump_report(spec_of([]), c)
 
 
 # Exact(2, 1) twice over (base 4 folds to base 2) and its Numeric twin with the same float
