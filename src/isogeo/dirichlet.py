@@ -22,6 +22,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from itertools import repeat
 from typing import Callable, Sequence, Tuple, Union
@@ -136,22 +137,40 @@ def _series_term(l: float, s: complex, log_weight: float = 0.0) -> complex:
     return l / root * cmath.exp(-s * log_cosh + log_weight)
 
 
+def _plain_term(l: float, s: complex) -> complex:
+    """_series_term(l, s), or NaN where cmath.exp overflows: that row takes the log path."""
+    try:
+        return _series_term(l, s)
+    except OverflowError:
+        return complex(math.nan, math.nan)
+
+
 def _series_sum(x: np.ndarray, coef: np.ndarray, exact: Callable[[list], list], s: complex) -> complex:
     """The sum over the ascending float column x of coef[i] * _series_term(x[i], s),
     with _series_term called once per distinct float and the terms added one at a
     time from 0j in entry order, as the entry-by-entry loop adds them.  A row whose
-    coef is NaN (its float past the float range) takes its exact coefficient from
-    exact(rows) instead, whose log joins the exponent of a term of its own.  A fault
-    (a zero root, cmath.exp past the float range) raises as _series_term raises it."""
-    big = np.isnan(coef)
-    fx = x[~big]
-    u = fx[run_starts(fx)]
-    terms = list(map(_series_term, u.tolist(), repeat(s)))
-    out = list(map(operator.mul, coef[~big].tolist(), map(terms.__getitem__, u.searchsorted(fx).tolist())))
-    rows = np.flatnonzero(big).tolist()
-    for i, c in zip(rows, exact(rows)):  # ascending: each goes in at its own place
-        out.insert(i, _series_term(x.item(i), s, math.log(c.numerator) - math.log(c.denominator)))
-    return reduce(operator.add, out, 0j)
+    plain product cannot be formed (its coef NaN, past the float range, or the term
+    or the product past it) takes the log of its coefficient into the exponent of
+    a term of its own, of its exact coefficient from exact(rows) where coef is NaN
+    or 0.0 (rounded from a positive value).  A term or a total still past the
+    float range raises OverflowError, and another fault (a zero root) raises as
+    _series_term raises it."""
+    u = x[run_starts(x)]
+    terms = list(map(_plain_term, u.tolist(), repeat(s)))
+    out = list(map(operator.mul, coef.tolist(), map(terms.__getitem__, u.searchsorted(x).tolist())))
+    total = reduce(operator.add, out, 0j)
+    if not cmath.isfinite(total):  # a plain product could not be formed: a finite total has none
+        rows = [i for i, v in enumerate(out) if not cmath.isfinite(v)]
+        big = [i for i in rows if not coef[i] > 0]  # NaN, or a float rounded to 0: its exact value
+        logs = {i: math.log(coef[i]) for i in rows if coef[i] > 0}
+        for i, c in zip(big, map(Fraction, exact(big))):
+            logs[i] = math.log(c.numerator) - math.log(c.denominator)
+        for i in rows:  # ascending: each replaces its own place
+            out[i] = _series_term(x.item(i), s, logs[i])
+        total = reduce(operator.add, out, 0j)
+        if not cmath.isfinite(total):  # a term, or the sum of finite terms, past the float range
+            raise OverflowError("the partial sum is past the float range")
+    return total
 
 
 def dirichlet_partial_sum(
@@ -165,7 +184,8 @@ def dirichlet_partial_sum(
     float m * float(wt) times the series term, from the spectrum's count and
     weight-float columns (no weight list is built), and each series term is
     evaluated once per distinct length.  A multiplicity past the float range
-    joins the exponent as the log of its exact m * wt (``spec.exact_terms``).
+    joins the exponent as the log of its exact m * wt (``spec.exact_terms``),
+    and a term whose plain product leaves the float range the log of m * wt.
     """
     z = _as_complex(s)
     _warn_if_diverging(z)

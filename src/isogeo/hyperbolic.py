@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import EmptyGenerators, NotTranslating
-from .lengths import Numeric, cluster_ids, run_starts
+from .lengths import ExactKeys, Numeric, cluster_ids, run_starts
 from .spectrum import LengthTwistSpectrum
 
 DET_TOLERANCE = 1e-12
@@ -376,7 +376,7 @@ def enumerate_geodesics(
     bucket = np.lexsort((nu, reversing, cluster))
     starts = run_starts(cluster[bucket], reversing[bucket], nu[bucket])
     first = bucket[starts]
-    columns = (length[first], [None] * len(first), reversing[first], nu[first].tolist(),
+    columns = (length[first], ExactKeys.numeric(len(first)), reversing[first], nu[first].tolist(),
                np.diff(starts, append=len(bucket)).tolist())
     spectrum = LengthTwistSpectrum.from_columns(columns, Numeric(config.length_cutoff), tol)
     return EnumerationResult(spectrum, elliptic, dropped)

@@ -36,6 +36,7 @@ from .lengths import (
     LengthValue,
     Numeric,
     as_integer,
+    exact_keys,
     finite_number,
     positive_length,
 )
@@ -100,15 +101,16 @@ def length_from_json(doc: Dict[str, Any]) -> LengthValue:
 
 
 def spectrum_to_json(spec: LengthTwistSpectrum) -> Dict[str, Any]:
-    columns = zip(spec.approx.tolist(), spec.exact, spec.reversing.tolist(), spec.nu, spec.multiplicity)
+    columns = zip(spec.approx.tolist(), *(k.tolist() for k in spec.keys), spec.reversing.tolist(), spec.nu,
+                  spec.multiplicity)
     return {"horizon": length_to_json(spec.horizon),
-            "entries": [{"length": {"numeric": x} if l is None else length_to_json(l),
+            "entries": [{"length": {"exact": {"q": q, "num": n, "den": d}} if q else {"numeric": x},
                          "orientation": ORIENTATIONS[r].value, "nu": nu, "multiplicity": m}
-                        for x, l, r, nu, m in columns]}
+                        for x, q, n, d, r, nu, m in columns]}
 
 
 def _entry_columns(entries: List[Dict[str, Any]]) -> tuple:
-    """The entries as columns (approx, exact, reversing, nu, multiplicity), each field
+    """The entries as columns (approx, keys, reversing, nu, multiplicity), each field
     gathered in one pass; only exact lengths reach _length_column, once per distinct
     (q, num, den) of plain ints.  Raises unless every numeric length is an int or a
     float (numpy would take a bool or a string); the spectrum checks the values."""
@@ -130,7 +132,7 @@ def _entry_columns(entries: List[Dict[str, Any]]) -> tuple:
     x, exact = zip(*pairs) if pairs else ((), ())
     if set(map(type, x)) - {int, float}:
         raise ValueError("a column holds a value that is not plain")
-    return np.array(x, dtype=float), exact, reversing, nu, mult
+    return np.array(x, dtype=float), exact_keys(exact), reversing, nu, mult
 
 
 @_document

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Integral
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -73,10 +73,12 @@ _canonical_root = lru_cache(maxsize=1024)(canonical_power_root)  # bases repeat:
 
 @dataclass(frozen=True, slots=True)
 class Exact:
-    """Length ``mult * log(base)``, held in exact rational arithmetic."""
+    """Length ``mult * log(base)``, held in exact rational arithmetic; its float
+    (None past the float range, where approx() raises) is computed once."""
 
     base: int
     mult: Fraction
+    _x: float | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, base: int, mult: RationalLike):
         if isinstance(mult, float):
@@ -86,15 +88,18 @@ class Exact:
         if r <= 0:
             raise ValueError(f"length multiplier must be positive, got {r}")
         g, e = _canonical_root(as_integer(base, "base"))
-        object.__setattr__(self, "base", g)
-        object.__setattr__(self, "mult", r if e == 1 else r * e)
+        _set_exact(self, g, r if e == 1 else r * e)
+
+    def __hash__(self) -> int:
+        return hash(self._x)  # equal lengths have equal floats, and a float hashes in C
 
     def approx(self) -> float:
-        return float(self.mult) * math.log(self.base)
+        return float(self.mult) * math.log(self.base) if self._x is None else self._x
 
     def integer_mult(self) -> int | None:
         """The integer n with self = n*log(base), or None if fractional."""
-        return int(self.mult) if self.mult.denominator == 1 else None
+        n, d = self.mult.as_integer_ratio()
+        return n if d == 1 else None
 
     def scaled(self, k: RationalLike) -> "Exact":
         if isinstance(k, float):
@@ -165,6 +170,71 @@ def numerics(values: Iterable[float]) -> List[Numeric]:
 
 
 LengthValue = Union[Exact, Numeric]
+_SET_BASE, _SET_MULT, _SET_X = (getattr(Exact, f).__set__ for f in ("base", "mult", "_x"))
+
+
+def _set_exact(l: Exact, base: int, mult: Fraction) -> Exact:
+    num, den = mult.as_integer_ratio()
+    try:
+        x = num / den * math.log(base)  # num / den is float(mult): both round the quotient once
+    except OverflowError:  # a multiplier past the float range
+        x = None
+    _SET_BASE(l, base), _SET_MULT(l, mult), _SET_X(l, x)
+    return l
+
+
+def keyed_exact(base: int, num: int, den: int) -> Exact:
+    """The Exact of a canonical key row, set field by field: base is a canonical
+    root and num/den in lowest terms, so nothing is canonicalised or checked again."""
+    return _set_exact(object.__new__(Exact), base, Fraction(num) if den == 1 else Fraction(num, den))
+
+
+def int_column(values) -> np.ndarray:
+    """values as an int64 array, or as Python ints (object) where one is past int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+class ExactKeys(NamedTuple):
+    """Canonical keys of lengths as columns, each as :func:`int_column` holds it.
+    The exact length mult*log(base) is the row (base, num, den), base its canonical
+    root and mult = num/den in lowest terms, so exact lengths are equal exactly when
+    their rows are; a numeric length is the row (0, 0, 1)."""
+
+    base: np.ndarray
+    num: np.ndarray
+    den: np.ndarray
+
+    @classmethod
+    def numeric(cls, n: int) -> "ExactKeys":
+        """The key rows of n numeric lengths."""
+        return cls(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64))
+
+    def take(self, at) -> "ExactKeys":
+        return ExactKeys(*(k[at] for k in self))
+
+    def lengths(self, at: Sequence[int]) -> List[Exact | None]:
+        """The lengths of the rows at: None for a numeric row, else an Exact made
+        by :func:`keyed_exact` once per run of equal keys in at, so once per
+        distinct key where equal keys are adjacent (a spectrum's canonical order)."""
+        at = np.asarray(at, dtype=np.intp)
+        keys = self.take(at)
+        if not keys.base.any():  # no exact row
+            return [None] * len(at)
+        starts = run_starts(*keys)
+        made = [keyed_exact(*key) if key[0] else None for key in zip(*(k[starts].tolist() for k in keys))]
+        return np.repeat(np.array(made, dtype=object), np.diff(starts, append=len(at))).tolist()
+
+
+def exact_keys(lengths: Iterable[LengthValue | None]) -> ExactKeys:
+    """The key rows of lengths held as objects: an Exact's (base, num, den), and
+    (0, 0, 1) for a Numeric length or None."""
+    rows = [(l.base, *l.mult.as_integer_ratio()) if isinstance(l, Exact) else None for l in lengths]
+    if rows.count(None) == len(rows):
+        return ExactKeys.numeric(len(rows))
+    return ExactKeys(*map(int_column, zip(*(r or (0, 0, 1) for r in rows))))
 
 
 def lengths_equal(a: LengthValue, b: LengthValue, tol: float = DEFAULT_TOLERANCE) -> bool:
@@ -205,37 +275,26 @@ def tanh_half(l: LengthValue | float) -> Fraction | float:
     return math.tanh((l if isinstance(l, float) else l.approx()) / 2.0)
 
 
-def sorted_order(x: np.ndarray, lengths: Sequence[LengthValue | None], *keys: Sequence) -> np.ndarray:
-    """Stable argsort of the float column x of the given lengths (None for a
-    numeric one).  Equal floats put exact lengths first, by base and then
-    multiplier, then the given keys decide.  The runs of equal floats are
-    ordered by one lexsort; only a run holding two different Exact values
-    reaches Python."""
+def sorted_order(x: np.ndarray, keys: ExactKeys, *more: Sequence) -> np.ndarray:
+    """Stable argsort of the float column x of lengths with the given key rows.
+    Equal floats put exact lengths first, by base and then multiplier, then the
+    further columns decide: where floats tie, one lexsort over the key columns,
+    multipliers by (den, num).  That is their order by value unless two of one
+    base differ in den, and only a run of equal floats holding such a pair is
+    sorted again, in Python."""
     order = np.argsort(x, kind="stable")
     xs = x[order]
-    tied = xs[1:] == xs[:-1]  # xs[i] == xs[i + 1]
-    if not tied.any():
+    if not (xs[1:] == xs[:-1]).any():
         return order
-    at = np.flatnonzero(np.append(tied, False) | np.append(False, tied))  # positions in a run of equal floats
-    run = np.cumsum(np.diff(xs[at], prepend=xs[at[0]]) != 0)
-    members = order[at]
-    numeric = np.array([not isinstance(lengths[i], Exact) for i in members.tolist()])
     # a list column stays Python ints: numpy would round a mix of large ones to float
-    cols = [k[members] if isinstance(k, np.ndarray) else np.array([k[i] for i in members.tolist()], dtype=object)
-            for k in reversed(keys)]
-    order[at] = members[np.lexsort((*cols, numeric, run))]
-
-    def tiebreak(i: int) -> tuple:
-        l = lengths[i]
-        return ((0, l.base, l.mult) if isinstance(l, Exact) else (1, 0, 0), *(k[i] for k in keys))
-
-    first, mixed = {}, set()  # each run's first Exact value; the runs holding another
-    for r, l in zip(run[~numeric].tolist(), (lengths[i] for i in members[~numeric].tolist())):
-        if first.setdefault(r, l) is not l and first[r] != l:
-            mixed.add(r)
-    for r in mixed:
-        lo, hi = at[np.searchsorted(run, r)], at[np.searchsorted(run, r, "right") - 1] + 1
-        order[lo:hi] = sorted(order[lo:hi].tolist(), key=tiebreak)
+    cols = [k if isinstance(k, np.ndarray) else np.array(k, dtype=object) for k in reversed(more)]
+    order = np.lexsort((*cols, keys.num, keys.den, keys.base, keys.base == 0, x))
+    xs, base, den = x[order], keys.base[order], keys.den[order]
+    mixed = (xs[1:] == xs[:-1]) & (base[1:] == base[:-1]) & (base[1:] != 0) & (den[1:] != den[:-1])
+    for v in sorted(set(xs[1:][mixed].tolist())):  # the float of a run holding such a pair
+        lo, hi = np.searchsorted(xs, v), np.searchsorted(xs, v, "right")
+        order[lo:hi] = sorted(order[lo:hi].tolist(), key=lambda i: (
+            keys.base[i] == 0, keys.base[i], Fraction(int(keys.num[i]), int(keys.den[i])), *(k[i] for k in more)))
     return order
 
 
@@ -259,17 +318,18 @@ def cluster_ids(x: np.ndarray, tol: float) -> np.ndarray:
 
 
 class Clusters:
-    """Length clusters over sorted float columns, each given with its Exact
-    lengths (None for a numeric one; the float of an Exact length is its
-    approx()): the columns are merged by a stable argsort and split by
-    :func:`cluster_ids`.  ``ids[k]`` holds the cluster of each value of
-    column k; ``starts``, ``lo`` and ``hi`` the first merged position and the
-    least and greatest value of each cluster, and ``rep_floats`` the float of
-    each cluster's representative (see :meth:`reps`), as an array."""
+    """Length clusters over float columns, each given with its key rows (the
+    float of an exact length is its approx()): the columns are merged by
+    :func:`sorted_order` and split by :func:`cluster_ids`.  ``ids[k]`` holds the
+    cluster of each value of column k; ``starts``, ``lo`` and ``hi`` the first
+    merged position and the least and greatest value of each cluster, and
+    ``rep_floats`` the float of each cluster's representative (see :meth:`reps`),
+    as an array."""
 
-    def __init__(self, columns: Sequence[Tuple[np.ndarray, Sequence[Exact | None]]], tol: float):
+    def __init__(self, columns: Sequence[Tuple[np.ndarray, ExactKeys]], tol: float):
         x = np.concatenate([c[0] for c in columns])
-        order = np.argsort(x, kind="stable")
+        self._keys = ExactKeys(*map(np.concatenate, zip(*(c[1] for c in columns))))
+        order = sorted_order(x, self._keys)
         merged = cluster_ids(x[order], tol)
         ids = np.empty_like(merged)
         ids[order] = merged
@@ -281,27 +341,23 @@ class Clusters:
         last = np.append(starts, len(merged))[1:] - 1  # last merged position of each
         self.rep_floats = x[order[starts]]
         self.lo, self.hi = self.rep_floats.tolist(), x[order[last]].tolist()
-        self._exact: dict = {}  # each cluster's least Exact length
-        exact = [l for c in columns for l in c[1]]
-        # merged positions of the Exact lengths; the first of each cluster has its least float
-        pos = order[np.array([l is not None for l in exact], dtype=bool)[order]]
+        # merged rows of the exact lengths; the first of each cluster is its least
+        pos = order[self._keys.base[order] != 0]
         c = ids[pos]
-        runs = run_starts(c, x[pos])  # runs of one (cluster, float)
-        first = run_starts(c[runs])  # each cluster's first run
-        self.rep_floats[c[runs[first]]] = x[pos[runs[first]]]
-        for j, k in zip(runs[first].tolist(), np.append(runs, len(pos))[first + 1].tolist()):
-            tied = [exact[i] for i in pos[j:k].tolist()]  # at the cluster's least float; often one object
-            self._exact[int(c[j])] = (tied[0] if tied.count(tied[0]) == len(tied)
-                                      else tied[sorted_order(x[pos[j:k]], tied)[0]])
+        first = run_starts(c)
+        self.rep_floats[c[first]] = x[pos[first]]
+        self._least = np.full(self.size, -1)  # each cluster's least exact row, -1 for none
+        self._least[c[first]] = pos[first]
 
     def reps(self, at: Sequence[int]) -> List[LengthValue]:
-        """The representative of each cluster of at: its least Exact length, else
+        """The representative of each cluster of at: its least exact length, else
         its least length (lo holds checked column floats, so none is checked again)."""
-        out = list(map(self._exact.get, at))
-        numeric = [i for i, l in enumerate(out) if l is None]
-        for i, l in zip(numeric, numerics([self.lo[at[i]] for i in numeric])):
-            out[i] = l
-        return out
+        at = np.asarray(at, dtype=np.intp)
+        rows, out = self._least[at], np.empty(len(at), dtype=object)
+        exact = rows >= 0
+        out[exact] = self._keys.lengths(rows[exact])
+        out[~exact] = numerics(self.rep_floats[at[~exact]].tolist())
+        return out.tolist()
 
     def rep(self, c: int) -> LengthValue:
         return self.reps([c])[0]
@@ -317,7 +373,7 @@ def cluster_lengths(
     """
     values = list(values)
     x = np.array([v.approx() for v in values], dtype=float)
-    order = sorted_order(x, values)
+    order = sorted_order(x, exact_keys(values))
     ordered = [values[i] for i in order.tolist()]
     starts = run_starts(cluster_ids(x[order], tol)).tolist()
     return [ordered[lo:hi] for lo, hi in zip(starts, starts[1:] + [len(values)])]

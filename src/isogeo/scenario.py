@@ -15,9 +15,10 @@ rules the family out as an actual pair of surfaces.
 
 Everything here is exact integer/rational arithmetic on the grid multiplier
 n: a residual is one integer expression over n*(q**n + 1), and a spectrum
-pair makes one Exact per grid point.  The necklace oracle, which enumerates
-the Lyndon words of length n on the necklace walk of the word enumerator,
-is the independent cross-check for c_n.
+pair holds its grid lengths as integer key columns, with no Exact per
+entry.  The necklace oracle, which enumerates the Lyndon words of length n
+on the necklace walk of the word enumerator, is the independent
+cross-check for c_n.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import BeyondHorizon, TooLarge
 from .hyperbolic import necklace_walk
-from .lengths import Exact
+from .lengths import Exact, ExactKeys, canonical_power_root, int_column, keyed_exact
 from .spectrum import DiscrepancyTable, LengthTwistSpectrum
 
 ORACLE_CAP = 10**7
@@ -207,7 +208,8 @@ def asymptotic_ratio(q: int, n: int) -> Fraction:
 
 def to_discrepancy(sol: ScenarioSolution) -> DiscrepancyTable:
     """The scenario as a DiscrepancyTable keyed by exact grid lengths."""
-    grid = {n: sol.grid_length(n) for n in sol.a.keys() | sol.b.keys() | {sol.horizon}}  # one Exact per n
+    g, e = canonical_power_root(sol.q)  # one Exact per n, made from its key row (g, n*e, 1)
+    grid = {n: keyed_exact(g, n * e, 1) for n in sol.a.keys() | sol.b.keys() | {sol.horizon}}
     a = {grid[n]: v for n, v in sol.a.items()}
     b = {grid[n]: v for n, v in sol.b.items()}
     return DiscrepancyTable(a, b, grid[sol.horizon])
@@ -224,25 +226,30 @@ def to_spectra(sol: ScenarioSolution) -> Tuple[LengthTwistSpectrum, LengthTwistS
     primitives flipped to preserving, so the pair's total weight
     functions agree at every grid length.  These spectra are synthetic:
     oriented multiplicities need not be even, so surface validation
-    does not apply.
+    does not apply.  With q = g**e, g its canonical root, the grid length
+    n*log(q) is the key row (g, n*e, 1) with the float of Exact(q, n): the
+    columns are built from ints, and no Exact is made.
     """
-    h = sol.horizon
-    grid = [sol.grid_length(n) for n in range(1, h + 1)]  # one Exact per grid point
-    approx = [l.approx() for l in grid]
-    # columns (approx, exact, reversing, nu, multiplicity) of each spectrum
+    h, (g, e) = sol.horizon, canonical_power_root(sol.q)
+    log_g = math.log(g)
+    approx = [float(n * e) * log_g for n in range(1, h + 1)]  # the bits of Exact(q, n).approx()
+    # columns (approx, multiplier of log g, reversing, nu, multiplicity) of each spectrum
     sides = tuple(tuple([] for _ in range(5)) for _ in range(2))
     for reversing, values in ((False, sol.a), (True, sol.b)):
         for n, v in sorted(values.items()):
             powers = range(1, h // n + 1)  # empty for an n past the horizon
             if not powers:
                 continue
-            x, exact, rev, nu, mult = sides[(v > 0) == reversing]
+            x, num, rev, nu, mult = sides[(v > 0) == reversing]
             x += approx[n - 1::n]
-            exact += grid[n - 1::n]
+            num += range(n * e, h * e + 1, n * e)
             rev += [k % 2 for k in powers] if reversing else [0] * len(powers)
             nu += powers
             mult += [abs(v)] * len(powers)
-    return tuple(LengthTwistSpectrum.from_columns(side, sol.grid_length(h)) for side in sides)
+    horizon = keyed_exact(g, h * e, 1)
+    return tuple(LengthTwistSpectrum.from_columns(
+        (x, ExactKeys(*map(int_column, ([g] * len(num), num, [1] * len(num)))), rev, nu, mult), horizon)
+        for x, num, rev, nu, mult in sides)
 
 
 class ScenarioRow(NamedTuple):

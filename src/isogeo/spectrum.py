@@ -26,6 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from operator import methodcaller
 from types import MappingProxyType
 from typing import Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
@@ -45,10 +46,13 @@ from .lengths import (
     DEFAULT_TOLERANCE,
     Clusters,
     Exact,
+    ExactKeys,
     LengthValue,
     Numeric,
     as_integer,
+    exact_keys,
     exact_ratio,
+    int_column,
     length_le,
     lengths_equal,
     numerics,
@@ -111,60 +115,69 @@ class LengthTwistSpectrum:
     Entries sharing identical (length, orientation, nu) are aggregated at
     construction and held as columns in canonical order (ascending length,
     exact first on a tie, preserving before reversing, ascending nu):
-    ``approx`` (float64), ``exact`` (Exact or None), ``reversing`` (int8),
-    ``nu`` and ``multiplicity`` (ints); ``entries`` is a tuple view of them.
+    ``approx`` (float64), ``keys`` (the canonical key rows of the lengths,
+    :class:`~isogeo.lengths.ExactKeys`), ``reversing`` (int8), ``nu`` and
+    ``multiplicity`` (ints); ``exact`` (Exact or None) and ``entries`` are views
+    of them, built on first use.
     """
 
     def __init__(self, entries: Iterable[GeodesicEntry], horizon: LengthValue,
                  tolerance: float = DEFAULT_TOLERANCE):
         entries = list(entries)
         lengths = [e.length for e in entries]
-        self._build([l.approx() for l in lengths], [l if isinstance(l, Exact) else None for l in lengths],
+        self._build([l.approx() for l in lengths], exact_keys(lengths),
                     [e.orientation is Orientation.REVERSING for e in entries], [e.nu for e in entries],
                     [e.multiplicity for e in entries], horizon, tolerance)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], horizon: LengthValue,
                      tolerance: float = DEFAULT_TOLERANCE) -> "LengthTwistSpectrum":
-        """From columns (approx, exact, reversing, nu, multiplicity) in any order,
-        checked as entries are: counts ints >= 1, lengths positive and finite."""
+        """From columns (approx, keys, reversing, nu, multiplicity) in any order,
+        checked as entries are: counts ints >= 1, lengths positive and finite.  The
+        keys are the ExactKeys of the lengths, or the Exact-or-None column they
+        are read from (by :func:`~isogeo.lengths.exact_keys`)."""
         spec = cls.__new__(cls)
         spec._build(*columns, horizon, tolerance)
         return spec
 
-    def _build(self, approx, exact, reversing, nu, mult, horizon, tolerance):
+    def _build(self, approx, keys, reversing, nu, mult, horizon, tolerance):
         if not 0 < tolerance < math.inf:
             raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
         counts = [*nu, *mult]
         if set(map(type, counts)) - {int} or min(counts, default=1) < 1:  # 2.0 converts, the rest raises
             nu, mult = map(list, zip(*map(entry_counts, nu, mult)))
-        x, rev = np.asarray(approx, dtype=float), np.asarray(reversing, dtype=np.int8)
+        keys = keys if isinstance(keys, ExactKeys) else exact_keys(keys)
+        x, rev, nu = np.asarray(approx, dtype=float), np.asarray(reversing, dtype=np.int8), int_column(nu)
         bad = ~((x > 0) & (x < np.inf))  # NaN fails both
         if bad.any():
             positive_length(x[bad][0])
-        order = sorted_order(x, exact, rev, nu)
-        xs, rs, at = x[order], rev[order], order.tolist()
-        mult = [mult[i] for i in at]
+        order = sorted_order(x, keys, rev, nu)
+        x, keys, rev, nu = x[order], keys.take(order), rev[order], nu[order]
         # copies of one (length, orientation, nu) sort side by side: fold each into the one before
-        copies = [j + 1 for j in np.flatnonzero((xs[1:] == xs[:-1]) & (rs[1:] == rs[:-1])).tolist()
-                  if nu[at[j]] == nu[at[j + 1]] and exact[at[j]] == exact[at[j + 1]]]
-        for j in reversed(copies):
+        copies = np.flatnonzero(np.logical_and.reduce([c[1:] == c[:-1] for c in (x, *keys, rev, nu)])) + 1
+        mult = [mult[i] for i in order.tolist()]
+        for j in reversed(copies.tolist()):
             mult[j - 1] += mult[j]
-        keep = np.delete(np.arange(len(at)), copies)
-        self.approx, self.reversing, at = xs[keep], rs[keep], order[keep].tolist()
-        self.exact, self.nu = [exact[i] for i in at], [nu[i] for i in at]
-        self.multiplicity, self.horizon, self.tolerance = [mult[j] for j in keep.tolist()], horizon, tolerance
+        keep = np.delete(np.arange(len(order)), copies)
+        self.approx, self.keys, self.reversing = x[keep], keys.take(keep), rev[keep]
+        self.nu, self.multiplicity = nu[keep].tolist(), [mult[j] for j in keep.tolist()]
+        self.horizon, self.tolerance = horizon, tolerance
         # lengths below the horizon's float are within it; the top run needs length_le
-        for i in range(int(np.searchsorted(self.approx, horizon.approx())), len(keep)):
-            l = self.exact[i] or Numeric(float(self.approx[i]))
+        top = np.arange(int(np.searchsorted(self.approx, horizon.approx())), len(keep))
+        for l, v in zip(self.keys.lengths(top), self.approx[top].tolist()):
+            l = l or Numeric(v)
             if not length_le(l, horizon, tolerance):
                 raise ValueError(f"entry length {l} exceeds horizon {horizon}")
 
     @cached_property
+    def exact(self) -> List[Exact | None]:
+        """The length of each exact entry (one object per distinct key), None for a numeric one."""
+        return self.keys.lengths(np.arange(len(self)))
+
+    @cached_property
     def entries(self) -> Tuple[GeodesicEntry, ...]:
         """The columns as entries, set field by field: nothing is checked again."""
-        at = [i for i, l in enumerate(self.exact) if l is None]
-        numeric = iter(numerics(self.approx[at].tolist()))
+        numeric = iter(numerics(self.approx[self.keys.base == 0].tolist()))
         entries = [object.__new__(GeodesicEntry) for _ in self.nu]
         columns = ([l or next(numeric) for l in self.exact],
                    [ORIENTATIONS[r] for r in self.reversing.tolist()], self.nu, self.multiplicity)
@@ -174,10 +187,9 @@ class LengthTwistSpectrum:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LengthTwistSpectrum)
-                and np.array_equal(self.approx, other.approx)
-                and np.array_equal(self.reversing, other.reversing)
-                and (self.exact, self.nu, self.multiplicity, self.horizon)
-                == (other.exact, other.nu, other.multiplicity, other.horizon))
+                and all(map(np.array_equal, (self.approx, self.reversing, *self.keys),
+                            (other.approx, other.reversing, *other.keys)))
+                and (self.nu, self.multiplicity, self.horizon) == (other.nu, other.multiplicity, other.horizon))
 
     def __len__(self) -> int:
         return len(self.approx)
@@ -200,20 +212,20 @@ class LengthTwistSpectrum:
     def _damping(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Each entry's damping factor, tanh(l/2) for a reversing type and 1 for a
         preserving one, as columns (p, q, t, is_float): exact p/q in lowest terms,
-        (q^n - 1)/(q^n + 1), at l = n*log(q), from one :func:`tanh_half` per Exact
-        object (by identity: a document shares one per length), int64 unless a q
-        is past it; elsewhere the float t = math.tanh(l/2) (is_float, p = q = 1).
-        W, :attr:`weight_floats` and :meth:`exact_terms` evaluate the weight
-        formula from this column and :attr:`counts` alone."""
-        n, rev, tanh = len(self), self.reversing.astype(bool), {}
-        at = [i for i in np.flatnonzero(rev).tolist() if self.exact[i]] if any(self.exact) else []
-        h = [tanh.get(id(l)) or tanh.setdefault(id(l), tanh_half(l)) for l in map(self.exact.__getitem__, at)]
-        at, h = [i for i, x in zip(at, h) if type(x) is Fraction], [x for x in h if type(x) is Fraction]
-        is_float, t = rev.copy(), np.zeros(n)
+        (q^n - 1)/(q^n + 1), at l = n*log(q), from one :func:`tanh_half` per
+        distinct key (base, n), int64 unless a q is past it; elsewhere the float
+        t = math.tanh(l/2) (is_float, p = q = 1).  W, :attr:`weight_floats` and
+        :meth:`exact_terms` evaluate the weight formula from this column and
+        :attr:`counts` alone."""
+        (base, _, den), rev = self.keys, self.reversing.astype(bool)
+        at = np.flatnonzero(rev & (base != 0) & (den == 1))
+        tanh = {}  # keys.lengths makes one Exact per distinct key: equal keys are adjacent
+        h = [tanh.get(id(l)) or tanh.setdefault(id(l), tanh_half(l)) for l in self.keys.lengths(at)]
+        is_float, t = rev.copy(), np.zeros(len(self))
         is_float[at] = False
         t[is_float] = np.fromiter(map(math.tanh, (self.approx[is_float] / 2.0).tolist()), float)
         dtype = np.int64 if all(x.denominator < 2**63 for x in h) else object
-        p, q = np.ones(n, dtype=dtype), np.ones(n, dtype=dtype)
+        p, q = np.ones(len(self), dtype=dtype), np.ones(len(self), dtype=dtype)
         p[at], q[at] = [x.numerator for x in h], [x.denominator for x in h]
         return p, q, t, is_float
 
@@ -221,7 +233,7 @@ class LengthTwistSpectrum:
     def counts(self) -> Tuple[np.ndarray, np.ndarray]:
         """The nu and multiplicity columns as arrays, each int64 unless a value is
         past it, then Python ints (object)."""
-        return _int_column(self.nu), _int_column(self.multiplicity)
+        return int_column(self.nu), int_column(self.multiplicity)
 
     @cached_property
     def weight_floats(self) -> np.ndarray:
@@ -255,7 +267,7 @@ class LengthTwistSpectrum:
 
     @cached_property
     def clusters(self) -> Clusters:
-        return Clusters([(self.approx, self.exact)], self.tolerance)
+        return Clusters([(self.approx, self.keys)], self.tolerance)
 
     @cached_property
     def weight_columns(self) -> WeightColumns:
@@ -266,13 +278,6 @@ class LengthTwistSpectrum:
     def cluster_weights(self) -> List[Fraction | float]:
         """W of each of the spectrum's own length clusters."""
         return self.weight_columns.values()
-
-
-def _int_column(values: List[int]) -> np.ndarray:
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
 
 
 def _float_or_nan(num: int, den: int = 1) -> float:
@@ -444,7 +449,7 @@ def compare_weights(
     within tolerance otherwise) at every length of either spectrum.
     """
     tol = _require_common_horizon(a, b)
-    clusters = Clusters([(a.approx, a.exact), (b.approx, b.exact)], tol)
+    clusters = Clusters([(a.approx, a.keys), (b.approx, b.keys)], tol)
     wa, wb = (_cluster_weights(s, ids, clusters.size) for s, ids in zip((a, b), clusters.ids))
     exact = ~(wa.is_float | wb.is_float)
     differ = exact & ((wa.num != wb.num) | (wa.den != wb.den))
@@ -476,7 +481,7 @@ def almost_conjugate(
     used throughout.
     """
     tol = _require_common_horizon(a, b)
-    clusters = Clusters([(a.approx, a.exact), (b.approx, b.exact)], tol)
+    clusters = Clusters([(a.approx, a.keys), (b.approx, b.keys)], tol)
     keys = (np.array(a.nu + b.nu, dtype=object), np.concatenate((a.reversing, b.reversing)),
             np.concatenate(clusters.ids))
     order = np.lexsort(keys)  # one pass over both sides, in (cluster, orientation, nu) order
@@ -515,7 +520,8 @@ class DiscrepancyTable:
     def __post_init__(self):
         object.__setattr__(self, "a", MappingProxyType({l: int(v) for l, v in self.a.items() if v != 0}))
         object.__setattr__(self, "b", MappingProxyType({l: int(v) for l, v in self.b.items() if v != 0}))
-        for l in self._support:
+        support = self._support  # ascending: lengths below the horizon's float are within it
+        for l in support[bisect_left(support, self.horizon.approx(), key=methodcaller("approx")):]:
             if not length_le(l, self.horizon, self.tolerance):
                 raise ValueError(f"support length {l} exceeds horizon {self.horizon}")
 
@@ -534,7 +540,7 @@ class DiscrepancyTable:
     @cached_property
     def _support(self) -> Tuple[LengthValue, ...]:
         support = list(self.a.keys() | self.b.keys())
-        order = sorted_order(np.array([l.approx() for l in support], dtype=float), support)
+        order = sorted_order(np.array([l.approx() for l in support], dtype=float), exact_keys(support))
         return tuple(support[i] for i in order.tolist())
 
     @cached_property
@@ -568,15 +574,16 @@ def discrepancy(a: LengthTwistSpectrum, b: LengthTwistSpectrum) -> DiscrepancyTa
     """
     tol = _require_common_horizon(a, b)
     sides = [(s, [i for i, n in enumerate(s.nu) if n == 1]) for s in (a, b)]
-    clusters = Clusters([(s.approx[t], [s.exact[i] for i in t]) for s, t in sides], tol)
+    clusters = Clusters([(s.approx[t], s.keys.take(t)) for s, t in sides], tol)
     rev = np.concatenate([s.reversing[t] for s, t in sides])
     # a(l): a's preserving count minus b's; b(l): b's reversing count minus a's
     signed = [(-1) ** (k + int(s.reversing[i])) * s.multiplicity[i]
               for k, (s, t) in enumerate(sides) for i in t]
     d = np.zeros((2, clusters.size), dtype=object)
     np.add.at(d, (rev, np.concatenate(clusters.ids)), np.array(signed, dtype=object))
-    nonzero = [np.flatnonzero(r).tolist() for r in d]
-    a_map, b_map = (dict(zip(clusters.reps(at), map(int, r[at]))) for r, at in zip(d, nonzero))
+    at = np.flatnonzero((d != 0).any(axis=0)).tolist()
+    reps = dict(zip(at, clusters.reps(at)))  # one representative per cluster, shared by a and b
+    a_map, b_map = ({reps[c]: int(r[c]) for c in np.flatnonzero(r).tolist()} for r in d)
     return DiscrepancyTable(a_map, b_map, a.horizon, tol)
 
 
@@ -700,7 +707,7 @@ class CountingFunction:
     function whose jumps sum to F(horizon).
     """
 
-    __slots__ = ("_reps", "_xs", "_jumps", "_cums", "horizon", "tolerance")
+    __slots__ = ("_clusters", "_xs", "_jumps", "_cums", "horizon", "tolerance")
 
     def __init__(self, spec: LengthTwistSpectrum):
         self.horizon, self.tolerance = spec.horizon, spec.tolerance
@@ -708,11 +715,11 @@ class CountingFunction:
         running = list(accumulate(spec.multiplicity))
         self._cums = [running[i - 1] for i in clusters.starts[1:] + [len(running)]] if running else []
         self._jumps = [c - p for c, p in zip(self._cums, [0] + self._cums)]
-        self._reps = clusters.reps(range(clusters.size))
+        self._clusters = clusters  # its representatives are built by jumps() alone
         self._xs = clusters.rep_floats.tolist()  # strictly ascending: clusters are more than tol apart
 
     def jumps(self) -> List[Tuple[LengthValue, int]]:
-        return list(zip(self._reps, self._jumps))
+        return list(zip(self._clusters.reps(range(self._clusters.size)), self._jumps))
 
     def jump(self, l: LengthValue) -> int:
         """f(l): the jump at the first representative within tol of l, else 0."""

@@ -471,6 +471,28 @@ def test_values_past_the_float_range_are_usage_errors(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("length, nu, m", [(5.0, 1, 10**308), (750.0, 10**450, 10**400)],
+                         ids=["product-past-the-float-range", "term-past-the-float-range"])
+def test_dirichlet_terms_past_the_float_range(tmp_path, capsys, length, nu, m):
+    # at 5.0, 1e308 times the finite term 370 is past the float range, and so is its log-path
+    # term: exit 2; at 750, cosh(750) is past it but m / nu = 1e-50 brings the term back
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"horizon": {"numeric": 1000}, "entries": [
+        {"length": {"numeric": length}, "orientation": "preserving", "nu": nu, "multiplicity": m}]}))
+    capsys.readouterr()
+    code = main(["dirichlet", "--spectrum", str(path), "--sigma=-1"])
+    stdout, stderr = capsys.readouterr()
+    if length == 5.0:
+        assert code == 2 and stdout == "" and len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
+        return
+    assert code == 0 and stderr.startswith("warning: ")
+    lines = dict(line.split(": ") for line in stdout.splitlines()[1:])
+    with mpmath.workdps(40):
+        c = mpmath.cosh(mpmath.mpf(750))
+        ref = float(mpmath.mpf(10) ** -50 * 750 * mpmath.sqrt(c / (c - 1)) * c)
+    assert abs(float(lines["real"]) - ref) <= 1e-12 * ref and float(lines["imag"]) == 0.0
+
+
 @pytest.mark.parametrize("nums", [[2000], [1, 2000]])
 def test_dirichlet_long_exact_length(tmp_path, capsys, nums):
     # cosh(l) at l = 2000*log(2) is past the float range; the series term is not

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from isogeo import spectrum as spectrum_module
 from isogeo.dirichlet import dirichlet_partial_sum, dirichlet_partial_sum_grouped
 from isogeo.interchange import spectrum_from_json, spectrum_to_json
-from isogeo.lengths import Exact, Numeric, cluster_lengths, tanh_half
+from isogeo.lengths import Clusters, Exact, Numeric, cluster_lengths, exact_keys, sorted_order, tanh_half
 from isogeo.scenario import build_scenario, to_spectra
 from isogeo.spectrum import (
     ConjugacyWitness,
@@ -451,24 +451,196 @@ def test_weights_are_the_scalar_weight_of_each_entry(entries):
 
 
 def test_tanh_half_runs_once_per_reversing_exact_object(monkeypatch):
-    # W, weights and both Dirichlet sums read one damping column per spectrum
+    # W, weights and both Dirichlet sums read one damping column per spectrum, whose
+    # exact factors come from one tanh_half per distinct key, however many objects
     calls = []
 
     def counted(l):
-        calls.append(id(l))
+        calls.append((l.base, l.mult))
         return tanh_half(l)
 
     monkeypatch.setattr(spectrum_module, "tanh_half", counted)
     a, b = to_spectra(build_scenario(3, 30))
+    c = LengthTwistSpectrum([GeodesicEntry(Exact(2, 3), R, 1), GeodesicEntry(Exact(8, 1), R, 3),
+                             GeodesicEntry(Exact(4, Fraction(3, 2)), R, 5), GeodesicEntry(Exact(2, 3), P)], HORIZON)
     compare_weights(a, b)
     compare_weights(b, a)
     want = Counter()
-    for spec in (a, b):
+    for spec in (a, b, c):
         weight_function(spec)
         for l in spec.exact[::7]:
             total_weight(spec, l)
         assert len(spec.weight_floats) == len(spec.exact_terms(range(len(spec)))) == len(spec)
         dirichlet_partial_sum(spec, 2.0)
         dirichlet_partial_sum_grouped(spec, 2.0)
-        want.update({id(l) for l, r in zip(spec.exact, spec.reversing.tolist()) if r and l is not None})
-    assert want and Counter(calls) == want
+        want.update({(l.base, l.mult) for l, r in zip(spec.exact, spec.reversing.tolist()) if r and l is not None})
+    assert want[(2, 3)] == 1 and Counter(calls) == want
+
+
+# --- the key columns against the object path they replaced --------------------------
+#
+# The oracle is the object path as spectra ran it before their lengths were key
+# columns: one Exact object (or None) per entry, sorted with a Python tiebreak for
+# a run of equal floats holding two different Exact values, each cluster's least
+# Exact found by a per-cluster loop, and copies folded by comparing objects.
+
+
+def object_sorted_order(x, lengths, *keys):
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    tied = xs[1:] == xs[:-1]
+    if not tied.any():
+        return order
+    at = np.flatnonzero(np.append(tied, False) | np.append(False, tied))
+    run = np.cumsum(np.diff(xs[at], prepend=xs[at[0]]) != 0)
+    members = order[at]
+    numeric = np.array([not isinstance(lengths[i], Exact) for i in members.tolist()])
+    cols = [k[members] if isinstance(k, np.ndarray) else np.array([k[i] for i in members.tolist()], dtype=object)
+            for k in reversed(keys)]
+    order[at] = members[np.lexsort((*cols, numeric, run))]
+
+    def tiebreak(i):
+        l = lengths[i]
+        return ((0, l.base, l.mult) if isinstance(l, Exact) else (1, 0, 0), *(k[i] for k in keys))
+
+    first, mixed = {}, set()
+    for r, l in zip(run[~numeric].tolist(), (lengths[i] for i in members[~numeric].tolist())):
+        if first.setdefault(r, l) is not l and first[r] != l:
+            mixed.add(r)
+    for r in mixed:
+        lo, hi = at[np.searchsorted(run, r)], at[np.searchsorted(run, r, "right") - 1] + 1
+        order[lo:hi] = sorted(order[lo:hi].tolist(), key=tiebreak)
+    return order
+
+
+def object_reps(columns, tol):
+    """Each cluster's representative over columns (floats, Exact-or-None): its
+    least Exact length by (float, base, multiplier), else its least float."""
+    x = np.concatenate([c[0] for c in columns])
+    exact = [l for c in columns for l in c[1]]
+    order = np.argsort(x, kind="stable")
+    merged = np.zeros(len(x), dtype=np.int64)
+    np.cumsum(np.diff(x[order]) > tol, out=merged[1:])
+    reps = {}
+    for c, i in zip(merged.tolist(), order.tolist()):
+        reps.setdefault(c, Numeric(float(x[i])))
+    least = {}
+    for c, i in zip(merged.tolist(), order.tolist()):
+        l = exact[i]
+        if l is not None and (c not in least or (l.approx(), l.base, l.mult) < least[c]):
+            least[c], reps[c] = (l.approx(), l.base, l.mult), l
+    return [reps[c] for c in range(len(reps))]
+
+
+def object_columns(entries):
+    """The canonical columns (approx, exact, reversing, nu, multiplicity) of entries,
+    sorted by object_sorted_order and folded by comparing objects."""
+    x = np.array([e.length.approx() for e in entries], dtype=float)
+    exact = [e.length if isinstance(e.length, Exact) else None for e in entries]
+    rev = np.array([e.orientation is R for e in entries], dtype=np.int8)
+    nu, mult = [e.nu for e in entries], [e.multiplicity for e in entries]
+    at = object_sorted_order(x, exact, rev, nu).tolist()
+    rows = []
+    for i in at:
+        row = [float(x[i]), exact[i], int(rev[i]), nu[i], mult[i]]
+        if rows and rows[-1][:4] == row[:4]:
+            rows[-1][4] += row[4]
+        else:
+            rows.append(row)
+    return [list(c) for c in zip(*rows)] if rows else [[]] * 5
+
+
+def object_damping(spec):
+    """The damping columns from one tanh_half per Exact object, as spectra made them."""
+    out = []
+    for l, r, x in zip(spec.exact, spec.reversing.tolist(), spec.approx.tolist()):
+        t = tanh_half(l) if r and l is not None else None
+        out.append((t.numerator, t.denominator, 0.0, False) if type(t) is Fraction
+                   else (1, 1, math.tanh(x / 2.0), True) if r else (1, 1, 0.0, False))
+    return [list(c) for c in zip(*out)] if out else [[]] * 4
+
+
+# bases 2, 3, 4, 8 and 10 (4 and 8 canonicalise onto 2), fractional multipliers, a
+# multiplier past int64, and different exact keys with the float of log 2: dens 1, 2,
+# 10**20 and 3*10**19, so a run of equal floats holds multipliers of different den
+TIED_LOG2 = [Exact(2, 1), Exact(4, Fraction(1, 2)), Exact(8, Fraction(1, 3)),
+             Exact(2, Fraction(10**20 + 1, 10**20)), Exact(2, Fraction(10**20 - 1, 10**20)),
+             Exact(2, Fraction(3 * 10**19 + 1, 3 * 10**19)), Exact(4, Fraction(3 * 10**19 - 1, 6 * 10**19))]
+mixed_anchors = st.one_of(
+    st.builds(Exact, st.sampled_from([2, 3, 4, 8, 10]), st.integers(1, 9)),
+    st.builds(Exact, st.sampled_from([2, 3, 4, 8, 10]),
+              st.builds(Fraction, st.integers(1, 40), st.integers(1, 7))),
+    st.builds(Exact, st.sampled_from([2, 3]), st.builds(Fraction, st.integers(2**64, 2**64 + 9), st.just(2**63))),
+    st.sampled_from(TIED_LOG2),
+    st.floats(0.1, 20.0).map(Numeric),
+)
+
+
+@st.composite
+def mixed_spectra(draw):
+    tol = draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+    pool = []
+    for a in draw(st.lists(mixed_anchors, min_size=1, max_size=7)):
+        pool.append(a)
+        if isinstance(a, Exact) and draw(st.booleans()):
+            pool.append(Numeric(a.approx()))  # a numeric twin of the same float
+        pool += [Numeric(a.approx() + k * 0.75 * tol) for k in range(1, draw(st.integers(0, 2)) + 1)]
+    entry = st.builds(GeodesicEntry, st.sampled_from(pool), st.sampled_from([P, R]),
+                      st.one_of(st.integers(1, 3), st.just(2**63)), st.one_of(st.integers(1, 4), st.just(2**64)))
+    return [draw(st.lists(entry, max_size=16)) for _ in "ab"], tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_spectra())
+@example(([[GeodesicEntry(l, P) for l in TIED_LOG2] + [GeodesicEntry(Numeric(TIED_LOG2[0].approx()), R)],
+           [GeodesicEntry(l, R, 3) for l in TIED_LOG2[::-1]]], 1e-9))
+def test_key_columns_match_the_object_path(case):
+    (ea, eb), tol = case
+    a, b = (LengthTwistSpectrum(e, HORIZON, tol) for e in (ea, eb))
+    for entries, spec in ((ea, a), (eb, b)):
+        lengths = [e.length for e in entries]
+        x = np.array([l.approx() for l in lengths], dtype=float)
+        rev = np.array([e.orientation is R for e in entries], dtype=np.int8)
+        nu = [e.nu for e in entries]
+        exact = [l if isinstance(l, Exact) else None for l in lengths]
+        assert sorted_order(x, exact_keys(exact), rev, nu).tolist() == object_sorted_order(x, exact, rev, nu).tolist()
+        assert sorted_order(x, exact_keys(lengths)).tolist() == object_sorted_order(x, lengths).tolist()
+        approx, exact, reversing, nu, mult = object_columns(entries)
+        assert spec.approx.tolist() == approx and spec.exact == exact
+        assert spec.reversing.tolist() == reversing and (spec.nu, spec.multiplicity) == (nu, mult)
+        assert spec.entries == oracle_entries(entries)
+        keys = exact_keys(exact)
+        assert all(np.array_equal(k, c) for k, c in zip(spec.keys, keys))
+        assert all(k.dtype == (object if c.dtype == object else np.int64) for k, c in zip(spec.keys, keys))
+        # the same spectrum from its key columns, from its Exact column and from shuffled entries
+        for column in (spec.keys, spec.exact):
+            assert LengthTwistSpectrum.from_columns(
+                (spec.approx, column, spec.reversing, spec.nu, spec.multiplicity), HORIZON, tol) == spec
+        assert LengthTwistSpectrum(entries[::-1], HORIZON, tol) == spec
+        p, q, t, is_float = spec._damping
+        assert [p.tolist(), q.tolist(), t.tolist(), is_float.tolist()] == object_damping(spec)
+        assert weight_function(spec) == oracle_weight_function(spec)
+        want = oracle_clustered_weights(spec, oracle_clusters([e.length for e in spec.entries], tol), tol)
+        w = spec.weight_columns
+        assert w.values() == want and w.floats_or_nan().tolist() == [float(v) for v in want]
+    for columns in ([(a.approx, a.exact)], [(a.approx, a.exact), (b.approx, b.exact)]):
+        clusters = Clusters([(x, exact_keys(exact)) for x, exact in columns], tol)
+        want = object_reps(columns, tol)
+        assert clusters.reps(range(clusters.size)) == want
+        assert clusters.rep_floats.tolist() == [l.approx() for l in want]
+
+
+def test_to_spectra_constructs_no_exact(monkeypatch):
+    sol = build_scenario(10, 314)
+    want = to_spectra(sol)
+    made = []
+    init = Exact.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Exact, "__init__", counted)
+    got = to_spectra(sol)
+    assert made == [] and got == want
+    assert all(k.dtype == np.int64 for s in got for k in s.keys) and not any(s.__dict__.get("exact") for s in got)

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import sys
@@ -271,13 +272,31 @@ def _outcome(form, spec, s):
 
 
 def _weighted_term(m, w, exact, l, s):
-    """m * w times the series term at l; where m * float(w) cannot be formed (m past
-    the float range), the series term with log(exact) in its exponent."""
+    """m * w times the series term at l.  Where that product cannot be formed (m *
+    float(w) past the float range, or the term or the product past it), the series
+    term with the log of the coefficient in its exponent: log(m * float(w)), or
+    log(exact) where m * float(w) is past the float range or rounded to 0; a term
+    still past it raises."""
     try:
         mw = m * float(w)
     except OverflowError:
-        return _series_term(l, s, math.log(exact.numerator) - math.log(exact.denominator))
-    return mw * _series_term(l, s)
+        mw = math.nan
+    try:
+        v = mw * _series_term(l, s)
+    except OverflowError:
+        v = complex(math.inf)
+    if cmath.isfinite(v):
+        return v
+    v = _series_term(l, s, math.log(mw) if mw > 0 else math.log(exact.numerator) - math.log(exact.denominator))
+    if not cmath.isfinite(v):
+        raise OverflowError("term past the float range")
+    return v
+
+
+def _finite(acc):
+    if not cmath.isfinite(acc):
+        raise OverflowError("sum past the float range")
+    return acc
 
 
 def _scalar_sum(spec, s):
@@ -286,14 +305,14 @@ def _scalar_sum(spec, s):
     for e in spec.entries:
         t = tanh_half(e.length) if e.orientation is R else 1
         acc += _weighted_term(e.multiplicity, weight(e), e.multiplicity * Fraction(t) / e.nu, e.length.approx(), s)
-    return acc
+    return _finite(acc)
 
 
 def _scalar_sum_grouped(spec, s):
     acc = 0j
     for rep, w in weight_function(spec):
         acc += _weighted_term(1, w, Fraction(w), rep.approx(), s)
-    return acc
+    return _finite(acc)
 
 
 # exact grid points past int64 (2**63, 3**40, 10**19) and past log DBL_MAX (10**309),
@@ -339,8 +358,8 @@ series_points = st.builds(complex, st.one_of(st.floats(1.5, 4.0), st.floats(-2.0
 # two faults: the log-path term at 0.5 overflows, and cexp at 700 meets an infinite phase
 @example(LengthTwistSpectrum([GeodesicEntry(Numeric(0.5), P, 1, 10**330), GeodesicEntry(Numeric(700.0), P)],
                              Numeric(1000.0)), complex(2.0, 1e306))
-# cosh(750) overflows, but 750 carries only a log-path term, m / nu = 1e-50: the per-entry sum is
-# finite (the grouped one raises on float(W) = 1e-50, as its loop does)
+# cosh(750) overflows, but 750 carries only m / nu = 1e-50: the per-entry sum takes the log of its
+# exact term, the grouped one log(float(W)), and both are finite
 @example(LengthTwistSpectrum([GeodesicEntry(Numeric(750.0), P, 10**450, 10**400)], Numeric(1000.0)),
          complex(-1.0, 0.0))
 def test_both_sums_have_the_bits_of_the_scalar_loops(spec, s):
@@ -353,6 +372,35 @@ def test_both_sums_have_the_bits_of_the_scalar_loops(spec, s):
             assert got[0] in (OverflowError, ValueError, ZeroDivisionError), got
         else:
             assert got == want
+
+
+def test_terms_past_the_float_range_take_the_log_path_or_raise():
+    # cosh(750) is past the float range, but m / nu = 1e-50: both sums take the log of their
+    # coefficient into the exponent (the grouped one of float(W)) and agree
+    spec = LengthTwistSpectrum([GeodesicEntry(Numeric(750.0), P, 10**450, 10**400)], Numeric(1000.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        per_entry, grouped = dirichlet_partial_sum(spec, -1.0), dirichlet_partial_sum_grouped(spec, -1.0)
+        assert per_entry.real == 1.971935453045705e+278 and per_entry.imag == 0.0
+        assert abs(grouped - per_entry) <= 1e-12 * abs(per_entry)
+        # cosh(800) is past the float range and 1 / nu = 2**-1100 rounds to 0.0: both sums take
+        # the log of the exact coefficient
+        spec = LengthTwistSpectrum([GeodesicEntry(Numeric(800.0), P, 2**1100, 1)], Numeric(1000.0))
+        with mpmath.workdps(40):
+            c = mpmath.cosh(mpmath.mpf(800))
+            ref = float(800 * mpmath.sqrt(c / (c - 1)) * c / mpmath.mpf(2) ** 1100)
+        for form in (dirichlet_partial_sum, dirichlet_partial_sum_grouped):
+            got = form(spec, -1.0)
+            assert abs(got.real - ref) <= 1e-12 * ref and got.imag == 0.0
+        # 1e308 times the finite term at 5.0, and three finite terms of 8.8e307 at 1.0 to 1.2
+        # whose total is past the float range, raise
+        huge = [LengthTwistSpectrum([GeodesicEntry(Numeric(5.0), P, 1, 10**308)], Numeric(1000.0)),
+                LengthTwistSpectrum([GeodesicEntry(Numeric(l), P, 1, 6 * 10**307) for l in (1.0, 1.1, 1.2)],
+                                    Numeric(1000.0))]
+        for spec, s in zip(huge, (-1.0, 0.0)):
+            for form in (dirichlet_partial_sum, dirichlet_partial_sum_grouped):
+                with pytest.raises(OverflowError):
+                    form(spec, s)
 
 
 def test_the_sums_build_neither_weights_nor_representatives(monkeypatch):

@@ -15,6 +15,7 @@ from isogeo.lengths import (
     _integer_root,
     canonical_power_root,
     cluster_lengths,
+    exact_keys,
     exact_ratio,
     integer_ratio,
     length_le,
@@ -188,7 +189,7 @@ def test_cluster_lengths_sweep():
 
 def test_cluster_representative_prefers_exact():
     x = np.array([math.log(2), math.log(2), 1.5])
-    clusters = Clusters([(x, [None, Exact(2, 1), None])], 1e-9)
+    clusters = Clusters([(x, exact_keys([None, Exact(2, 1), None]))], 1e-9)
     assert clusters.size == 2
     assert clusters.rep(0) == Exact(2, 1)
     assert clusters.rep(1) == Numeric(1.5)
@@ -228,17 +229,17 @@ def tied_columns(draw):
 @given(tied_columns())
 def test_sorted_order_matches_the_tiebreak_sort(case):
     x, lengths, rev, nu = case
-    assert sorted_order(x, lengths, rev, nu).tolist() == oracle_order(x, lengths, rev, nu)
+    assert sorted_order(x, exact_keys(lengths), rev, nu).tolist() == oracle_order(x, lengths, rev, nu)
     # without keys, and with Numeric values in place of None (as cluster_lengths calls it)
     values = [l or Numeric(v) for l, v in zip(lengths, x.tolist())]
-    assert sorted_order(x, values).tolist() == oracle_order(x, values)
+    assert sorted_order(x, exact_keys(values)).tolist() == oracle_order(x, values)
 
 
 @settings(max_examples=200, deadline=None)
 @given(tied_columns(), tied_columns())
 def test_clusters_represent_each_cluster_by_its_least_exact_length(a, b):
     columns = [(x, [l if isinstance(l, Exact) else None for l in lengths]) for x, lengths, _, _ in (a, b)]
-    clusters = Clusters(columns, 1e-9)
+    clusters = Clusters([(x, exact_keys(lengths)) for x, lengths in columns], 1e-9)
     members = {}
     for (x, lengths), ids in zip(columns, clusters.ids):
         for v, l, c in zip(x.tolist(), lengths, ids.tolist()):
@@ -254,10 +255,10 @@ def test_clusters_least_exact_length_may_sit_in_a_later_column():
     above = Exact(2, Fraction(10**20 + 1, 10**20))
     below = Exact(2, Fraction(10**20 - 1, 10**20))
     x = np.array([ONE.approx()] * 2)
-    clusters = Clusters([(x, [above, None]), (x, [ONE, below])], 1e-9)
+    clusters = Clusters([(x, exact_keys([above, None])), (x, exact_keys([ONE, below]))], 1e-9)
     assert clusters.size == 1 and clusters.rep(0) == below
     near = np.array([math.log(3) - 1e-10])
-    clusters = Clusters([(near, [None]), (np.array([math.log(3)]), [Exact(3, 1)])], 1e-9)
+    clusters = Clusters([(near, exact_keys([None])), (np.array([math.log(3)]), exact_keys([Exact(3, 1)]))], 1e-9)
     assert clusters.rep(0) == Exact(3, 1)
 
 
