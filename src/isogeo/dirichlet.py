@@ -112,21 +112,19 @@ def q_factor(l: float, twist: TwistData) -> float:
 
 
 def _as_complex(s: Union[SeriesPoint, complex, float]) -> complex:
+    """The series point s as a finite complex number; warns outside a surface's
+    convergence half-plane sigma > d - 1, d = 2."""
     z = s.s if isinstance(s, SeriesPoint) else complex(s)
     if not cmath.isfinite(z):
         raise ValueError(f"s must be finite, got {z}")
-    return z
-
-
-def _warn_if_diverging(s: complex):
-    """Warn outside a surface's convergence half-plane sigma > d - 1, d = 2."""
-    if s.real <= 1:
+    if z.real <= 1:
         warnings.warn(
-            f"partial sum evaluated at sigma={s.real}, outside the "
+            f"partial sum evaluated at sigma={z.real}, outside the "
             "convergence half-plane sigma > 1",
             ConvergenceWarning,
             stacklevel=3,
         )
+    return z
 
 
 def _series_term(l: float, s: complex, log_weight: float = 0.0) -> complex:
@@ -181,15 +179,14 @@ def dirichlet_partial_sum(
     Sums multiplicity * wt * l * (cosh l/(cosh l-1))**(1/2) * cosh(l)**-s
     over all entries, in canonical entry order (ascending length, then
     orientation, then nu) for run-to-run bit stability: each term is the
-    float m * float(wt) times the series term, from the spectrum's count and
-    weight-float columns (no weight list is built), and each series term is
-    evaluated once per distinct length.  A multiplicity past the float range
+    float m * float(wt) of ``spec.term_floats`` times the series term (no
+    weight list is built), and each series term is evaluated once per
+    distinct length.  A multiplicity past the float range
     joins the exponent as the log of its exact m * wt (``spec.exact_terms``),
     and a term whose plain product leaves the float range the log of m * wt.
     """
     z = _as_complex(s)
-    _warn_if_diverging(z)
-    return _series_sum(spec.approx, spec.multiplicity_floats * spec.weight_floats, spec.exact_terms, z)
+    return _series_sum(spec.approx, spec.term_floats, spec.exact_terms, z)
 
 
 def dirichlet_partial_sum_grouped(
@@ -206,6 +203,5 @@ def dirichlet_partial_sum_grouped(
     of :func:`dirichlet_partial_sum`.
     """
     z = _as_complex(s)
-    _warn_if_diverging(z)
     w = spec.weight_columns
     return _series_sum(spec.clusters.rep_floats, w.floats_or_nan(), w.values, z)

@@ -82,13 +82,8 @@ class Isometry:
         return self.a + self.d
 
     def __matmul__(self, other: "Isometry") -> "Isometry":
-        return Isometry._derived(
-            self._det * other._det,
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        entries = _mul4((self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d))
+        return Isometry._derived(self._det * other._det, *entries)
 
     def inverse(self) -> "Isometry":
         """The adjugate over the det: ad - bc of a checked matrix, the product

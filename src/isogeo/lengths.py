@@ -74,11 +74,12 @@ _canonical_root = lru_cache(maxsize=1024)(canonical_power_root)  # bases repeat:
 @dataclass(frozen=True, slots=True)
 class Exact:
     """Length ``mult * log(base)``, held in exact rational arithmetic; its float
-    (None past the float range, where approx() raises) is computed once."""
+    (:func:`exact_float`) is computed once, so a length past the float range
+    raises ValueError at construction."""
 
     base: int
     mult: Fraction
-    _x: float | None = field(init=False, repr=False, compare=False)
+    _x: float = field(init=False, repr=False, compare=False)
 
     def __init__(self, base: int, mult: RationalLike):
         if isinstance(mult, float):
@@ -94,7 +95,7 @@ class Exact:
         return hash(self._x)  # equal lengths have equal floats, and a float hashes in C
 
     def approx(self) -> float:
-        return float(self.mult) * math.log(self.base) if self._x is None else self._x
+        return self._x
 
     def integer_mult(self) -> int | None:
         """The integer n with self = n*log(base), or None if fractional."""
@@ -173,13 +174,21 @@ LengthValue = Union[Exact, Numeric]
 _SET_BASE, _SET_MULT, _SET_X = (getattr(Exact, f).__set__ for f in ("base", "mult", "_x"))
 
 
-def _set_exact(l: Exact, base: int, mult: Fraction) -> Exact:
-    num, den = mult.as_integer_ratio()
+def exact_float(base: int, num: int, den: int = 1) -> float:
+    """The float of the exact length num/den * log(base): num / den rounds the
+    quotient once, as float(Fraction(num, den)) does.  ValueError, naming the
+    length, where that float is not finite."""
     try:
-        x = num / den * math.log(base)  # num / den is float(mult): both round the quotient once
+        x = num / den * math.log(base)
+        if x < math.inf:
+            return x
     except OverflowError:  # a multiplier past the float range
-        x = None
-    _SET_BASE(l, base), _SET_MULT(l, mult), _SET_X(l, x)
+        pass
+    raise ValueError(f"exact length {Fraction(num, den)}*log({base}) is past the float range")
+
+
+def _set_exact(l: Exact, base: int, mult: Fraction) -> Exact:
+    _SET_BASE(l, base), _SET_MULT(l, mult), _SET_X(l, exact_float(base, *mult.as_integer_ratio()))
     return l
 
 

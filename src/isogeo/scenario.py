@@ -32,7 +32,7 @@ from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import BeyondHorizon, TooLarge
 from .hyperbolic import necklace_walk
-from .lengths import Exact, ExactKeys, canonical_power_root, int_column, keyed_exact
+from .lengths import Exact, ExactKeys, canonical_power_root, exact_float, int_column, keyed_exact
 from .spectrum import DiscrepancyTable, LengthTwistSpectrum
 
 ORACLE_CAP = 10**7
@@ -227,12 +227,12 @@ def to_spectra(sol: ScenarioSolution) -> Tuple[LengthTwistSpectrum, LengthTwistS
     functions agree at every grid length.  These spectra are synthetic:
     oriented multiplicities need not be even, so surface validation
     does not apply.  With q = g**e, g its canonical root, the grid length
-    n*log(q) is the key row (g, n*e, 1) with the float of Exact(q, n): the
+    n*log(q) is the key row (g, n*e, 1) with its float from
+    :func:`~isogeo.lengths.exact_float`, as Exact(q, n) holds it: the
     columns are built from ints, and no Exact is made.
     """
     h, (g, e) = sol.horizon, canonical_power_root(sol.q)
-    log_g = math.log(g)
-    approx = [float(n * e) * log_g for n in range(1, h + 1)]  # the bits of Exact(q, n).approx()
+    approx = [exact_float(g, n * e) for n in range(1, h + 1)]
     # columns (approx, multiplier of log g, reversing, nu, multiplicity) of each spectrum
     sides = tuple(tuple([] for _ in range(5)) for _ in range(2))
     for reversing, values in ((False, sol.a), (True, sol.b)):

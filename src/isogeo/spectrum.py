@@ -248,13 +248,15 @@ class LengthTwistSpectrum:
                          zip(p.tolist(), q.tolist(), t.tolist(), is_float.tolist(), nu.tolist())], dtype=float)
 
     @cached_property
-    def multiplicity_floats(self) -> np.ndarray:
-        """float(m) of every entry's multiplicity, NaN where m is past the float
-        range: that entry's term is read from :meth:`exact_terms` instead."""
+    def term_floats(self) -> np.ndarray:
+        """float(m) * float(w) of every entry, its multiplicity m times its
+        :attr:`weight_floats` w; NaN where m is past the float range: that
+        entry's term is read from :meth:`exact_terms` instead."""
         try:
-            return self.counts[1].astype(float)
+            m = self.counts[1].astype(float)
         except OverflowError:
-            return np.fromiter(map(_float_or_nan, self.multiplicity), float, len(self))
+            m = np.fromiter(map(_float_or_nan, self.multiplicity), float, len(self))
+        return m * self.weight_floats
 
     def exact_terms(self, at: List[int]) -> List[Fraction]:
         """multiplicity * weight of the entries at, exact, from the damping and count
@@ -273,11 +275,6 @@ class LengthTwistSpectrum:
     def weight_columns(self) -> WeightColumns:
         """W of each of the spectrum's own length clusters, as columns."""
         return _cluster_weights(self, self.clusters.ids[0], self.clusters.size)
-
-    @cached_property
-    def cluster_weights(self) -> List[Fraction | float]:
-        """W of each of the spectrum's own length clusters."""
-        return self.weight_columns.values()
 
 
 def _float_or_nan(num: int, den: int = 1) -> float:
@@ -373,12 +370,12 @@ def _cluster_weights(spec: LengthTwistSpectrum, ids: np.ndarray, size: int) -> W
     order: exact terms sum as an integer rational up to the cluster's first float
     term, and each later term adds as its rounded value.  With the damping factor
     p/q or t of the spectrum's damping column, a term is m*p / (nu*q), so a
-    cluster's exact prefix is one run sum, or m * (t/nu) in floats, m times the
-    entry's weight float (for an m past the float range, the exact m*Fraction(t)
-    / nu rounded once).  Counts are int64 where, in every cluster, the product
-    over its entries of nu*q + m*p stays below 2**52: that bounds every sum and
-    product below, so each converts to a float exactly.  Python ints (object
-    arrays) hold them otherwise."""
+    cluster's exact prefix is one run sum, or m * (t/nu) in floats, the entry's
+    :attr:`~LengthTwistSpectrum.term_floats` (for an m past the float range, the
+    exact m*Fraction(t) / nu rounded once).  Counts are int64 where, in every
+    cluster, the product over its entries of nu*q + m*p stays below 2**52:
+    that bounds every sum and product below, so each converts to a float
+    exactly.  Python ints (object arrays) hold them otherwise."""
     n, (p, q, _, is_float), (nu, m) = len(spec), spec._damping, spec.counts
     small = (nu.dtype == m.dtype == q.dtype == np.int64
              and np.bincount(ids, np.log2(nu * q.astype(float) + m * p.astype(float)), size).max(initial=0) < 52)
@@ -402,7 +399,7 @@ def _cluster_weights(spec: LengthTwistSpectrum, ids: np.ndarray, size: int) -> W
         seg = np.flatnonzero(later)
         fl, ex = is_float[seg], seg[~is_float[seg]]
         terms = np.empty(len(seg))
-        terms[fl] = spec.multiplicity_floats[seg[fl]] * spec.weight_floats[seg[fl]]
+        terms[fl] = spec.term_floats[seg[fl]]
         terms[~fl] = mp[ex] / nq[ex]  # rounded once
         huge = np.isnan(terms)  # a multiplicity past the float range: its exact term, rounded once
         terms[huge] = list(map(float, spec.exact_terms(seg[huge])))
@@ -420,7 +417,9 @@ def total_weight(spec: LengthTwistSpectrum, l: LengthValue) -> Fraction | float:
         raise QueryBeyondHorizon(f"query {l} exceeds horizon {spec.horizon}")
     clusters, tol, x = spec.clusters, spec.tolerance, l.approx()
     c = bisect_left(clusters.hi, x, key=lambda hi: hi + tol)
-    return Fraction(0) if c == clusters.size or clusters.lo[c] - tol > x else spec.cluster_weights[c]
+    if c == clusters.size or clusters.lo[c] - tol > x:
+        return Fraction(0)
+    return spec.weight_columns.values(slice(c, c + 1))[0]
 
 
 def _require_common_horizon(a: LengthTwistSpectrum, b: LengthTwistSpectrum) -> float:
@@ -437,7 +436,7 @@ def weight_function(spec: LengthTwistSpectrum) -> List[Tuple[LengthValue, Fracti
     ascending order; W sums multiplicity*weight over every entry of the
     cluster, exactly when all of them are exact rationals.
     """
-    return list(zip(spec.clusters.reps(range(spec.clusters.size)), spec.cluster_weights))
+    return list(zip(spec.clusters.reps(range(spec.clusters.size)), spec.weight_columns.values()))
 
 
 def compare_weights(

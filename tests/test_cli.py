@@ -2,15 +2,19 @@ import copy
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import isogeo
 from isogeo import interchange
 from isogeo.cli import main
 from isogeo.dirichlet import _series_term
@@ -272,7 +276,7 @@ def test_fractional_nu_is_usage_error(tmp_path, capsys):
         (
             {"q": 2, "num": 10**400},
             ["dirichlet", "--sigma", "1.5"],
-            "error: integer division result too large for a float",
+            f"error: exact length {10**400}*log(2) is past the float range",
         ),
         ({"q": 2}, ["weights"], "error: malformed document: missing key 'num'"),
         # JSON booleans are no integers, although bool is Integral
@@ -293,6 +297,22 @@ def test_bad_exact_length_is_usage_error(tmp_path, capsys, length, command, mess
     capsys.readouterr()
     assert main(command + ["--spectrum", str(path)]) == 2
     assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("where", ["entry", "horizon"])
+@pytest.mark.parametrize("q, num", [(10, 10**308), (2, 10**400)], ids=["10**308*log(10)", "10**400*log(2)"])
+def test_exact_lengths_past_the_float_range_are_usage_errors(tmp_path, capsys, where, q, num):
+    # the float of 10**308*log(10) is inf, and 10**400 has none: as an entry or as
+    # the horizon, either gives the same one line and exit 2
+    huge, small = {"exact": {"q": q, "num": num}}, {"exact": {"q": 2, "num": 3}}
+    doc = {"horizon": huge if where == "horizon" else small,
+           "entries": [{"length": huge if where == "entry" else small, "orientation": "preserving"}]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["weights", "--spectrum", str(path)]) == 2
+    assert main(["compare", "--a", str(path), "--b", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: exact length {num}*log({q}) is past the float range"] * 2
 
 
 MALFORMED = "error: malformed document: "
@@ -916,3 +936,30 @@ def test_json_output_builds_no_csv_cells(tmp_path, capsys, monkeypatch):
     for case, code in (("compare-scenario", 1), ("compare-numeric", 1), ("enumerate", 0)):
         argv = GOLDEN_CASES[case].format(**paths).split()
         assert main(argv + ["--out", str(tmp_path / "out.json"), "--format", "json"]) == code
+
+
+NO_NUMPY_MA = """
+import contextlib, io, json, sys
+import numpy
+eager = "numpy.ma" in sys.modules
+from isogeo.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([eager, "numpy.ma" in sys.modules, codes]))
+"""
+
+
+def test_no_subcommand_loads_numpy_ma(tmp_path):
+    # numpy 2 imports numpy.ma only on first use (np.unique uses it), and that adds
+    # about 1 MB to a run's resident memory; numpy before 2.0 imports it with numpy
+    paths = _golden_inputs(tmp_path)
+    runs = [GOLDEN_CASES[case].format(**paths).split() + extra for case in sorted(GOLDEN_CASES)
+            for extra in ([], ["--out", str(tmp_path / "out.csv")],
+                          ["--out", str(tmp_path / "out.json"), "--format", "json"])]
+    src = str(Path(isogeo.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", NO_NUMPY_MA, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, check=True)
+    eager, loaded, codes = json.loads(done.stdout)
+    assert codes == [int(d.split()[0]) for case in sorted(GOLDEN_CASES) for d in GOLDEN[case]]
+    assert loaded == eager

@@ -573,7 +573,7 @@ mixed_anchors = st.one_of(
     st.builds(Exact, st.sampled_from([2, 3]), st.builds(Fraction, st.integers(2**64, 2**64 + 9), st.just(2**63))),
     st.sampled_from(TIED_LOG2),
     st.floats(0.1, 20.0).map(Numeric),
-)
+).filter(lambda l: l.approx() < HORIZON.approx() - 1)  # its numeric neighbours stay below the horizon
 
 
 @st.composite

@@ -15,6 +15,7 @@ from isogeo.lengths import (
     _integer_root,
     canonical_power_root,
     cluster_lengths,
+    exact_float,
     exact_keys,
     exact_ratio,
     integer_ratio,
@@ -135,6 +136,27 @@ def test_numeric_refuses_what_is_no_number(value, message):
     # float() would take the first four; a document refuses each with the same message
     with pytest.raises(ValueError, match=re.escape(message)):
         Numeric(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 6, 10, 10**20 + 39]), st.integers(1, 10**300), st.integers(1, 10**30))
+@example(2, 10**308, 1)
+def test_exact_float_is_the_float_of_the_multiplier_times_the_log(base, num, den):
+    r = Fraction(num, den)
+    want = float(r) * math.log(base)
+    assert exact_float(base, r.numerator, r.denominator) == want
+    assert Exact(base, r).approx() == want
+
+
+@pytest.mark.parametrize("base, mult", [(10, 10**308), (2, 10**400), (2, Fraction(10**400, 3))],
+                         ids=["product-past-the-float-range", "multiplier-past-the-float-range", "fraction"])
+def test_exact_length_past_the_float_range_is_refused_by_name(base, mult):
+    # one ValueError naming the length, where its float would be inf or could not be formed
+    message = re.escape(f"exact length {mult}*log({base}) is past the float range")
+    with pytest.raises(ValueError, match=message):
+        Exact(base, mult)
+    with pytest.raises(ValueError, match=message):
+        exact_float(base, *Fraction(mult).as_integer_ratio())
 
 
 def test_equality_and_ordering():
