@@ -145,16 +145,19 @@ def _plain_term(l: float, s: complex) -> complex:
 
 def _series_sum(x: np.ndarray, coef: np.ndarray, exact: Callable[[list], list], s: complex) -> complex:
     """The sum over the ascending float column x of coef[i] * _series_term(x[i], s),
-    with _series_term called once per distinct float and the terms added one at a
-    time from 0j in entry order, as the entry-by-entry loop adds them.  A row whose
-    plain product cannot be formed (its coef NaN, past the float range, or the term
-    or the product past it) takes the log of its coefficient into the exponent of
-    a term of its own, of its exact coefficient from exact(rows) where coef is NaN
-    or 0.0 (rounded from a positive value).  A term or a total still past the
-    float range raises OverflowError, and another fault (a zero root) raises as
-    _series_term raises it."""
+    with _series_term called once per distinct float (twice if one overflows) and
+    the terms added one at a time from 0j in entry order, as the entry-by-entry
+    loop adds them.  A row whose plain product cannot be formed (its coef NaN,
+    past the float range, or the term or the product past it) takes the log of
+    its coefficient into the exponent of a term of its own, of its exact
+    coefficient from exact(rows) where coef is NaN or 0.0 (rounded from a
+    positive value).  A term or a total still past the float range raises
+    OverflowError, and another fault (a zero root) raises as _series_term does."""
     u = x[run_starts(x)]
-    terms = list(map(_plain_term, u.tolist(), repeat(s)))
+    try:
+        terms = list(map(_series_term, u.tolist(), repeat(s)))
+    except OverflowError:  # a term past the float range: NaN, for the log path below
+        terms = list(map(_plain_term, u.tolist(), repeat(s)))
     out = list(map(operator.mul, coef.tolist(), map(terms.__getitem__, u.searchsorted(x).tolist())))
     total = reduce(operator.add, out, 0j)
     if not cmath.isfinite(total):  # a plain product could not be formed: a finite total has none

@@ -240,14 +240,21 @@ def necklace_walk(
         words = np.concatenate([words[parents], letter[:, None]], axis=1)
 
 
-def _walk_products(generators: Sequence[Isometry], max_len: int):
+def _walk_products(generators: Sequence[Isometry], max_len: int, tol: float, bound: float):
     """The words of enumerate_geodesics: the minimal rotations up to max_len
     that are cyclically reduced, in the depth-first walk order (letters
     descending, a prefix before its extensions).  Returns the walk-order
     key of each (the letters negated, padded with -(k + 1) for k
     generators), its product matrix as a column of a (4, words) array, its
     number of periods and the sign of its det (the product of its letters'
-    signs, int8)."""
+    signs, int8), leaving out each word whose finite key has, for ka and kd
+    the keys rint(x / tol) of a and d, |ka + kd| > bound / tol + 4 +
+    2^-48 (|ka| + |kd|).  That tests the key alone, whose sign flips with the
+    matrix's, so an element's words go or stay together.  For u = 2^-53, a
+    word with |fl(a + d)| <= bound has |ka + kd| <= bound / tol + 1 +
+    3u (bound / tol + |ka| + |kd|), and one left out has bound / tol <
+    |ka + kd| <= |ka| + |kd|: the u terms and the test's own rounding stay
+    below 2^-48 (|ka| + |kd|).  As bound >= 2, every |tr| <= 2 + tol stays."""
     k = len(generators)
     letter_mats = np.zeros((4, 2 * k + 1))  # column k + l holds letter l
     letter_signs = np.ones(2 * k + 1, dtype=np.int8)
@@ -265,7 +272,10 @@ def _walk_products(generators: Sequence[Isometry], max_len: int):
             last, last_sign = letter_mats[:, letter], letter_signs[letter]
             level = last if n == 1 else _mul4([x[parents] for x in level], last)
             sign = last_sign if n == 1 else sign[parents] * last_sign
-            keep = (n % periods == 0) & (words[:, 0] != -words[:, -1])
+            ka, kd = np.rint(level[0] / tol), np.rint(level[3] / tol)
+            far = np.abs(ka + kd) > bound / tol + 4 + 2**-48 * (np.abs(ka) + np.abs(kd))  # False at an inf ka or kd
+            far &= np.isfinite(level[1] / tol + level[2] / tol)  # finite as rint(b / tol) + rint(c / tol) is
+            keep = (n % periods == 0) & (words[:, 0] != -words[:, -1]) & ~far
             rank = np.full((np.count_nonzero(keep), max_len), -(k + 1), dtype=rank_type)
             rank[:, :n] = -words[keep]
             ranks.append(rank)
@@ -316,7 +326,8 @@ def enumerate_geodesics(
 
     The words come level by level from necklace_walk, and every step runs
     on arrays: each level's products are its prefixes' products times the
-    last letter; the kept words are put in the depth-first walk order
+    last letter, less the words whose dedup keys put them past the cutoff
+    (_walk_products); the rest are put in the depth-first walk order
     (letters descending, a prefix before its extensions) by one lexsort,
     and a stable lexsort on the matrix keys gives each element its first
     word, whose class and length decide it, and its largest nu.
@@ -325,7 +336,10 @@ def enumerate_geodesics(
         raise EmptyGenerators("need at least one generator")
     tol = config.dedup_tolerance
 
-    rank, mat, nu, sign = _walk_products(generators, config.max_word_length)
+    # 2 cosh(l/2) bounds |tr| for both classes; the margin leaves the cut to the exact test
+    with np.errstate(over="ignore"):
+        bound = 2.0 * np.cosh((config.length_cutoff + tol) / 2.0) * (1.0 + 1e-9)
+    rank, mat, nu, sign = _walk_products(generators, config.max_word_length, tol, bound)
 
     def word(i: int) -> tuple[int, ...]:
         return tuple((-rank[i][rank[i] > -len(generators) - 1]).tolist())
@@ -354,9 +368,6 @@ def enumerate_geodesics(
     elliptic = tuple((word(i), tuple(mat[:, i].tolist())) for i in np.sort(first[side]).tolist())
     dropped = int(np.count_nonzero((kind == _IDENTITY) | (kind == _PARABOLIC)))
 
-    # 2 cosh(l/2) bounds |tr| for both classes; the margin leaves the cut to the exact test
-    with np.errstate(over="ignore"):
-        bound = 2.0 * np.cosh((config.length_cutoff + tol) / 2.0) * (1.0 + 1e-9)
     trace = a + d
     near = ((kind == _HYPERBOLIC) | (kind == _GLIDE)) & (np.abs(trace) <= bound)
     kind, nu = kind[near], nu[near]

@@ -88,6 +88,8 @@ def _length_column(doc: Dict[str, Any]) -> Tuple[float, Exact | None]:
     if "exact" in doc:
         e = doc["exact"]
         num, den = as_integer(e["num"], "num"), as_integer(e.get("den", 1), "den")
+        if den == 0:
+            raise ValueError("den must be nonzero")
         l = Exact(e["q"], Fraction(num, den))
         return l.approx(), l
     if "numeric" in doc:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Integral
@@ -175,16 +176,18 @@ _SET_BASE, _SET_MULT, _SET_X = (getattr(Exact, f).__set__ for f in ("base", "mul
 
 
 def exact_float(base: int, num: int, den: int = 1) -> float:
-    """The float of the exact length num/den * log(base): num / den rounds the
-    quotient once, as float(Fraction(num, den)) does.  ValueError, naming the
-    length, where that float is not finite."""
+    """The float of the exact length num/den * log(base), num/den in lowest terms:
+    num / den rounds the quotient once, as float(Fraction(num, den)) does.
+    ValueError, naming the length, where that float is not finite."""
     try:
         x = num / den * math.log(base)
         if x < math.inf:
             return x
     except OverflowError:  # a multiplier past the float range
         pass
-    raise ValueError(f"exact length {Fraction(num, den)}*log({base}) is past the float range")
+    # Decimal prints an int past the interpreter's bound on int-to-string digits, str() raises
+    mult = f"{Decimal(num)}" + (f"/{Decimal(den)}" if den != 1 else "")
+    raise ValueError(f"exact length {mult}*log({base}) is past the float range")
 
 
 def _set_exact(l: Exact, base: int, mult: Fraction) -> Exact:

@@ -212,21 +212,22 @@ class LengthTwistSpectrum:
     def _damping(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Each entry's damping factor, tanh(l/2) for a reversing type and 1 for a
         preserving one, as columns (p, q, t, is_float): exact p/q in lowest terms,
-        (q^n - 1)/(q^n + 1), at l = n*log(q), from one :func:`tanh_half` per
-        distinct key (base, n), int64 unless a q is past it; elsewhere the float
+        (b^n - 1)/(b^n + 1) at l = n*log(b), once per distinct key row (b, n, 1)
+        and halved when b is odd, int64 unless a q is past it; elsewhere the float
         t = math.tanh(l/2) (is_float, p = q = 1).  W, :attr:`weight_floats` and
         :meth:`exact_terms` evaluate the weight formula from this column and
         :attr:`counts` alone."""
-        (base, _, den), rev = self.keys, self.reversing.astype(bool)
+        (base, num, den), rev = self.keys, self.reversing.astype(bool)
         at = np.flatnonzero(rev & (base != 0) & (den == 1))
-        tanh = {}  # keys.lengths makes one Exact per distinct key: equal keys are adjacent
-        h = [tanh.get(id(l)) or tanh.setdefault(id(l), tanh_half(l)) for l in self.keys.lengths(at)]
+        runs = run_starts(base[at], num[at])  # equal keys are adjacent; b^n +- 1 share only 2, if b is odd
+        pq = [((x - 1) // g, (x + 1) // g) for x, g in
+              ((b**n, 1 + b % 2) for b, n in zip(base[at][runs].tolist(), num[at][runs].tolist()))]
         is_float, t = rev.copy(), np.zeros(len(self))
         is_float[at] = False
         t[is_float] = np.fromiter(map(math.tanh, (self.approx[is_float] / 2.0).tolist()), float)
-        dtype = np.int64 if all(x.denominator < 2**63 for x in h) else object
+        dtype = np.int64 if all(y < 2**63 for _, y in pq) else object
         p, q = np.ones(len(self), dtype=dtype), np.ones(len(self), dtype=dtype)
-        p[at], q[at] = [x.numerator for x in h], [x.denominator for x in h]
+        p[at], q[at] = np.repeat(np.array(pq, dtype=dtype).reshape(-1, 2), np.diff(runs, append=len(at)), axis=0).T
         return p, q, t, is_float
 
     @cached_property

@@ -12,7 +12,6 @@ per-entry key, as spectra were built before they were held as columns.
 
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 from typing import Dict, List
 
@@ -450,9 +449,9 @@ def test_weights_are_the_scalar_weight_of_each_entry(entries):
     assert weight_function(spec) == oracle_weight_function(spec)
 
 
-def test_tanh_half_runs_once_per_reversing_exact_object(monkeypatch):
+def test_damping_column_calls_no_tanh_half(monkeypatch):
     # W, weights and both Dirichlet sums read one damping column per spectrum, whose
-    # exact factors come from one tanh_half per distinct key, however many objects
+    # exact factors come from the key rows alone; each is tanh_half of its entry's length
     calls = []
 
     def counted(l):
@@ -461,11 +460,12 @@ def test_tanh_half_runs_once_per_reversing_exact_object(monkeypatch):
 
     monkeypatch.setattr(spectrum_module, "tanh_half", counted)
     a, b = to_spectra(build_scenario(3, 30))
+    # 2^3 three ways, and factors of odd and even bases past int64
     c = LengthTwistSpectrum([GeodesicEntry(Exact(2, 3), R, 1), GeodesicEntry(Exact(8, 1), R, 3),
-                             GeodesicEntry(Exact(4, Fraction(3, 2)), R, 5), GeodesicEntry(Exact(2, 3), P)], HORIZON)
+                             GeodesicEntry(Exact(4, Fraction(3, 2)), R, 5), GeodesicEntry(Exact(2, 3), P),
+                             GeodesicEntry(Exact(3, 41), R), GeodesicEntry(Exact(2, 70), R)], Numeric(100.0))
     compare_weights(a, b)
     compare_weights(b, a)
-    want = Counter()
     for spec in (a, b, c):
         weight_function(spec)
         for l in spec.exact[::7]:
@@ -473,8 +473,11 @@ def test_tanh_half_runs_once_per_reversing_exact_object(monkeypatch):
         assert len(spec.weight_floats) == len(spec.exact_terms(range(len(spec)))) == len(spec)
         dirichlet_partial_sum(spec, 2.0)
         dirichlet_partial_sum_grouped(spec, 2.0)
-        want.update({(l.base, l.mult) for l, r in zip(spec.exact, spec.reversing.tolist()) if r and l is not None})
-    assert want[(2, 3)] == 1 and Counter(calls) == want
+    assert calls == []
+    for spec in (a, b, c):
+        p, q, t, is_float = spec._damping
+        assert [p.tolist(), q.tolist(), t.tolist(), is_float.tolist()] == object_damping(spec)
+    assert c._damping[0].dtype == object and a._damping[0].dtype == np.int64
 
 
 # --- the key columns against the object path they replaced --------------------------

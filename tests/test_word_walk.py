@@ -12,8 +12,9 @@ the alphabet necklace_count_oracle walks, its period-n words of length n are
 the aperiodic minimal rotations, and there are necklace_count of them.
 
 The enumerator oracle is the per-word loop enumerate_geodesics ran before it
-moved onto the walk's arrays, kept here verbatim over the unpruned walk: the
-two must give the same spectrum bytes, side channel and dropped count.
+moved onto the walk's arrays, kept here verbatim over the unpruned walk, with
+the enumerator's OverflowError for a key that is not finite: the two must give
+the same spectrum bytes, side channel and dropped count, or the same error.
 """
 
 import io
@@ -21,6 +22,7 @@ import math
 from typing import Dict, List, Tuple
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +34,7 @@ from isogeo.hyperbolic import (
     Mat4,
     _axis_length,
     _mul4,
+    _walk_products,
     enumerate_geodesics,
     necklace_walk,
 )
@@ -129,6 +132,9 @@ def _loop_enumerate(generators, config: EnumConfig) -> EnumerationResult:
                 if x < 0:
                     a, b, c, d = -a, -b, -c, -d
                 break
+        if not all(math.isfinite(x / tol) for x in (a, b, c, d)):
+            raise OverflowError(f"the product of word {word} overflows float64 at dedup_tolerance {tol:g}: "
+                                f"{(a, b, c, d)}")
         key = (round(a / tol), round(b / tol), round(c / tol), round(d / tol))
         if key in seen_matrices:
             i = seen_matrices[key]
@@ -255,6 +261,13 @@ _P = Isometry.diag(3.0, 1 / 3.0)
 _FREE_PAIR = [_P, _conjugate(_P, _rotation(math.pi / 4))]
 
 
+def _conditioned(gens: List[Isometry], k: float) -> List[Isometry]:
+    """gens conjugated by a change of basis of condition number k**2: the
+    entries of long products, and so their dedup keys, grow with it."""
+    h = _rotation(0.3) @ Isometry.diag(k, 1 / k) @ _rotation(1.1)
+    return [_conjugate(g, h) for g in gens]
+
+
 @settings(max_examples=60, deadline=None)
 @given(generator_sets(), st.integers(2, 6), st.floats(0.5, 12.0),
        st.sampled_from([1e-9, 1e-6, 1e-3]))
@@ -265,6 +278,32 @@ _FREE_PAIR = [_P, _conjugate(_P, _rotation(math.pi / 4))]
 @example([_P, _rotation(math.pi / 5)], 5, 12.0, 1e-9)
 @example([_P, Isometry(1.0, 2.0, 0.0, 1.0)], 5, 12.0, 1e-9)
 @example([_P, Isometry(0.0, 1.0, 1.0, 0.0), Isometry.diag(2.0, -0.5)], 4, 12.0, 1e-9)
+@example(_conditioned(_FREE_PAIR, 30.0), 7, 12.0, 1e-9)
+@example(_conditioned(_FREE_PAIR, 100.0), 7, 12.0, 1e-9)
+@example(_conditioned([_P, _rotation(math.pi / 3)], 10.0), 6, 8.0, 1e-9)  # r^3 = -1: words share a matrix
+@example([_P, Isometry(1.0, 2.0, 0.0, 1.0)], 5, 0.5, 0.5)  # parabolic traces 2 near the bound 2 cosh(1/2)
+@example([Isometry(1.0, 1.0, 0.0, 1.0), _rotation(math.pi / 5)], 5, 0.3, 0.1)
+# trace 2.6 below the bound 2 cosh(0.85) = 2.77, keys rint(2.6) + rint(2.6) = 6 above bound / tol
+@example([Isometry(1.3, 0.69, 1.0, 1.3)], 3, 1.2, 0.5)
+@example(_FREE_PAIR, 6, 4 * math.log(3.0) - 9e-10, 1e-9)  # P^2 just past the cutoff, within tol
+@example([Isometry(1e50, 1e149, 0.0, 1e-50), _P], 6, 10.0, 1e-9)  # (1 1 1 1 1): a, d far past the cutoff, b inf
 def test_enumerate_matches_per_word_loop(gens, max_len, cutoff, tol):
     config = EnumConfig(max_len, cutoff, tol)
-    _same_result(enumerate_geodesics(gens, config), _loop_enumerate(gens, config))
+    try:
+        want = _loop_enumerate(gens, config)
+    except OverflowError as e:
+        with pytest.raises(OverflowError) as got:
+            enumerate_geodesics(gens, config)
+        assert str(got.value) == str(e)
+        return
+    _same_result(enumerate_geodesics(gens, config), want)
+
+
+def test_walk_leaves_out_words_past_the_cutoff():
+    # of the 3582 minimal rotations up to length 9 that are cyclically reduced, a
+    # free pair of translation length 2 log 4 has 174 within the trace bound of cutoff 14
+    q = Isometry.diag(4.0, 0.25)
+    pair = [q, _conjugate(q, _rotation(math.pi / 4))]
+    bound = 2.0 * math.cosh((14.0 + 1e-9) / 2.0) * (1.0 + 1e-9)
+    assert len(_walk_products(pair, 9, 1e-9, math.inf)[0]) == 3582
+    assert len(_walk_products(pair, 9, 1e-9, bound)[0]) <= 300
