@@ -76,6 +76,9 @@ class Isometry:
         return cls(1.0, 0.0, 0.0, 1.0)
 
     def det(self) -> float:
+        """ad - bc of the stored entries.  For a long product that is rounding
+        noise, not +-1; orientation is the sign of the det carried from the
+        factors, which :func:`classify` reads."""
         return self.a * self.d - self.b * self.c
 
     def trace(self) -> float:

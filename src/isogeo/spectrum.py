@@ -116,9 +116,10 @@ class LengthTwistSpectrum:
     construction and held as columns in canonical order (ascending length,
     exact first on a tie, preserving before reversing, ascending nu):
     ``approx`` (float64), ``keys`` (the canonical key rows of the lengths,
-    :class:`~isogeo.lengths.ExactKeys`), ``reversing`` (int8), ``nu`` and
-    ``multiplicity`` (ints); ``exact`` (Exact or None) and ``entries`` are views
-    of them, built on first use.
+    :class:`~isogeo.lengths.ExactKeys`), ``reversing`` (int8), and ``counts``,
+    the nu and multiplicity columns as arrays (int64 unless a value is past it,
+    then Python ints), also held as the int lists ``nu`` and ``multiplicity``;
+    ``exact`` (Exact or None) and ``entries`` are views of them, built on first use.
     """
 
     def __init__(self, entries: Iterable[GeodesicEntry], horizon: LengthValue,
@@ -161,6 +162,7 @@ class LengthTwistSpectrum:
         keep = np.delete(np.arange(len(order)), copies)
         self.approx, self.keys, self.reversing = x[keep], keys.take(keep), rev[keep]
         self.nu, self.multiplicity = nu[keep].tolist(), [mult[j] for j in keep.tolist()]
+        self.counts = nu[keep], int_column(self.multiplicity)
         self.horizon, self.tolerance = horizon, tolerance
         # lengths below the horizon's float are within it; the top run needs length_le
         top = np.arange(int(np.searchsorted(self.approx, horizon.approx())), len(keep))
@@ -214,7 +216,7 @@ class LengthTwistSpectrum:
         preserving one, as columns (p, q, t, is_float): exact p/q in lowest terms,
         (b^n - 1)/(b^n + 1) at l = n*log(b), once per distinct key row (b, n, 1)
         and halved when b is odd, int64 unless a q is past it; elsewhere the float
-        t = math.tanh(l/2) (is_float, p = q = 1).  W, :attr:`weight_floats` and
+        t = math.tanh(l/2) (is_float, p = q = 1).  W, :attr:`term_floats` and
         :meth:`exact_terms` evaluate the weight formula from this column and
         :attr:`counts` alone."""
         (base, num, den), rev = self.keys, self.reversing.astype(bool)
@@ -231,33 +233,22 @@ class LengthTwistSpectrum:
         return p, q, t, is_float
 
     @cached_property
-    def counts(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The nu and multiplicity columns as arrays, each int64 unless a value is
-        past it, then Python ints (object)."""
-        return int_column(self.nu), int_column(self.multiplicity)
-
-    @cached_property
-    def weight_floats(self) -> np.ndarray:
-        """float(w) of the :func:`weight` w of every entry, without building w: an
-        exact damping factor p/q over nu correctly rounded, as float(Fraction)
-        rounds it, and a float factor t as t / nu (see :func:`weight`)."""
-        p, q, t, is_float = self._damping
-        nu = self.counts[0]
-        if q.dtype == nu.dtype == np.int64 and (q * nu.astype(float) < 2**53).all():
-            return np.where(is_float, t / nu, p / (q * nu))  # ints below 2**53 convert exactly: one rounding
-        return np.array([_damped(x, n) if f else a / (b * n) for a, b, x, f, n in
-                         zip(p.tolist(), q.tolist(), t.tolist(), is_float.tolist(), nu.tolist())], dtype=float)
-
-    @cached_property
     def term_floats(self) -> np.ndarray:
-        """float(m) * float(w) of every entry, its multiplicity m times its
-        :attr:`weight_floats` w; NaN where m is past the float range: that
-        entry's term is read from :meth:`exact_terms` instead."""
+        """float(m) * float(w) of every entry, m its multiplicity and w its :func:`weight`
+        (w is never built): an exact damping factor p/q over nu correctly rounded, as
+        float(Fraction) rounds it, and a float factor t as t / nu.  NaN where m is past
+        the float range: that entry's term is read from :meth:`exact_terms` instead."""
+        (p, q, t, is_float), (nu, m) = self._damping, self.counts
+        if q.dtype == nu.dtype == np.int64 and (q * nu.astype(float) < 2**53).all():
+            w = np.where(is_float, t / nu, p / (q * nu))  # ints below 2**53 convert exactly: one rounding
+        else:
+            w = np.array([_damped(x, n) if f else a / (b * n) for a, b, x, f, n in
+                          zip(p.tolist(), q.tolist(), t.tolist(), is_float.tolist(), nu.tolist())], dtype=float)
         try:
-            m = self.counts[1].astype(float)
+            m = m.astype(float)
         except OverflowError:
             m = np.fromiter(map(_float_or_nan, self.multiplicity), float, len(self))
-        return m * self.weight_floats
+        return m * w
 
     def exact_terms(self, at: List[int]) -> List[Fraction]:
         """multiplicity * weight of the entries at, exact, from the damping and count

@@ -187,6 +187,27 @@ def test_enumerate_cli(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_enumerate_reports_its_side_channel(tmp_path, capsys):
+    # a quarter turn (elliptic), a parabolic and a hyperbolic generator: the words the
+    # spectrum leaves out are counted on stdout, in either --out format
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({"generators": [[[0, -1], [1, 0]], [[1, 1], [0, 1]], [[2, 0], [0, 0.5]]]}))
+    stdout = ("enumerated 3 geodesic types (total multiplicity 16) up to length 3.0\n"
+              "side channel: 9 elliptic/reflection words excluded\n"
+              "dropped 12 identity/parabolic words\n")
+    rows = [(1.3862943611198906, 1, 10), (2.772588722239781, 1, 4), (2.772588722239781, 2, 2)]
+    for fmt in ("csv", "json"):
+        capsys.readouterr()
+        argv = ["enumerate", "--generators", str(gens), "--max-word-length", "3", "--cutoff", "3",
+                "--out", str(tmp_path / f"spec.{fmt}"), "--format", fmt]
+        assert main(argv) == 0
+        assert capsys.readouterr() == (stdout, "")
+    assert (tmp_path / "spec.csv").read_text().splitlines() == ["length,orientation,nu,multiplicity"] + [
+        f'"{{""numeric"": {x!r}}}",preserving,{nu},{m}' for x, nu, m in rows]
+    assert json.loads((tmp_path / "spec.json").read_text()) == {"horizon": {"numeric": 3.0}, "entries": [
+        {"length": {"numeric": x}, "orientation": "preserving", "nu": nu, "multiplicity": m} for x, nu, m in rows]}
+
+
 @pytest.mark.parametrize(
     "generators, message",
     [

@@ -38,6 +38,7 @@ from isogeo.spectrum import (
     weight,
     weight_function,
 )
+from test_lengths import oracle_order
 
 P = Orientation.PRESERVING
 R = Orientation.REVERSING
@@ -414,7 +415,7 @@ def test_the_w_path_reads_neither_weights_nor_entries(tmp_path, monkeypatch):
     assert (compare_weights(a, b), weight_function(a), [total_weight(a, q) for q in queries]) == want
 
 
-# --- the damping column behind W and the weight floats ------------------------------
+# --- the damping column behind W and the term floats --------------------------------
 
 
 # below a horizon of 100: exact damping p/q (its q past int64 from 2**63 and 3**41 on), float damping
@@ -438,7 +439,8 @@ huge_nu = st.one_of(st.integers(1, 10**400), st.integers(2**1029, 2**1031))
 def test_weights_are_the_scalar_weight_of_each_entry(entries):
     spec = LengthTwistSpectrum(entries, Numeric(100.0))
     want = [weight(e) for e in spec.entries]
-    assert [x.hex() for x in spec.weight_floats.tolist()] == [float(w).hex() for w in want]
+    assert [x.hex() for x in spec.term_floats.tolist()] == [
+        (float(e.multiplicity) * float(w)).hex() for e, w in zip(spec.entries, want)]
     # the exact term of each entry: m * w, with a float damping factor taken exactly
     assert spec.exact_terms(range(len(spec))) == [
         e.multiplicity * (w if type(w) is Fraction else Fraction(math.tanh(e.length.approx() / 2.0)) / e.nu)
@@ -470,7 +472,7 @@ def test_damping_column_calls_no_tanh_half(monkeypatch):
         weight_function(spec)
         for l in spec.exact[::7]:
             total_weight(spec, l)
-        assert len(spec.weight_floats) == len(spec.exact_terms(range(len(spec)))) == len(spec)
+        assert len(spec.term_floats) == len(spec.exact_terms(range(len(spec)))) == len(spec)
         dirichlet_partial_sum(spec, 2.0)
         dirichlet_partial_sum_grouped(spec, 2.0)
     assert calls == []
@@ -480,77 +482,12 @@ def test_damping_column_calls_no_tanh_half(monkeypatch):
     assert c._damping[0].dtype == object and a._damping[0].dtype == np.int64
 
 
-# --- the key columns against the object path they replaced --------------------------
+# --- the key columns against their definitions ------------------------------------
 #
-# The oracle is the object path as spectra ran it before their lengths were key
-# columns: one Exact object (or None) per entry, sorted with a Python tiebreak for
-# a run of equal floats holding two different Exact values, each cluster's least
-# Exact found by a per-cluster loop, and copies folded by comparing objects.
-
-
-def object_sorted_order(x, lengths, *keys):
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    tied = xs[1:] == xs[:-1]
-    if not tied.any():
-        return order
-    at = np.flatnonzero(np.append(tied, False) | np.append(False, tied))
-    run = np.cumsum(np.diff(xs[at], prepend=xs[at[0]]) != 0)
-    members = order[at]
-    numeric = np.array([not isinstance(lengths[i], Exact) for i in members.tolist()])
-    cols = [k[members] if isinstance(k, np.ndarray) else np.array([k[i] for i in members.tolist()], dtype=object)
-            for k in reversed(keys)]
-    order[at] = members[np.lexsort((*cols, numeric, run))]
-
-    def tiebreak(i):
-        l = lengths[i]
-        return ((0, l.base, l.mult) if isinstance(l, Exact) else (1, 0, 0), *(k[i] for k in keys))
-
-    first, mixed = {}, set()
-    for r, l in zip(run[~numeric].tolist(), (lengths[i] for i in members[~numeric].tolist())):
-        if first.setdefault(r, l) is not l and first[r] != l:
-            mixed.add(r)
-    for r in mixed:
-        lo, hi = at[np.searchsorted(run, r)], at[np.searchsorted(run, r, "right") - 1] + 1
-        order[lo:hi] = sorted(order[lo:hi].tolist(), key=tiebreak)
-    return order
-
-
-def object_reps(columns, tol):
-    """Each cluster's representative over columns (floats, Exact-or-None): its
-    least Exact length by (float, base, multiplier), else its least float."""
-    x = np.concatenate([c[0] for c in columns])
-    exact = [l for c in columns for l in c[1]]
-    order = np.argsort(x, kind="stable")
-    merged = np.zeros(len(x), dtype=np.int64)
-    np.cumsum(np.diff(x[order]) > tol, out=merged[1:])
-    reps = {}
-    for c, i in zip(merged.tolist(), order.tolist()):
-        reps.setdefault(c, Numeric(float(x[i])))
-    least = {}
-    for c, i in zip(merged.tolist(), order.tolist()):
-        l = exact[i]
-        if l is not None and (c not in least or (l.approx(), l.base, l.mult) < least[c]):
-            least[c], reps[c] = (l.approx(), l.base, l.mult), l
-    return [reps[c] for c in range(len(reps))]
-
-
-def object_columns(entries):
-    """The canonical columns (approx, exact, reversing, nu, multiplicity) of entries,
-    sorted by object_sorted_order and folded by comparing objects."""
-    x = np.array([e.length.approx() for e in entries], dtype=float)
-    exact = [e.length if isinstance(e.length, Exact) else None for e in entries]
-    rev = np.array([e.orientation is R for e in entries], dtype=np.int8)
-    nu, mult = [e.nu for e in entries], [e.multiplicity for e in entries]
-    at = object_sorted_order(x, exact, rev, nu).tolist()
-    rows = []
-    for i in at:
-        row = [float(x[i]), exact[i], int(rev[i]), nu[i], mult[i]]
-        if rows and rows[-1][:4] == row[:4]:
-            rows[-1][4] += row[4]
-        else:
-            rows.append(row)
-    return [list(c) for c in zip(*rows)] if rows else [[]] * 5
+# Each kernel the key columns feed is checked against its definition: sorted_order
+# against a sort key per index, the canonical columns against oracle_entries, W
+# against the span scan, each cluster's representative against the swept
+# clusters, and the damping column against one tanh_half per Exact object.
 
 
 def object_damping(spec):
@@ -597,7 +534,7 @@ def mixed_spectra(draw):
 @given(mixed_spectra())
 @example(([[GeodesicEntry(l, P) for l in TIED_LOG2] + [GeodesicEntry(Numeric(TIED_LOG2[0].approx()), R)],
            [GeodesicEntry(l, R, 3) for l in TIED_LOG2[::-1]]], 1e-9))
-def test_key_columns_match_the_object_path(case):
+def test_key_columns_match_the_definitions(case):
     (ea, eb), tol = case
     a, b = (LengthTwistSpectrum(e, HORIZON, tol) for e in (ea, eb))
     for entries, spec in ((ea, a), (eb, b)):
@@ -606,13 +543,13 @@ def test_key_columns_match_the_object_path(case):
         rev = np.array([e.orientation is R for e in entries], dtype=np.int8)
         nu = [e.nu for e in entries]
         exact = [l if isinstance(l, Exact) else None for l in lengths]
-        assert sorted_order(x, exact_keys(exact), rev, nu).tolist() == object_sorted_order(x, exact, rev, nu).tolist()
-        assert sorted_order(x, exact_keys(lengths)).tolist() == object_sorted_order(x, lengths).tolist()
-        approx, exact, reversing, nu, mult = object_columns(entries)
-        assert spec.approx.tolist() == approx and spec.exact == exact
-        assert spec.reversing.tolist() == reversing and (spec.nu, spec.multiplicity) == (nu, mult)
-        assert spec.entries == oracle_entries(entries)
-        keys = exact_keys(exact)
+        assert sorted_order(x, exact_keys(exact), rev, nu).tolist() == oracle_order(x, exact, rev, nu)
+        assert sorted_order(x, exact_keys(lengths)).tolist() == oracle_order(x, lengths)
+        # the entries hold the exact, reversing, nu and multiplicity columns
+        canonical = oracle_entries(entries)
+        assert spec.entries == canonical
+        assert spec.approx.tolist() == [e.length.approx() for e in canonical]
+        keys = exact_keys([e.length if isinstance(e.length, Exact) else None for e in canonical])
         assert all(np.array_equal(k, c) for k, c in zip(spec.keys, keys))
         assert all(k.dtype == (object if c.dtype == object else np.int64) for k, c in zip(spec.keys, keys))
         # the same spectrum from its key columns, from its Exact column and from shuffled entries
@@ -626,9 +563,9 @@ def test_key_columns_match_the_object_path(case):
         want = oracle_clustered_weights(spec, oracle_clusters([e.length for e in spec.entries], tol), tol)
         w = spec.weight_columns
         assert w.values() == want and w.floats_or_nan().tolist() == [float(v) for v in want]
-    for columns in ([(a.approx, a.exact)], [(a.approx, a.exact), (b.approx, b.exact)]):
-        clusters = Clusters([(x, exact_keys(exact)) for x, exact in columns], tol)
-        want = object_reps(columns, tol)
+    for specs in ((a,), (a, b)):
+        clusters = Clusters([(s.approx, exact_keys(s.exact)) for s in specs], tol)
+        want = [representative(c) for c in oracle_clusters([e.length for s in specs for e in s.entries], tol)]
         assert clusters.reps(range(clusters.size)) == want
         assert clusters.rep_floats.tolist() == [l.approx() for l in want]
 

@@ -35,6 +35,12 @@ def test_twist_validation():
     with pytest.raises(ValueError):
         TwistData(dimension=3, matrix=((1.0,),))
     TwistData.from_matrix([[0.0, -1.0], [1.0, 0.0]])
+    # the second is orthogonal within 1e-12, yet a surface twist must be exactly [1] or [-1]
+    for dimension, matrix, message in [(1, (), "dimension must be >= 2, got 1"),
+                                       (2, ((1.0 + 2e-13,),), "surface twist must be exactly [1] or [-1]")]:
+        with pytest.raises(ValueError) as exc:
+            TwistData(dimension, matrix)
+        assert (exc.type, str(exc.value)) == (ValueError, message)
 
 
 def test_q_factor_surface_cases():

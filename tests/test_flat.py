@@ -198,6 +198,19 @@ def test_malformed_relations():
         parse_relation("S1=X9")
     with pytest.raises(MalformedRelation):
         SpectralRelation(left=(), right=((1, OrbifoldId.S1),))
+    with pytest.raises(MalformedRelation) as exc:
+        parse_relation("S1+=S2")
+    assert (exc.type, str(exc.value)) == (MalformedRelation, "empty term in 'S1+=S2'")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: norm_census(SQ, -1), "max_norm must be >= 0, got -1"),
+    (lambda: vectors_with_norm(SQ, -1), "norm must be >= 0, got -1"),
+], ids=["norm_census", "vectors_with_norm"])
+def test_negative_norms_are_refused(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert (exc.type, str(exc.value)) == (ValueError, message)
 
 
 def test_relations_for_family():

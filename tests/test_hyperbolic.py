@@ -291,6 +291,12 @@ def test_length_cutoff_must_be_positive_and_finite(cutoff):
         EnumConfig(3, cutoff)
 
 
+def test_max_word_length_must_be_positive():
+    with pytest.raises(ValueError) as exc:
+        EnumConfig(0, 4.0)
+    assert (exc.type, str(exc.value)) == (ValueError, "max_word_length must be >= 1")
+
+
 def schottky_pair():
     a = Isometry.diag(3.0, 1 / 3.0)
     t = Isometry(1.0, 2.0, 0.0, 1.0)

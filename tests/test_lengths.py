@@ -113,6 +113,9 @@ def test_exact_validation():
     with pytest.raises(ValueError, match="base"):
         Exact("2", 1)
     assert Exact(4.0, 1) == Exact(2, 2)
+    with pytest.raises(TypeError) as exc:
+        Exact(2, 1).scaled(0.5)
+    assert (exc.type, str(exc.value)) == (TypeError, "scale factor must be int, str, or Fraction, not float")
 
 
 def test_numeric_validation():

@@ -170,6 +170,22 @@ def test_verify_constraint_matches_the_divisor_loop_on_the_family():
             assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: necklace_count(1, 3), "alphabet size must be >= 2, got 1"),
+    (lambda: necklace_count(2, 0), "string length must be >= 1, got 0"),
+    (lambda: necklace_count_oracle(2, 0), "string length must be >= 1, got 0"),
+    (lambda: scenario_rows(ScenarioSolution(1, 3, {}, {})), "alphabet size must be >= 2, got 1"),
+    (lambda: build_scenario(1, 5), "q must be >= 2, got 1"),
+    (lambda: build_scenario(2, 0), "horizon must be >= 1, got 0"),
+    (lambda: verify_constraint(build_scenario(2, 5), 0), "n must be >= 1, got 0"),
+], ids=["necklace_count-q", "necklace_count-n", "necklace_count_oracle-n", "scenario_rows-q",
+        "build_scenario-q", "build_scenario-horizon", "verify_constraint-n"])
+def test_argument_checks_name_the_argument(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert (exc.type, str(exc.value)) == (ValueError, message)
+
+
 def test_verify_constraint_beyond_horizon():
     sol = build_scenario(2, 5)
     with pytest.raises(BeyondHorizon):
@@ -283,7 +299,7 @@ def assert_same_pair(got, want):
     for g, w in zip(got, want):
         assert g == w
         assert g.entries == w.entries
-        assert g.weight_floats.tolist() == [float(weight(e)) for e in w.entries]
+        assert g.term_floats.tolist() == [float(e.multiplicity) * float(weight(e)) for e in w.entries]
         assert g.exact_terms(range(len(g))) == w.exact_terms(range(len(w)))
         assert dumped(g) == dumped(w)
 

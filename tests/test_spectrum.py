@@ -276,6 +276,11 @@ def test_discrepancy_checks_its_support_within_the_pair_tolerance():
         DiscrepancyTable(t.a, t.b, t.horizon)
 
 
+def test_discrepancy_table_repr_counts_both_functions():
+    t = DiscrepancyTable({Numeric(1.0): 2, Numeric(2.0): -1}, {Numeric(1.0): 1}, Numeric(3.0))
+    assert repr(t) == "DiscrepancyTable(2 a-values, 1 b-values)"
+
+
 def test_discrepancy_counts_primitives_only():
     l = Numeric(1.0)
     a = spec_of(
