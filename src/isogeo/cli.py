@@ -38,7 +38,7 @@ from . import flat, interchange, scenario
 from .dirichlet import ConvergenceWarning, dirichlet_partial_sum
 from .errors import IsogeoError
 from .hyperbolic import EnumConfig, enumerate_geodesics
-from .lengths import DEFAULT_TOLERANCE
+from .lengths import DEFAULT_TOLERANCE, Numeric
 from .spectrum import (
     LengthTwistSpectrum,
     almost_conjugate,
@@ -64,7 +64,9 @@ def _write_output(path: str, fmt: str, output: Any):
     with open(path, "w", newline="") as fp:
         if fmt == "csv":
             csv.writer(fp, lineterminator="\n").writerows(output)
-        elif isinstance(output, dict):  # the JSON document of compare or enumerate
+        elif isinstance(output, LengthTwistSpectrum):  # the spectrum document of enumerate
+            interchange.dump_spectrum(output, fp)
+        elif isinstance(output, dict):  # the JSON document of compare
             interchange.dump_json(output, fp)
         else:
             interchange.dump_json([dict(zip(output[0], row)) for row in output[1:]], fp)
@@ -198,12 +200,12 @@ def _cmd_compare(args) -> Tuple[int, Any]:
 def _cmd_weights(args) -> Tuple[int, Any]:
     spec = _load_spectrum(args, args.spectrum)
     table = weight_function(spec)  # before any report line: W past the float range raises
-    print(f"total weight function up to horizon {spec.horizon}:")
-    rows = [["length", "weight"]]
+    lines, rows = [f"total weight function up to horizon {spec.horizon}:"], [["length", "weight"]]
     for rep, w in table:
-        w = _rational_str(w)
-        print(f"  l={rep}: W={w}")
-        rows.append([interchange.length_cell(rep), w])
+        w, l = _rational_str(w), str(rep)  # a Numeric prints as repr(value), its cell's number
+        lines.append(f"  l={l}: W={w}")
+        rows.append([f'{{"numeric": {l}}}' if isinstance(rep, Numeric) else interchange.length_cell(rep), w])
+    print("\n".join(lines))
     return EXIT_OK, rows
 
 
@@ -244,10 +246,9 @@ def _cmd_enumerate(args) -> Tuple[int, Any]:
             for e in spec.entries
         ]
         return EXIT_OK, [["length", "orientation", "nu", "multiplicity"], *rows]
-    doc = interchange.spectrum_to_json(spec)
     if not args.out:
-        print(json.dumps(doc, sort_keys=True))
-    return EXIT_OK, doc
+        print(json.dumps(interchange.spectrum_to_json(spec), sort_keys=True))
+    return EXIT_OK, spec
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import json
 from fractions import Fraction
-from typing import IO, Any, Callable, Dict, List, Tuple
+from typing import IO, Any, Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .hyperbolic import Isometry
 from .lengths import (
     DEFAULT_TOLERANCE,
     Exact,
+    ExactKeys,
     LengthValue,
     Numeric,
     as_integer,
@@ -102,13 +103,15 @@ def length_from_json(doc: Dict[str, Any]) -> LengthValue:
     return l or Numeric(x)
 
 
+def _rows(spec: LengthTwistSpectrum) -> Iterable[tuple]:  # (approx, q, num, den, reversing, nu, multiplicity)
+    return zip(*(c.tolist() for c in (spec.approx, *spec.keys, spec.reversing)), spec.nu, spec.multiplicity)
+
+
 def spectrum_to_json(spec: LengthTwistSpectrum) -> Dict[str, Any]:
-    columns = zip(spec.approx.tolist(), *(k.tolist() for k in spec.keys), spec.reversing.tolist(), spec.nu,
-                  spec.multiplicity)
     return {"horizon": length_to_json(spec.horizon),
             "entries": [{"length": {"exact": {"q": q, "num": n, "den": d}} if q else {"numeric": x},
                          "orientation": ORIENTATIONS[r].value, "nu": nu, "multiplicity": m}
-                        for x, q, n, d, r, nu, m in columns]}
+                        for x, q, n, d, r, nu, m in _rows(spec)]}
 
 
 def _entry_columns(entries: List[Dict[str, Any]]) -> tuple:
@@ -130,11 +133,14 @@ def _entry_columns(entries: List[Dict[str, Any]]) -> tuple:
             shared[key] = _length_column(doc)
         return shared[key]
 
-    pairs = [exact_column(l) if "exact" in l else (l["numeric"], None) for l in lengths]
-    x, exact = zip(*pairs) if pairs else ((), ())
+    if any("exact" in l for l in lengths):
+        x, exact = zip(*[exact_column(l) if "exact" in l else (l["numeric"], None) for l in lengths])
+        keys = exact_keys(exact)
+    else:  # a numeric document builds no key rows
+        x, keys = [l["numeric"] for l in lengths], ExactKeys.numeric(len(lengths))
     if set(map(type, x)) - {int, float}:
         raise ValueError("a column holds a value that is not plain")
-    return np.array(x, dtype=float), exact_keys(exact), reversing, nu, mult
+    return np.array(x, dtype=float), keys, reversing, nu, mult
 
 
 @_document
@@ -186,7 +192,14 @@ def dump_json(doc: Any, fp: IO[str]):
 
 
 def dump_spectrum(spec: LengthTwistSpectrum, fp: IO[str]):
-    dump_json(spectrum_to_json(spec), fp)
+    """The bytes of dump_json(spectrum_to_json(spec), fp), one f-string per entry of the columns."""
+    orientation = [f'"orientation":"{o.value}"' for o in ORIENTATIONS]
+    entries = ",".join(
+        f'{{"length":{{"exact":{{"den":{d},"num":{n},"q":{q}}}}},"multiplicity":{m},"nu":{nu},{orientation[r]}}}'
+        if q else f'{{"length":{{"numeric":{x!r}}},"multiplicity":{m},"nu":{nu},{orientation[r]}}}'
+        for x, q, n, d, r, nu, m in _rows(spec))
+    horizon = json.dumps(length_to_json(spec.horizon), sort_keys=True, separators=(",", ":"))
+    fp.write(f'{{"entries":[{entries}],"horizon":{horizon}}}\n')
 
 
 def _matrix(rows: Any, path: str) -> List[List[float]]:

@@ -209,6 +209,13 @@ def int_column(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
+def summable(column: np.ndarray) -> np.ndarray:
+    """An integer column as int64 while no sum of its values can pass it (max|v| * len < 2**63), else Python ints."""
+    if column.dtype == np.int64 and int(np.abs(column).max(initial=0)) * len(column) < 2**63:
+        return column
+    return column.astype(object)
+
+
 class ExactKeys(NamedTuple):
     """Canonical keys of lengths as columns, each as :func:`int_column` holds it.
     The exact length mult*log(base) is the row (base, num, den), base its canonical

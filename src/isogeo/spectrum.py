@@ -59,6 +59,7 @@ from .lengths import (
     positive_length,
     run_starts,
     sorted_order,
+    summable,
     tanh_half,
 )
 
@@ -473,18 +474,18 @@ def almost_conjugate(
     """
     tol = _require_common_horizon(a, b)
     clusters = Clusters([(a.approx, a.keys), (b.approx, b.keys)], tol)
-    keys = (np.array(a.nu + b.nu, dtype=object), np.concatenate((a.reversing, b.reversing)),
-            np.concatenate(clusters.ids))
+    (nu_a, m_a), (nu_b, m_b) = a.counts, b.counts
+    keys = (np.concatenate((nu_a, nu_b)), np.concatenate((a.reversing, b.reversing)), np.concatenate(clusters.ids))
     order = np.lexsort(keys)  # one pass over both sides, in (cluster, orientation, nu) order
     starts = run_starts(*(k[order] for k in keys))  # where a (cluster, orientation, nu) group starts
-    va, vb = (np.add.reduceat(np.array(m, dtype=object)[order], starts)
-              for m in (a.multiplicity + [0] * len(b), [0] * len(a) + b.multiplicity))
+    m, in_a = summable(np.concatenate((m_a, m_b))), np.arange(len(order)) < len(a)
+    va, vb = (np.add.reduceat(np.where(side, m, 0)[order], starts) for side in (in_a, ~in_a))
     differ = np.flatnonzero(va != vb)
     if not len(differ):
         return True, None
     g, i = differ[0], order[starts[differ[0]]]
     length = clusters.rep(int(keys[2][i]))
-    return False, ConjugacyWitness(length, ORIENTATIONS[keys[1][i]], keys[0][i], int(va[g]), int(vb[g]))
+    return False, ConjugacyWitness(length, ORIENTATIONS[keys[1][i]], int(keys[0][i]), int(va[g]), int(vb[g]))
 
 
 @dataclass(frozen=True, repr=False)
@@ -564,17 +565,19 @@ def discrepancy(a: LengthTwistSpectrum, b: LengthTwistSpectrum) -> DiscrepancyTa
     swapping the spectra negates both functions.
     """
     tol = _require_common_horizon(a, b)
-    sides = [(s, [i for i, n in enumerate(s.nu) if n == 1]) for s in (a, b)]
+    sides = [(s, np.flatnonzero(s.counts[0] == 1)) for s in (a, b)]
     clusters = Clusters([(s.approx[t], s.keys.take(t)) for s, t in sides], tol)
     rev = np.concatenate([s.reversing[t] for s, t in sides])
     # a(l): a's preserving count minus b's; b(l): b's reversing count minus a's
-    signed = [(-1) ** (k + int(s.reversing[i])) * s.multiplicity[i]
-              for k, (s, t) in enumerate(sides) for i in t]
-    d = np.zeros((2, clusters.size), dtype=object)
-    np.add.at(d, (rev, np.concatenate(clusters.ids)), np.array(signed, dtype=object))
-    at = np.flatnonzero((d != 0).any(axis=0)).tolist()
-    reps = dict(zip(at, clusters.reps(at)))  # one representative per cluster, shared by a and b
-    a_map, b_map = ({reps[c]: int(r[c]) for c in np.flatnonzero(r).tolist()} for r in d)
+    m = summable(np.concatenate([s.counts[1][t] for s, t in sides]))
+    signed = np.where(rev == (np.arange(len(m)) >= len(sides[0][1])), m, -m)
+    group = np.concatenate(clusters.ids) * 2 + rev  # (cluster, orientation), cluster-major
+    order = np.argsort(group, kind="stable")
+    starts = run_starts(group[order])
+    sums, group = np.add.reduceat(signed[order], starts), group[order[starts]]
+    group, sums = group[sums != 0], sums[sums != 0].tolist()
+    reps = dict(zip((group // 2).tolist(), clusters.reps(group // 2)))  # one per cluster, shared by a and b
+    a_map, b_map = ({reps[g // 2]: v for g, v in zip(group.tolist(), sums) if g % 2 == o} for o in (0, 1))
     return DiscrepancyTable(a_map, b_map, a.horizon, tol)
 
 

@@ -263,13 +263,14 @@ def spectrum_pair(draw):
             pool.append(Numeric(a.approx()))  # a numeric twin: ties go exact first
         for k in range(1, draw(st.integers(0, 3)) + 1):
             pool.append(Numeric(a.approx() + k * 0.75 * tol))
-    # counts past 2**63 sometimes: nu and multiplicity columns hold Python ints
+    # counts past 2**63 sometimes: nu and multiplicity columns hold Python ints; a
+    # multiplicity in [2**62, 2**63) fits int64, but a sum of two of them does not
     entry = st.builds(
         GeodesicEntry,
         st.sampled_from(pool),
         st.sampled_from([P, R]),
         st.one_of(st.integers(1, 3), st.integers(2**63, 2**63 + 2)),
-        st.one_of(st.integers(1, 4), st.integers(2**63, 2**70)),
+        st.one_of(st.integers(1, 4), st.integers(2**62, 2**63 - 1), st.integers(2**63, 2**70)),
     )
     sides = [LengthTwistSpectrum(draw(st.lists(entry, max_size=14)), HORIZON, tol) for _ in "ab"]
     queries = pool + [Numeric(v.approx() + d * tol) for v in pool for d in (-1.5, 0.5, 1.9)]
@@ -279,13 +280,22 @@ def spectrum_pair(draw):
 # --- properties -----------------------------------------------------------------
 
 
+# two multiplicities of 2**62 in one (cluster, orientation, nu) group: their sum wraps in int64
+@example((LengthTwistSpectrum([GeodesicEntry(Numeric(x), P, 1, 2**62) for x in (1.0, 1.0 + 5e-10)], HORIZON),
+          LengthTwistSpectrum([], HORIZON), 1e-9, []))
 @settings(max_examples=300, deadline=None)
 @given(spectrum_pair())
 def test_comparisons_match_the_span_scan(case):
     a, b, tol, _ = case
     assert compare_weights(a, b) == oracle_compare_weights(a, b, tol)
-    assert almost_conjugate(a, b) == oracle_almost_conjugate(a, b, tol)
-    assert discrepancy(a, b) == oracle_discrepancy(a, b, tol)
+    verdict, table = almost_conjugate(a, b), discrepancy(a, b)
+    assert verdict == oracle_almost_conjugate(a, b, tol)
+    assert table == oracle_discrepancy(a, b, tol)
+    # a numpy scalar passes ==, but compare --format json cannot encode it
+    witness = verdict[1]
+    if witness is not None:
+        assert all(type(v) is int for v in (witness.nu, witness.multiplicity_a, witness.multiplicity_b))
+    assert all(type(v) is int for v in [*table.a.values(), *table.b.values()])
 
 
 @settings(max_examples=300, deadline=None)

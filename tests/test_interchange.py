@@ -1,12 +1,14 @@
 import copy
+import dataclasses
 import io
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isogeo.hyperbolic import Isometry
@@ -61,25 +63,41 @@ def test_spectrum_roundtrip():
     assert load_spectrum(buf) == spec
 
 
-def test_dump_bytes_match_the_stream_encoder():
-    # dump_json writes through json.dumps (the C encoder); the bytes must be
-    # those of the pure-Python json.dump
-    P, R = Orientation.PRESERVING, Orientation.REVERSING
-    spec = LengthTwistSpectrum(
-        [
-            GeodesicEntry(Exact(2, 3), R, nu=3, multiplicity=2**70),
-            GeodesicEntry(Exact(3, Fraction(5, 2)), P),
-            GeodesicEntry(Numeric(1e-300), P, multiplicity=4),
-            GeodesicEntry(Numeric(1e300), R),
-        ],
-        horizon=Numeric(1e300),
-    )
-    buf, ref = io.StringIO(), io.StringIO()
+P, R = Orientation.PRESERVING, Orientation.REVERSING
+_dump_lengths = st.one_of(
+    st.builds(lambda q, n, d: Exact(q, Fraction(n, d)), st.sampled_from([2, 3, 4]), st.integers(1, 10**6),
+              st.integers(2, 10**6)),
+    st.sampled_from([Numeric(5e-324), Numeric(1e-300), Numeric(1e300)]),
+    st.builds(Numeric, st.floats(min_value=5e-324, max_value=1e300)),
+)
+_dump_counts = st.integers(1, 10**400)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(GeodesicEntry, _dump_lengths, st.sampled_from([P, R]), _dump_counts, _dump_counts),
+                max_size=8),
+       st.sampled_from([Numeric(1e300), Exact(2, 2 * 10**300)]))
+@example([GeodesicEntry(Exact(2, 3), R, nu=3, multiplicity=2**70), GeodesicEntry(Exact(3, Fraction(5, 2)), P),
+          GeodesicEntry(Numeric(1e-300), P, multiplicity=4), GeodesicEntry(Numeric(1e300), R)], Numeric(1e300))
+@example([], Exact(2, 2 * 10**300))
+def test_dump_bytes_match_the_stream_encoder(entries, horizon):
+    # dump_spectrum formats the columns itself; its bytes must be those of json.dumps (the
+    # C encoder) and of the pure-Python json.dump on spectrum_to_json
+    spec = LengthTwistSpectrum(entries, horizon)
+    doc, buf, ref = spectrum_to_json(spec), io.StringIO(), io.StringIO()
     dump_spectrum(spec, buf)
-    json.dump(spectrum_to_json(spec), ref, sort_keys=True, separators=(",", ":"))
-    ref.write("\n")
-    assert buf.getvalue() == ref.getvalue()
-    assert "1e-300" in buf.getvalue() and str(2**70) in buf.getvalue()
+    json.dump(doc, ref, sort_keys=True, separators=(",", ":"))
+    got = buf.getvalue()
+    assert got == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" == ref.getvalue() + "\n"
+    assert all(f'"numeric":{e.length.value!r}}}' in got for e in spec.entries if isinstance(e.length, Numeric))
+    assert all(f'"multiplicity":{e.multiplicity},' in got for e in spec.entries)
+    bound = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if entries and bound:  # a count past the bound on int-to-string digits: both writers raise alike
+        past = LengthTwistSpectrum([dataclasses.replace(entries[0], multiplicity=10**bound), *entries[1:]], horizon)
+        with pytest.raises(ValueError) as exc:
+            json.dumps(spectrum_to_json(past), sort_keys=True, separators=(",", ":"))
+        with pytest.raises(exc.type):
+            dump_spectrum(past, io.StringIO())
 
 
 def test_spectrum_document_shape():
