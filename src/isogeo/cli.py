@@ -317,8 +317,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.out:
             _write_output(args.out, args.format, output)
         return code
-    except (IsogeoError, OSError, ValueError, OverflowError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (IsogeoError, OSError, ValueError, OverflowError, ZeroDivisionError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)  # a bare MemoryError has no message
         return EXIT_USAGE
     finally:
         _int_digits(args.int_digits)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -159,15 +159,13 @@ def finite_number(value, name: str) -> float:
     return v
 
 
-_SET_VALUE = Numeric.value.__set__  # a frozen dataclass's field, set on a bare instance
-
-
-def numerics(values: Iterable[float]) -> List[Numeric]:
-    """Numeric lengths of floats already checked positive and finite, set without
-    checking them again."""
-    values = list(values)
-    out = [object.__new__(Numeric) for _ in values]
-    deque(map(_SET_VALUE, out, values), 0)
+def unchecked(cls, *columns: Sequence) -> list:
+    """Instances of the frozen slots dataclass cls from columns already checked,
+    one per fields(cls) in order, each field set on a bare instance: nothing is
+    checked or converted again."""
+    out = [object.__new__(cls) for _ in columns[0]]
+    for f, column in zip(fields(cls), columns):
+        deque(map(getattr(cls, f.name).__set__, out, column), 0)
     return out
 
 
@@ -340,10 +338,9 @@ class Clusters:
     """Length clusters over float columns, each given with its key rows (the
     float of an exact length is its approx()): the columns are merged by
     :func:`sorted_order` and split by :func:`cluster_ids`.  ``ids[k]`` holds the
-    cluster of each value of column k; ``starts``, ``lo`` and ``hi`` the first
-    merged position and the least and greatest value of each cluster, and
-    ``rep_floats`` the float of each cluster's representative (see :meth:`reps`),
-    as an array."""
+    cluster of each value of column k; ``lo`` and ``hi`` the least and greatest
+    value of each cluster, and ``rep_floats`` the float of each cluster's
+    representative (see :meth:`reps`), as an array."""
 
     def __init__(self, columns: Sequence[Tuple[np.ndarray, ExactKeys]], tol: float):
         x = np.concatenate([c[0] for c in columns])
@@ -356,7 +353,6 @@ class Clusters:
         self.ids = [ids[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         self.size = int(merged[-1]) + 1 if len(merged) else 0
         starts = run_starts(merged)
-        self.starts = starts.tolist()
         last = np.append(starts, len(merged))[1:] - 1  # last merged position of each
         self.rep_floats = x[order[starts]]
         self.lo, self.hi = self.rep_floats.tolist(), x[order[last]].tolist()
@@ -375,7 +371,7 @@ class Clusters:
         rows, out = self._least[at], np.empty(len(at), dtype=object)
         exact = rows >= 0
         out[exact] = self._keys.lengths(rows[exact])
-        out[~exact] = numerics(self.rep_floats[at[~exact]].tolist())
+        out[~exact] = unchecked(Numeric, self.rep_floats[at[~exact]].tolist())
         return out.tolist()
 
     def rep(self, c: int) -> LengthValue:

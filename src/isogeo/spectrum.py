@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -55,12 +54,12 @@ from .lengths import (
     int_column,
     length_le,
     lengths_equal,
-    numerics,
     positive_length,
     run_starts,
     sorted_order,
     summable,
     tanh_half,
+    unchecked,
 )
 
 
@@ -105,9 +104,6 @@ class GeodesicEntry:
 
     def is_primitive(self) -> bool:
         return self.nu == 1
-
-
-_SET_ENTRY = tuple(getattr(GeodesicEntry, f).__set__ for f in ("length", "orientation", "nu", "multiplicity"))
 
 
 class LengthTwistSpectrum:
@@ -155,18 +151,15 @@ class LengthTwistSpectrum:
             positive_length(x[bad][0])
         order = sorted_order(x, keys, rev, nu)
         x, keys, rev, nu = x[order], keys.take(order), rev[order], nu[order]
-        # copies of one (length, orientation, nu) sort side by side: fold each into the one before
-        copies = np.flatnonzero(np.logical_and.reduce([c[1:] == c[:-1] for c in (x, *keys, rev, nu)])) + 1
-        mult = [mult[i] for i in order.tolist()]
-        for j in reversed(copies.tolist()):
-            mult[j - 1] += mult[j]
-        keep = np.delete(np.arange(len(order)), copies)
+        # copies of one (length, orientation, nu) sort side by side: one run each, folded into one row
+        keep = run_starts(x, *keys, rev, nu)
+        mult = np.add.reduceat(summable(int_column(mult))[order], keep)
         self.approx, self.keys, self.reversing = x[keep], keys.take(keep), rev[keep]
-        self.nu, self.multiplicity = nu[keep].tolist(), [mult[j] for j in keep.tolist()]
+        self.nu, self.multiplicity = nu[keep].tolist(), mult.tolist()
         self.counts = nu[keep], int_column(self.multiplicity)
         self.horizon, self.tolerance = horizon, tolerance
         # lengths below the horizon's float are within it; the top run needs length_le
-        top = np.arange(int(np.searchsorted(self.approx, horizon.approx())), len(keep))
+        top = np.arange(int(np.searchsorted(self.approx, horizon.approx())), len(self))
         for l, v in zip(self.keys.lengths(top), self.approx[top].tolist()):
             l = l or Numeric(v)
             if not length_le(l, horizon, tolerance):
@@ -179,14 +172,10 @@ class LengthTwistSpectrum:
 
     @cached_property
     def entries(self) -> Tuple[GeodesicEntry, ...]:
-        """The columns as entries, set field by field: nothing is checked again."""
-        numeric = iter(numerics(self.approx[self.keys.base == 0].tolist()))
-        entries = [object.__new__(GeodesicEntry) for _ in self.nu]
-        columns = ([l or next(numeric) for l in self.exact],
-                   [ORIENTATIONS[r] for r in self.reversing.tolist()], self.nu, self.multiplicity)
-        for set_field, column in zip(_SET_ENTRY, columns):
-            deque(map(set_field, entries, column), 0)
-        return tuple(entries)
+        """The columns as entries, built by :func:`~isogeo.lengths.unchecked`: nothing is checked again."""
+        numeric = iter(unchecked(Numeric, self.approx[self.keys.base == 0].tolist()))
+        return tuple(unchecked(GeodesicEntry, [l or next(numeric) for l in self.exact],
+                               [ORIENTATIONS[r] for r in self.reversing.tolist()], self.nu, self.multiplicity))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LengthTwistSpectrum)
@@ -223,14 +212,13 @@ class LengthTwistSpectrum:
         (base, num, den), rev = self.keys, self.reversing.astype(bool)
         at = np.flatnonzero(rev & (base != 0) & (den == 1))
         runs = run_starts(base[at], num[at])  # equal keys are adjacent; b^n +- 1 share only 2, if b is odd
-        pq = [((x - 1) // g, (x + 1) // g) for x, g in
-              ((b**n, 1 + b % 2) for b, n in zip(base[at][runs].tolist(), num[at][runs].tolist()))]
+        pq = int_column([((x - 1) // g, (x + 1) // g) for x, g in
+                         ((b**n, 1 + b % 2) for b, n in zip(base[at][runs].tolist(), num[at][runs].tolist()))])
         is_float, t = rev.copy(), np.zeros(len(self))
         is_float[at] = False
         t[is_float] = np.fromiter(map(math.tanh, (self.approx[is_float] / 2.0).tolist()), float)
-        dtype = np.int64 if all(y < 2**63 for _, y in pq) else object
-        p, q = np.ones(len(self), dtype=dtype), np.ones(len(self), dtype=dtype)
-        p[at], q[at] = np.repeat(np.array(pq, dtype=dtype).reshape(-1, 2), np.diff(runs, append=len(at)), axis=0).T
+        p, q = np.ones(len(self), dtype=pq.dtype), np.ones(len(self), dtype=pq.dtype)
+        p[at], q[at] = np.repeat(pq.reshape(-1, 2), np.diff(runs, append=len(at)), axis=0).T
         return p, q, t, is_float
 
     @cached_property
@@ -706,9 +694,8 @@ class CountingFunction:
     def __init__(self, spec: LengthTwistSpectrum):
         self.horizon, self.tolerance = spec.horizon, spec.tolerance
         clusters = spec.clusters
-        running = list(accumulate(spec.multiplicity))
-        self._cums = [running[i - 1] for i in clusters.starts[1:] + [len(running)]] if running else []
-        self._jumps = [c - p for c, p in zip(self._cums, [0] + self._cums)]
+        self._jumps = np.add.reduceat(summable(spec.counts[1]), run_starts(clusters.ids[0])).tolist()
+        self._cums = list(accumulate(self._jumps))
         self._clusters = clusters  # its representatives are built by jumps() alone
         self._xs = clusters.rep_floats.tolist()  # strictly ascending: clusters are more than tol apart
 

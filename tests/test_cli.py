@@ -274,6 +274,20 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError(), "error: out of memory"),
+    (MemoryError("Unable to allocate 7.45 GiB"), "error: Unable to allocate 7.45 GiB"),
+])
+def test_a_refused_allocation_is_usage_error(monkeypatch, capsys, exc, message):
+    def refuse(lattice, max_norm):
+        raise exc
+
+    monkeypatch.setattr(isogeo.flat, "_census", refuse)
+    capsys.readouterr()
+    assert main(["flat-verify", "--family", "square", "--max-norm", "1000000000"]) == 2
+    assert capsys.readouterr() == ("", message + "\n")
+
+
 def test_fractional_nu_is_usage_error(tmp_path, capsys):
     doc = {
         "horizon": {"numeric": 4.0},

@@ -298,6 +298,9 @@ def test_comparisons_match_the_span_scan(case):
     assert all(type(v) is int for v in [*table.a.values(), *table.b.values()])
 
 
+# one cluster of two multiplicities of 2**62: its jump, their sum, is past int64
+@example((LengthTwistSpectrum([GeodesicEntry(Numeric(x), o, 1, 2**62) for x, o in ((1.0, P), (1.0 + 5e-10, R))],
+                              HORIZON), LengthTwistSpectrum([], HORIZON), 1e-9, [Numeric(1.0), Numeric(2.0)]))
 @settings(max_examples=300, deadline=None)
 @given(spectrum_pair())
 def test_single_spectrum_queries_match_the_span_scan(case):
@@ -323,6 +326,9 @@ def test_cluster_lengths_place_every_value_in_its_cluster(case):
     assert sorted(map(id, (v for c in clusters for v in c))) == sorted(map(id, values))
 
 
+# copies of one type with multiplicity 2**62 each: a.union(b) folds two into one row of 2**63
+@example(tuple(LengthTwistSpectrum([GeodesicEntry(Exact(2, 1), R, 1, 2**62)], HORIZON) for _ in "ab") + (1e-9, []),
+         random.Random(0))
 @settings(max_examples=200, deadline=None)
 @given(spectrum_pair(), st.randoms(use_true_random=False))
 def test_columns_round_trip_and_keep_the_canonical_form(case, rnd: random.Random):
@@ -330,6 +336,9 @@ def test_columns_round_trip_and_keep_the_canonical_form(case, rnd: random.Random
     for spec in (a, b, a.union(b)):
         assert spec.approx.dtype == np.float64 and spec.reversing.dtype == np.int8
         assert all(type(v) is int for v in spec.nu + spec.multiplicity)
+        # the multiplicity column is int64 unless a value is past it, then Python ints
+        assert spec.counts[1].tolist() == spec.multiplicity
+        assert spec.counts[1].dtype == (object if max(spec.multiplicity, default=0) >= 2**63 else np.int64)
         assert all(l is None or isinstance(l, Exact) for l in spec.exact)
         loaded = spectrum_from_json(spectrum_to_json(spec), tol)
         assert loaded == spec and loaded.entries == spec.entries
