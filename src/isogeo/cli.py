@@ -38,7 +38,7 @@ from . import flat, interchange, scenario
 from .dirichlet import ConvergenceWarning, dirichlet_partial_sum
 from .errors import IsogeoError
 from .hyperbolic import EnumConfig, enumerate_geodesics
-from .lengths import DEFAULT_TOLERANCE, Numeric
+from .lengths import DEFAULT_TOLERANCE
 from .spectrum import (
     LengthTwistSpectrum,
     almost_conjugate,
@@ -202,9 +202,9 @@ def _cmd_weights(args) -> Tuple[int, Any]:
     table = weight_function(spec)  # before any report line: W past the float range raises
     lines, rows = [f"total weight function up to horizon {spec.horizon}:"], [["length", "weight"]]
     for rep, w in table:
-        w, l = _rational_str(w), str(rep)  # a Numeric prints as repr(value), its cell's number
-        lines.append(f"  l={l}: W={w}")
-        rows.append([f'{{"numeric": {l}}}' if isinstance(rep, Numeric) else interchange.length_cell(rep), w])
+        w = _rational_str(w)
+        lines.append(f"  l={rep}: W={w}")
+        rows.append([interchange.length_cell(rep), w])
     print("\n".join(lines))
     return EXIT_OK, rows
 

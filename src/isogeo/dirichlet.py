@@ -135,10 +135,10 @@ def _series_term(l: float, s: complex, log_weight: float = 0.0) -> complex:
     return l / root * cmath.exp(-s * log_cosh + log_weight)
 
 
-def _plain_term(l: float, s: complex) -> complex:
-    """_series_term(l, s), or NaN where cmath.exp overflows: that row takes the log path."""
+def _plain_term(l: float, s: complex, log_weight: float = 0.0) -> complex:
+    """_series_term(l, s, log_weight), or NaN where cmath.exp overflows (a term past the float range)."""
     try:
-        return _series_term(l, s)
+        return _series_term(l, s, log_weight)
     except OverflowError:
         return complex(math.nan, math.nan)
 
@@ -152,7 +152,8 @@ def _series_sum(x: np.ndarray, coef: np.ndarray, exact: Callable[[list], list], 
     its coefficient into the exponent of a term of its own, of its exact
     coefficient from exact(rows) where coef is NaN or 0.0 (rounded from a
     positive value).  A term or a total still past the float range raises
-    OverflowError, and another fault (a zero root) raises as _series_term does."""
+    OverflowError("the partial sum is past the float range"), and another fault
+    (a zero root) raises as _series_term does."""
     u = x[run_starts(x)]
     try:
         terms = list(map(_series_term, u.tolist(), repeat(s)))
@@ -167,7 +168,7 @@ def _series_sum(x: np.ndarray, coef: np.ndarray, exact: Callable[[list], list], 
         for i, c in zip(big, map(Fraction, exact(big))):
             logs[i] = math.log(c.numerator) - math.log(c.denominator)
         for i in rows:  # ascending: each replaces its own place
-            out[i] = _series_term(x.item(i), s, logs[i])
+            out[i] = _plain_term(x.item(i), s, logs[i])
         total = reduce(operator.add, out, 0j)
         if not cmath.isfinite(total):  # a term, or the sum of finite terms, past the float range
             raise OverflowError("the partial sum is past the float range")
@@ -207,4 +208,4 @@ def dirichlet_partial_sum_grouped(
     """
     z = _as_complex(s)
     w = spec.weight_columns
-    return _series_sum(spec.clusters.rep_floats, w.floats_or_nan(), w.values, z)
+    return _series_sum(spec.clusters.rep_floats, w.floats(np.arange(len(w.flo))), w.values, z)

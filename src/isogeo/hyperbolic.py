@@ -19,11 +19,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import EmptyGenerators, NotTranslating
-from .lengths import ExactKeys, Numeric, cluster_ids, run_starts
+from .lengths import DEFAULT_TOLERANCE, ExactKeys, Numeric, cluster_ids, run_starts
 from .spectrum import LengthTwistSpectrum
 
 DET_TOLERANCE = 1e-12
-CLASSIFY_TOLERANCE = 1e-9
 MAX_ENTRY = 2.0**510  # |ad| + |bc| of smaller entries is a finite float
 
 
@@ -158,13 +157,13 @@ def _axis_length(kind: IsometryClass, trace: float) -> float:
     raise NotTranslating(f"{kind.value} isometry has no translation length")
 
 
-def classify(g: Isometry, tol: float = CLASSIFY_TOLERANCE) -> IsometryClass:
+def classify(g: Isometry, tol: float = DEFAULT_TOLERANCE) -> IsometryClass:
     """Trace/determinant classification, with tolerance at the boundaries;
     the orientation is the sign of g's carried det."""
     return _CLASSES[_classify(g.a, g.b, g.c, g.d, g._det > 0, tol)]
 
 
-def translation_length(g: Isometry, tol: float = CLASSIFY_TOLERANCE) -> float:
+def translation_length(g: Isometry, tol: float = DEFAULT_TOLERANCE) -> float:
     """Translation length along the axis of a hyperbolic or glide isometry."""
     return _axis_length(classify(g, tol), g.trace())
 
@@ -175,7 +174,7 @@ class EnumConfig:
 
     max_word_length: int
     length_cutoff: float
-    dedup_tolerance: float = 1e-9
+    dedup_tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
         if self.max_word_length < 1:

@@ -117,8 +117,8 @@ def spectrum_to_json(spec: LengthTwistSpectrum) -> Dict[str, Any]:
 def _entry_columns(entries: List[Dict[str, Any]]) -> tuple:
     """The entries as columns (approx, keys, reversing, nu, multiplicity), each field
     gathered in one pass; only exact lengths reach _length_column, once per distinct
-    (q, num, den) of plain ints.  Raises unless every numeric length is an int or a
-    float (numpy would take a bool or a string); the spectrum checks the values."""
+    (q, num, den).  Raises unless q, num and den are plain ints and every numeric length
+    is an int or a float (numpy would take a bool or a string); the spectrum checks the values."""
     lengths = [e["length"] for e in entries]
     reversing = [_REVERSING[e["orientation"]] for e in entries]
     nu, mult = [e.get("nu", 1) for e in entries], [e.get("multiplicity", 1) for e in entries]
@@ -126,9 +126,9 @@ def _entry_columns(entries: List[Dict[str, Any]]) -> tuple:
 
     def exact_column(doc: Dict[str, Any]) -> Tuple[float, Exact]:
         e = doc["exact"]
-        key = (e.get("q"), e.get("num"), e.get("den", 1)) if type(e) is dict else None
-        if key is None or set(map(type, key)) != {int}:  # True == 1.0 == 1 as keys; only 1 is a plain int
-            return _length_column(doc)
+        key = (e["q"], e["num"], e.get("den", 1))
+        if set(map(type, key)) != {int}:  # True == 1.0 == 1 as keys; only 1 is a plain int
+            raise TypeError("an exact length is not plain ints")  # read entry by entry instead
         if key not in shared:
             shared[key] = _length_column(doc)
         return shared[key]

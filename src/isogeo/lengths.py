@@ -255,16 +255,14 @@ def exact_keys(lengths: Iterable[LengthValue | None]) -> ExactKeys:
 
 
 def lengths_equal(a: LengthValue, b: LengthValue, tol: float = DEFAULT_TOLERANCE) -> bool:
-    if isinstance(a, Exact) and isinstance(b, Exact) and a.base == b.base:
-        return a.mult == b.mult
-    return abs(a.approx() - b.approx()) <= tol
+    r = exact_ratio(a, b)
+    return abs(a.approx() - b.approx()) <= tol if r is None else r == 1
 
 
 def length_le(a: LengthValue, b: LengthValue, tol: float = DEFAULT_TOLERANCE) -> bool:
     """a <= b, exact on a common grid, within tol otherwise."""
-    if isinstance(a, Exact) and isinstance(b, Exact) and a.base == b.base:
-        return a.mult <= b.mult
-    return a.approx() <= b.approx() + tol
+    r = exact_ratio(a, b)
+    return a.approx() <= b.approx() + tol if r is None else r <= 1
 
 
 def exact_ratio(a: LengthValue, b: LengthValue) -> Fraction | None:

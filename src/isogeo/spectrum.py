@@ -23,7 +23,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 from operator import methodcaller
 from types import MappingProxyType
@@ -72,7 +72,6 @@ class Orientation(str, Enum):
 
 
 ORIENTATIONS = (Orientation.PRESERVING, Orientation.REVERSING)  # by reversing flag
-_rational = lru_cache(maxsize=256)(Fraction)  # exact W values repeat: 0, m/nu, ...
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
@@ -308,7 +307,7 @@ def weight(entry: GeodesicEntry) -> Fraction | float:
 class WeightColumns(NamedTuple):
     """W of each cluster as columns: ``num``/``den`` in lowest terms where W is
     exact (for a float W, the exact sum before its first float term), ``flo``
-    where W is a float (``is_float``)."""
+    where W is a float (``is_float``); float(W) is read through :meth:`floats` alone."""
 
     num: np.ndarray
     den: np.ndarray
@@ -317,23 +316,19 @@ class WeightColumns(NamedTuple):
 
     def values(self, at: np.ndarray | slice = slice(None)) -> List[Fraction | float]:
         """W of the clusters at (of every cluster by default), each a Fraction or a float."""
-        return [f if x else _rational(p, q) for p, q, f, x in
+        return [f if x else Fraction(p, q) for p, q, f, x in
                 zip(self.num[at].tolist(), self.den[at].tolist(), self.flo[at].tolist(), self.is_float[at].tolist())]
 
     def floats(self, at: np.ndarray) -> np.ndarray:
-        """float(W) of the clusters at: an exact W as num/den, correctly rounded."""
+        """float(W) of the clusters at: an exact W as num/den, correctly rounded,
+        and NaN where it is past the float range."""
         out, exact = self.flo[at], ~self.is_float[at]
-        out[exact] = self.num[at[exact]] / self.den[at[exact]]  # ints below 2**53, or Python ints
-        return out
-
-    def floats_or_nan(self) -> np.ndarray:
-        """float(W) of every cluster, as :meth:`floats` gives it, but NaN where an
-        exact W is past the float range."""
+        num, den = self.num[at[exact]], self.den[at[exact]]
         try:
-            return self.floats(np.arange(len(self.flo)))
+            out[exact] = num / den  # ints below 2**53, or Python ints
         except OverflowError:
-            exact = np.fromiter(map(_float_or_nan, self.num.tolist(), self.den.tolist()), float, len(self.flo))
-            return np.where(self.is_float, self.flo, exact)
+            out[exact] = list(map(_float_or_nan, num.tolist(), den.tolist()))
+        return out
 
 
 def _run_sums(p: np.ndarray, d: np.ndarray, starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -381,13 +376,15 @@ def _cluster_weights(spec: LengthTwistSpectrum, ids: np.ndarray, size: int) -> W
         fl, ex = is_float[seg], seg[~is_float[seg]]
         terms = np.empty(len(seg))
         terms[fl] = spec.term_floats[seg[fl]]
-        terms[~fl] = mp[ex] / nq[ex]  # rounded once
-        huge = np.isnan(terms)  # a multiplicity past the float range: its exact term, rounded once
-        terms[huge] = list(map(float, spec.exact_terms(seg[huge])))
-        # each float cluster starts from its exact prefix, rounded; bincount adds in input order
         floating = np.flatnonzero(first < n)
-        flo = np.bincount(np.concatenate((floating, ids[seg])),
-                          np.concatenate(((num[floating] / den[floating]).astype(float), terms)), size)
+        try:
+            terms[~fl] = mp[ex] / nq[ex]  # rounded once
+            huge = np.isnan(terms)  # a multiplicity past the float range: its exact term, rounded once
+            terms[huge] = list(map(float, spec.exact_terms(seg[huge])))
+            prefix = (num[floating] / den[floating]).astype(float)  # each float cluster starts from it, rounded
+        except OverflowError:  # an exact term, or the exact prefix, of a float W
+            raise OverflowError("a length cluster's total weight W is past the float range") from None
+        flo = np.bincount(np.concatenate((floating, ids[seg])), np.concatenate((prefix, terms)), size)  # adds in order
     return WeightColumns(num, den, flo, first < n)
 
 
@@ -427,6 +424,7 @@ def compare_weights(
 
     Empty iff W agrees (exactly when both sides are exact rationals,
     within tolerance otherwise) at every length of either spectrum.
+    An exact W past the float range differs from a float W; two inf agree.
     """
     tol = _require_common_horizon(a, b)
     clusters = Clusters([(a.approx, a.keys), (b.approx, b.keys)], tol)
@@ -434,7 +432,9 @@ def compare_weights(
     exact = ~(wa.is_float | wb.is_float)
     differ = exact & ((wa.num != wb.num) | (wa.den != wb.den))
     loose = np.flatnonzero(~exact)
-    differ[loose] = np.abs(wa.floats(loose) - wb.floats(loose)) > tol
+    fa, fb = wa.floats(loose), wb.floats(loose)  # NaN for an exact W past the float range: a row
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN: two inf agree, as inf != inf is False
+        differ[loose] = ~(np.abs(fa - fb) <= tol) & (fa != fb)
     at = np.flatnonzero(differ)
     return list(zip(clusters.reps(at.tolist()), wa.values(at), wb.values(at)))
 
@@ -484,7 +484,7 @@ class DiscrepancyTable:
     spectrum minus the second's; b(l) is the primitive reversing count of
     the *second* minus the first's (the two spectra trade places between
     the definitions).  Zero values are omitted from storage but report
-    as 0.
+    as 0; a value converts as ``as_integer`` does (2.0 does, 1.5 and True raise).
 
     Immutable: a and b are read-only mappings once constructed, so the
     support order and the support analysis of support_sets are computed
@@ -498,8 +498,8 @@ class DiscrepancyTable:
     tolerance: float = field(default=DEFAULT_TOLERANCE, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", MappingProxyType({l: int(v) for l, v in self.a.items() if v != 0}))
-        object.__setattr__(self, "b", MappingProxyType({l: int(v) for l, v in self.b.items() if v != 0}))
+        object.__setattr__(self, "a", MappingProxyType({l: n for l, v in self.a.items() if (n := as_integer(v, "a"))}))
+        object.__setattr__(self, "b", MappingProxyType({l: n for l, v in self.b.items() if (n := as_integer(v, "b"))}))
         support = self._support  # ascending: lengths below the horizon's float are within it
         for l in support[bisect_left(support, self.horizon.approx(), key=methodcaller("approx")):]:
             if not length_le(l, self.horizon, self.tolerance):
@@ -735,7 +735,7 @@ def pgt_jump_report(spec: LengthTwistSpectrum, envelope_constant: float) -> Jump
     fixed positive envelope is eventually violated only by synthetic
     data.  Desk-scale sanity check, not an asymptotic test.  Both sides are
     compared as logs, so neither e^l past l ~ 709.78 nor a count past the float
-    range overflows; an envelope past the float range is reported as inf.
+    range overflows; an envelope or max_normalized past the float range is inf.
     """
     if not 0 < envelope_constant < math.inf:
         raise ValueError(f"envelope constant must be positive and finite, got {envelope_constant}")
@@ -744,7 +744,8 @@ def pgt_jump_report(spec: LengthTwistSpectrum, envelope_constant: float) -> Jump
     for rep, f in counting.jumps():
         x = rep.approx()
         log_f, log_envelope = math.log(f), log_c + x - math.log(x)
-        max_norm = max(max_norm, math.exp(log_f + math.log(x) - x))
+        log_norm = log_f + math.log(x) - x  # of f*l*e^-l
+        max_norm = max(max_norm, math.exp(log_norm) if log_norm < _LOG_FLOAT_MAX else math.inf)
         if log_f > log_envelope:
             violations.append((rep, f, math.exp(log_envelope) if log_envelope < _LOG_FLOAT_MAX else math.inf))
     return JumpReport(tuple(violations), max_norm)

@@ -513,21 +513,43 @@ def test_huge_nu_of_a_reversing_numeric_type(tmp_path, capsys, command, nu, m):
         assert abs(float(lines["real"]) - ref) <= 1e-12 * ref and float(lines["imag"]) == 0.0
 
 
-@pytest.mark.parametrize("command, length, m", [
-    (["weights"], 1.5, 10**400),  # W = 10**400 * tanh(0.75) is past the float range
-    (["dirichlet", "--sigma", "2"], 1.5, 10**400),  # so is its term
-    (["dirichlet", "--sigma", "2"], 5e-324, 1),  # tanh(l/2) is 0: a zero root
-    (["dirichlet", "--sigma=-1"], 800.0, 1),  # cosh(800)**1 overflows
+HUGE_W = "error: a length cluster's total weight W is past the float range\n"
+HUGE_SUM = "error: the partial sum is past the float range\n"
+
+
+@pytest.mark.parametrize("command, length, m, message", [
+    (["weights"], 1.5, 10**400, HUGE_W),  # W = 10**400 * tanh(0.75) is past the float range
+    (["dirichlet", "--sigma", "2"], 1.5, 10**400, HUGE_SUM),  # so is its term
+    (["dirichlet", "--sigma", "2"], 5e-324, 1, "error: float division by zero\n"),  # tanh(l/2) is 0: a zero root
+    (["dirichlet", "--sigma=-1"], 800.0, 1, HUGE_SUM),  # cosh(800)**1 overflows
 ], ids=["weights-huge-W", "dirichlet-huge-W", "dirichlet-zero-root", "dirichlet-overflow"])
-def test_values_past_the_float_range_are_usage_errors(tmp_path, capsys, command, length, m):
+def test_values_past_the_float_range_are_usage_errors(tmp_path, capsys, command, length, m, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"horizon": {"numeric": 1000}, "entries": [
         {"length": {"numeric": length}, "orientation": "reversing", "multiplicity": m}]}))
     out = tmp_path / "out.csv"
     capsys.readouterr()
     assert main(command + ["--spectrum", str(path), "--out", str(out)]) == 2
-    stdout, stderr = capsys.readouterr()
-    assert stdout == "" and len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
+    assert capsys.readouterr() == ("", message)
+    assert not out.exists()
+
+
+# one cluster of 1.0 and 1.0000000001: its float W starts from an exact prefix of 10**400, or
+# adds an exact term of 10**400 after the float term of the reversing entry at 1.0
+@pytest.mark.parametrize("first, second", [("preserving", "reversing"), ("reversing", "preserving")],
+                         ids=["exact-prefix", "exact-term"])
+@pytest.mark.parametrize("command", [["weights", "--spectrum", "{}"], ["compare", "--a", "{}", "--b", "{}"]],
+                         ids=["weights", "compare"])
+def test_a_float_w_past_the_float_range_is_named(tmp_path, capsys, first, second, command):
+    path = tmp_path / "spec.json"
+    m = {"preserving": 10**400, "reversing": 1}
+    path.write_text(json.dumps({"horizon": {"numeric": 5}, "entries": [
+        {"length": {"numeric": l}, "orientation": o, "multiplicity": m[o]}
+        for l, o in ((1.0, first), (1.0000000001, second))]}))
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert main([a.format(path) for a in command] + ["--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", HUGE_W)
     assert not out.exists()
 
 

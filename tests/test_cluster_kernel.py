@@ -581,7 +581,7 @@ def test_key_columns_match_the_definitions(case):
         assert weight_function(spec) == oracle_weight_function(spec)
         want = oracle_clustered_weights(spec, oracle_clusters([e.length for e in spec.entries], tol), tol)
         w = spec.weight_columns
-        assert w.values() == want and w.floats_or_nan().tolist() == [float(v) for v in want]
+        assert w.values() == want and w.floats(np.arange(len(w.flo))).tolist() == [float(v) for v in want]
     for specs in ((a,), (a, b)):
         clusters = Clusters([(s.approx, exact_keys(s.exact)) for s in specs], tol)
         want = [representative(c) for c in oracle_clusters([e.length for s in specs for e in s.entries], tol)]

@@ -409,6 +409,20 @@ def test_terms_past_the_float_range_take_the_log_path_or_raise():
                     form(spec, s)
 
 
+@pytest.mark.parametrize("length, orientation, m, s", [
+    (1.0, P, 10**400, 2.0),  # the exact coefficient's log, 921, leaves the log-path term past the float range
+    (5.0, P, 10**400, -1.0),
+    (800.0, R, 1, -1.0),  # cosh(800) is past the float range, and its coefficient tanh(400) is 1.0
+], ids=["huge-m-at-1", "huge-m-at-5", "cosh-800"])
+@pytest.mark.parametrize("form", [dirichlet_partial_sum, dirichlet_partial_sum_grouped])
+def test_a_log_path_term_past_the_float_range_is_named(form, length, orientation, m, s):
+    spec = LengthTwistSpectrum([GeodesicEntry(Numeric(length), orientation, 1, m)], Numeric(1000.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        with pytest.raises(OverflowError, match="^the partial sum is past the float range$"):
+            form(spec, s)
+
+
 def test_the_sums_build_neither_weights_nor_representatives(monkeypatch):
     def refuse(*args):
         raise AssertionError("the sums read the columns only")

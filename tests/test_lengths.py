@@ -169,6 +169,10 @@ def test_equality_and_ordering():
     assert length_le(Exact(2, 1), Exact(2, 2))
     assert not length_le(Exact(2, 2), Exact(2, 1))
     assert length_le(Numeric(1.0), Numeric(1.0 + 1e-12))
+    # on one grid both tests are exact, whatever the tolerance
+    near = Exact(2, Fraction(10**12 + 1, 10**12))
+    assert not lengths_equal(Exact(2, 1), near, 1.0) and not lengths_equal(near, Exact(2, 1), 1.0)
+    assert not length_le(near, Exact(2, 1), 1.0) and length_le(Exact(2, 1), Exact(4, Fraction(1, 2)), 0.0)
 
 
 def test_ratios():

@@ -15,6 +15,7 @@ from isogeo.spectrum import (
     CountingFunction,
     DiscrepancyTable,
     GeodesicEntry,
+    JumpReport,
     LengthTwistSpectrum,
     Orientation,
     almost_conjugate,
@@ -207,6 +208,19 @@ def test_compare_weights_one_extra():
     assert wa == wb + 1
 
 
+def test_compare_weights_reads_an_exact_w_past_the_float_range_as_a_row():
+    # W = 10**400 exactly, past the float range, against the float W 3*tanh(1/2): one row
+    a = spec_of([GeodesicEntry(Numeric(1.0), P, multiplicity=10**400)], Numeric(5.0))
+    b = spec_of([GeodesicEntry(Numeric(1.0), R, multiplicity=3)], Numeric(5.0))
+    assert compare_weights(a, b) == [(Numeric(1.0), Fraction(10**400), 3 * math.tanh(0.5))]
+    assert compare_weights(b, a) == [(Numeric(1.0), 3 * math.tanh(0.5), Fraction(10**400))]
+    # two float W of inf (1e308 + 1e308 in one cluster) agree, and inf - inf warns of nothing
+    inf = [spec_of([GeodesicEntry(Numeric(40.0 + d), R, multiplicity=10**308) for d in (0.0, dx)], Numeric(50.0))
+           for dx in (5e-10, 4e-10)]
+    assert [w for _, w in weight_function(inf[0])] == [math.inf]
+    assert compare_weights(*inf) == []
+
+
 def test_compare_weights_horizon_mismatch():
     a = spec_of([], horizon=Numeric(5.0))
     b = spec_of([], horizon=Numeric(6.0))
@@ -279,6 +293,19 @@ def test_discrepancy_checks_its_support_within_the_pair_tolerance():
 def test_discrepancy_table_repr_counts_both_functions():
     t = DiscrepancyTable({Numeric(1.0): 2, Numeric(2.0): -1}, {Numeric(1.0): 1}, Numeric(3.0))
     assert repr(t) == "DiscrepancyTable(2 a-values, 1 b-values)"
+
+
+@pytest.mark.parametrize("value", [1.5, True, False])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_discrepancy_table_values_are_integers(side, value):
+    # a value converts as a count does: 2.0 becomes the int 2, while 1.5 and a bool raise
+    values = {"a": {}, "b": {}}
+    values[side] = {Numeric(1.0): 2.0}
+    t = DiscrepancyTable(values["a"], values["b"], Numeric(2.0))
+    assert [(v, type(v)) for v in getattr(t, side).values()] == [(2, int)]
+    values[side] = {Numeric(1.0): value}
+    with pytest.raises(ValueError, match=f"^{side} must be an integer, got {value!r}$"):
+        DiscrepancyTable(values["a"], values["b"], Numeric(2.0))
 
 
 def test_discrepancy_counts_primitives_only():
@@ -406,6 +433,12 @@ def test_pgt_jump_report_past_log_dbl_max_against_mpmath():
     with mpmath.workdps(40):
         want = float(10**400 * mpmath.mpf(800) * mpmath.exp(-800))
     assert abs(report.max_normalized - want) <= 1e-12 * want
+
+
+def test_pgt_jump_report_max_normalized_past_the_float_range_is_inf():
+    # f*l*e^-l = 10**400 / e at l = 1 is past the float range; the envelope e^1/1 is not
+    report = pgt_jump_report(spec_of([GeodesicEntry(Numeric(1.0), P, multiplicity=10**400)]), 1.0)
+    assert report == JumpReport(((Numeric(1.0), 10**400, math.e),), math.inf)
 
 
 @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
