@@ -63,7 +63,6 @@ from .scenario import (
 )
 from .dirichlet import (
     ConvergenceWarning,
-    SeriesPoint,
     TwistData,
     dirichlet_partial_sum,
     dirichlet_partial_sum_grouped,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from typing import Callable, Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -37,18 +37,6 @@ ORTHOGONALITY_TOLERANCE = 1e-12
 
 class ConvergenceWarning(UserWarning):
     """Evaluation point is outside the series' convergence half-plane."""
-
-
-@dataclass(frozen=True)
-class SeriesPoint:
-    """Evaluation point s = sigma + i*t."""
-
-    sigma: float
-    t: float = 0.0
-
-    @property
-    def s(self) -> complex:
-        return complex(self.sigma, self.t)
 
 
 @dataclass(frozen=True)
@@ -111,10 +99,10 @@ def q_factor(l: float, twist: TwistData) -> float:
     return math.exp(-(d - 1) / 2.0 * log_det)
 
 
-def _as_complex(s: Union[SeriesPoint, complex, float]) -> complex:
+def _as_complex(s: complex | float) -> complex:
     """The series point s as a finite complex number; warns outside a surface's
     convergence half-plane sigma > d - 1, d = 2."""
-    z = s.s if isinstance(s, SeriesPoint) else complex(s)
+    z = complex(s)
     if not cmath.isfinite(z):
         raise ValueError(f"s must be finite, got {z}")
     if z.real <= 1:
@@ -136,16 +124,16 @@ def _series_term(l: float, s: complex, log_weight: float = 0.0) -> complex:
 
 
 def _plain_term(l: float, s: complex, log_weight: float = 0.0) -> complex:
-    """_series_term(l, s, log_weight), or NaN where cmath.exp overflows (a term past the float range)."""
+    """_series_term(l, s, log_weight), or NaN where the term or its phase is past the float range."""
     try:
         return _series_term(l, s, log_weight)
-    except OverflowError:
+    except (OverflowError, ValueError):
         return complex(math.nan, math.nan)
 
 
 def _series_sum(x: np.ndarray, coef: np.ndarray, exact: Callable[[list], list], s: complex) -> complex:
     """The sum over the ascending float column x of coef[i] * _series_term(x[i], s),
-    with _series_term called once per distinct float (twice if one overflows) and
+    with _plain_term called once per distinct float and
     the terms added one at a time from 0j in entry order, as the entry-by-entry
     loop adds them.  A row whose plain product cannot be formed (its coef NaN,
     past the float range, or the term or the product past it) takes the log of
@@ -155,10 +143,7 @@ def _series_sum(x: np.ndarray, coef: np.ndarray, exact: Callable[[list], list], 
     OverflowError("the partial sum is past the float range"), and another fault
     (a zero root) raises as _series_term does."""
     u = x[run_starts(x)]
-    try:
-        terms = list(map(_series_term, u.tolist(), repeat(s)))
-    except OverflowError:  # a term past the float range: NaN, for the log path below
-        terms = list(map(_plain_term, u.tolist(), repeat(s)))
+    terms = list(map(_plain_term, u.tolist(), repeat(s)))  # NaN past the float range: the log path below
     out = list(map(operator.mul, coef.tolist(), map(terms.__getitem__, u.searchsorted(x).tolist())))
     total = reduce(operator.add, out, 0j)
     if not cmath.isfinite(total):  # a plain product could not be formed: a finite total has none
@@ -176,7 +161,7 @@ def _series_sum(x: np.ndarray, coef: np.ndarray, exact: Callable[[list], list], 
 
 
 def dirichlet_partial_sum(
-    spec: LengthTwistSpectrum, s: Union[SeriesPoint, complex, float]
+    spec: LengthTwistSpectrum, s: complex | float
 ) -> complex:
     """Per-geodesic partial sum of the spectral Dirichlet series.
 
@@ -194,7 +179,7 @@ def dirichlet_partial_sum(
 
 
 def dirichlet_partial_sum_grouped(
-    spec: LengthTwistSpectrum, s: Union[SeriesPoint, complex, float]
+    spec: LengthTwistSpectrum, s: complex | float
 ) -> complex:
     """Partial sum computed through the total weight function.
 

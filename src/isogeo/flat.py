@@ -243,7 +243,7 @@ def parse_relation(text: str) -> SpectralRelation:
             if not token:
                 raise MalformedRelation(f"empty term in {text!r}")
             i = 0
-            while i < len(token) and token[i].isdigit():
+            while i < len(token) and token[i].isdecimal():
                 i += 1
             coeff = int(token[:i]) if i else 1
             name = token[i:].upper()

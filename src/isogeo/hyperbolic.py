@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import EmptyGenerators, NotTranslating
-from .lengths import DEFAULT_TOLERANCE, ExactKeys, Numeric, cluster_ids, run_starts
+from .lengths import DEFAULT_TOLERANCE, Clusters, ExactKeys, Numeric, run_starts
 from .spectrum import LengthTwistSpectrum
 
 DET_TOLERANCE = 1e-12
@@ -377,11 +377,9 @@ def enumerate_geodesics(
     within = length <= config.length_cutoff + tol
     length, reversing, nu = length[within], kind[within] == _GLIDE, nu[within]
 
-    order = np.argsort(length, kind="stable")
-    length, reversing, nu = length[order], reversing[order], nu[order]
-    cluster = cluster_ids(length, tol)
-    # a stable sort keeps the records ascending in length, so a bucket's first word has its least length
-    bucket = np.lexsort((nu, reversing, cluster))
+    cluster = Clusters([(length, ExactKeys.numeric(len(length)))], tol).ids[0]
+    # ascending in length within each bucket, ties in word order: a bucket's first word has its least length
+    bucket = np.lexsort((length, nu, reversing, cluster))
     starts = run_starts(cluster[bucket], reversing[bucket], nu[bucket])
     first = bucket[starts]
     columns = (length[first], ExactKeys.numeric(len(first)), reversing[first], nu[first].tolist(),

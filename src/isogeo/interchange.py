@@ -39,14 +39,13 @@ from .lengths import (
     as_integer,
     exact_keys,
     finite_number,
-    positive_length,
 )
 from .spectrum import (
     ORIENTATIONS,
     DiscrepancyTable,
+    GeodesicEntry,
     LengthTwistSpectrum,
     Orientation,
-    entry_counts,
 )
 
 _REVERSING = {o.value: o is Orientation.REVERSING for o in Orientation}
@@ -84,23 +83,16 @@ def length_cell(l: LengthValue) -> str:
     return f'{{"numeric": {l.value!r}}}'
 
 
-def _length_column(doc: Dict[str, Any]) -> Tuple[float, Exact | None]:
-    """A length document as (float length, Exact length or None)."""
+def length_from_json(doc: Dict[str, Any]) -> LengthValue:
     if "exact" in doc:
         e = doc["exact"]
         num, den = as_integer(e["num"], "num"), as_integer(e.get("den", 1), "den")
         if den == 0:
             raise ValueError("den must be nonzero")
-        l = Exact(e["q"], Fraction(num, den))
-        return l.approx(), l
+        return Exact(e["q"], Fraction(num, den))
     if "numeric" in doc:
-        return positive_length(doc["numeric"]), None
+        return Numeric(doc["numeric"])
     raise ValueError(f"length must have an 'exact' or 'numeric' key, got {doc}")
-
-
-def length_from_json(doc: Dict[str, Any]) -> LengthValue:
-    x, l = _length_column(doc)
-    return l or Numeric(x)
 
 
 def _rows(spec: LengthTwistSpectrum) -> Iterable[tuple]:  # (approx, q, num, den, reversing, nu, multiplicity)
@@ -116,13 +108,13 @@ def spectrum_to_json(spec: LengthTwistSpectrum) -> Dict[str, Any]:
 
 def _entry_columns(entries: List[Dict[str, Any]]) -> tuple:
     """The entries as columns (approx, keys, reversing, nu, multiplicity), each field
-    gathered in one pass; only exact lengths reach _length_column, once per distinct
+    gathered in one pass; only exact lengths reach length_from_json, once per distinct
     (q, num, den).  Raises unless q, num and den are plain ints and every numeric length
     is an int or a float (numpy would take a bool or a string); the spectrum checks the values."""
     lengths = [e["length"] for e in entries]
     reversing = [_REVERSING[e["orientation"]] for e in entries]
     nu, mult = [e.get("nu", 1) for e in entries], [e.get("multiplicity", 1) for e in entries]
-    shared: Dict[tuple, Tuple[float, Exact]] = {}
+    shared: Dict[tuple, Exact] = {}
 
     def exact_column(doc: Dict[str, Any]) -> Tuple[float, Exact]:
         e = doc["exact"]
@@ -130,8 +122,8 @@ def _entry_columns(entries: List[Dict[str, Any]]) -> tuple:
         if set(map(type, key)) != {int}:  # True == 1.0 == 1 as keys; only 1 is a plain int
             raise TypeError("an exact length is not plain ints")  # read entry by entry instead
         if key not in shared:
-            shared[key] = _length_column(doc)
-        return shared[key]
+            shared[key] = length_from_json(doc)
+        return shared[key].approx(), shared[key]
 
     if any("exact" in l for l in lengths):
         x, exact = zip(*[exact_column(l) if "exact" in l else (l["numeric"], None) for l in lengths])
@@ -149,15 +141,16 @@ def spectrum_from_json(
 ) -> LengthTwistSpectrum:
     if "horizon" not in doc or "entries" not in doc:
         raise ValueError("spectrum document needs 'horizon' and 'entries'")
+    if type(doc["entries"]) is not list:
+        raise TypeError(f"entries must be a list, got {type(doc['entries']).__name__}")
     try:
         columns = _entry_columns(doc["entries"])
         return LengthTwistSpectrum.from_columns(columns, length_from_json(doc["horizon"]), tolerance)
     except (LookupError, TypeError, ValueError, ArithmeticError):
         # entry by entry: the first fault in document order raises, and nu 2.0 converts
-        rows = [(*_length_column(e["length"]), Orientation(e["orientation"]) is Orientation.REVERSING,
-                 *entry_counts(e.get("nu", 1), e.get("multiplicity", 1))) for e in doc["entries"]]
-        columns = tuple(zip(*rows)) or ((),) * 5
-    return LengthTwistSpectrum.from_columns(columns, length_from_json(doc["horizon"]), tolerance)
+        entries = [GeodesicEntry(length_from_json(e["length"]), Orientation(e["orientation"]),
+                                 e.get("nu", 1), e.get("multiplicity", 1)) for e in doc["entries"]]
+    return LengthTwistSpectrum(entries, length_from_json(doc["horizon"]), tolerance)
 
 
 def discrepancy_to_json(table: DiscrepancyTable) -> Dict[str, Any]:
@@ -171,6 +164,8 @@ def discrepancy_to_json(table: DiscrepancyTable) -> Dict[str, Any]:
 
 @_document
 def discrepancy_from_json(doc: Dict[str, Any]) -> DiscrepancyTable:
+    if type(doc["entries"]) is not list:
+        raise TypeError(f"entries must be a list, got {type(doc['entries']).__name__}")
     a: Dict[LengthValue, int] = {}
     b: Dict[LengthValue, int] = {}
     for row in doc["entries"]:

@@ -85,19 +85,15 @@ def necklace_count(q: int, n: int) -> int:
 
 
 def _grid_tables(q: int, h: int) -> Tuple[List[List[int]], List[int], List[int]]:
-    """For every n <= h, indexed by n: the divisors of n (by a sieve), q**n
-    and the necklace count c_n, with Mobius read off the divisor lists
-    (mu(n) = -sum of mu(d) over the proper divisors d of n)."""
+    """For every n <= h, indexed by n: the divisors of n (by _divisors), q**n
+    and the necklace count c_n, with Mobius by mobius per n."""
     if q < 2:
         raise ValueError(f"alphabet size must be >= 2, got {q}")
-    divisors: List[List[int]] = [[] for _ in range(h + 1)]
-    for d in range(1, h + 1):
-        for m in range(d, h + 1, d):
-            divisors[m].append(d)
+    divisors = [[]] + [_divisors(n) for n in range(1, h + 1)]
+    mu = [0] + [mobius(n) for n in range(1, h + 1)]
     powers = list(accumulate(repeat(q, h), mul, initial=1))
-    mu, counts = [0] * (h + 1), [0] * (h + 1)
+    counts = [0] * (h + 1)
     for n in range(1, h + 1):
-        mu[n] = 1 if n == 1 else -sum(mu[d] for d in divisors[n][:-1])
         total = sum(mu[n // j] * powers[j] for j in divisors[n] if mu[n // j])
         if total % n != 0:
             raise ArithmeticError(f"divisor sum {total} not divisible by {n}")

@@ -101,9 +101,6 @@ class GeodesicEntry:
             object.__setattr__(self, "nu", nu)
             object.__setattr__(self, "multiplicity", multiplicity)
 
-    def is_primitive(self) -> bool:
-        return self.nu == 1
-
 
 class LengthTwistSpectrum:
     """Finite multiset of geodesic types truncated at a horizon.
@@ -192,7 +189,7 @@ class LengthTwistSpectrum:
         return sum(self.multiplicity)
 
     def primitives(self) -> Tuple[GeodesicEntry, ...]:
-        return tuple(e for e in self.entries if e.is_primitive())
+        return tuple(e for e in self.entries if e.nu == 1)
 
     def union(self, other: "LengthTwistSpectrum") -> "LengthTwistSpectrum":
         """Disjoint union (models a disconnected surface); horizons must agree."""

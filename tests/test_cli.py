@@ -99,6 +99,16 @@ def test_flat_verify_single_relation(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("relation, code, output", [
+    ("²S1=S1", 2, ("", "error: unknown orbifold '²S1' in '²S1=S1'\n")),
+    ("٣S1=S1", 1, ("FAIL  3S1=S1  first failure at n=0: 3 != 1\n", "")),
+], ids=["superscript-two", "arabic-indic-three"])
+def test_flat_verify_reads_decimal_coefficients(capsys, relation, code, output):
+    capsys.readouterr()
+    assert main(["flat-verify", "--family", "square", "--relation", relation]) == code
+    assert capsys.readouterr() == output
+
+
 def test_flat_verify_family_mismatch(capsys):
     rc = main(["flat-verify", "--family", "square", "--relation", "H2+H6=2H3"])
     assert rc == 2
@@ -434,6 +444,17 @@ def test_malformed_document_is_usage_error(tmp_path, capsys, entries, message):
     assert line.startswith(message) if message == MALFORMED else line == message
 
 
+@pytest.mark.parametrize("entries, name", [("", "str"), ({}, "dict"), (None, "NoneType")],
+                         ids=["string", "object", "null"])
+def test_entries_that_are_not_a_list_are_usage_errors(tmp_path, capsys, entries, name):
+    # an empty string or object would otherwise load as an empty spectrum
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"horizon": {"numeric": 5.0}, "entries": entries}))
+    capsys.readouterr()
+    assert main(["weights", "--spectrum", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"{MALFORMED}entries must be a list, got {name}\n")
+
+
 @pytest.mark.parametrize(
     "command, message",
     [
@@ -522,7 +543,8 @@ HUGE_SUM = "error: the partial sum is past the float range\n"
     (["dirichlet", "--sigma", "2"], 1.5, 10**400, HUGE_SUM),  # so is its term
     (["dirichlet", "--sigma", "2"], 5e-324, 1, "error: float division by zero\n"),  # tanh(l/2) is 0: a zero root
     (["dirichlet", "--sigma=-1"], 800.0, 1, HUGE_SUM),  # cosh(800)**1 overflows
-], ids=["weights-huge-W", "dirichlet-huge-W", "dirichlet-zero-root", "dirichlet-overflow"])
+    (["dirichlet", "--sigma", "2", "--t", "1.7e308"], 5.0, 1, HUGE_SUM),  # t * log cosh 5 is past the float range
+], ids=["weights-huge-W", "dirichlet-huge-W", "dirichlet-zero-root", "dirichlet-overflow", "dirichlet-phase"])
 def test_values_past_the_float_range_are_usage_errors(tmp_path, capsys, command, length, m, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"horizon": {"numeric": 1000}, "entries": [

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from isogeo.dirichlet import (
     ConvergenceWarning,
-    SeriesPoint,
     TwistData,
     _series_term,
     dirichlet_partial_sum,
@@ -189,14 +188,7 @@ def test_partial_sum_single_entry_closed_form():
     assert got.imag == 0.0
 
 
-def test_partial_sum_accepts_series_point():
-    spec = LengthTwistSpectrum([GeodesicEntry(Numeric(1.0), P)], Numeric(5.0))
-    a = dirichlet_partial_sum(spec, SeriesPoint(2.0, 5.0))
-    b = dirichlet_partial_sum(spec, complex(2.0, 5.0))
-    assert a == b
-
-
-@pytest.mark.parametrize("s", [math.nan, complex(2.0, math.inf), SeriesPoint(-math.inf)])
+@pytest.mark.parametrize("s", [math.nan, complex(2.0, math.inf), complex(-math.inf)])
 @pytest.mark.parametrize("partial_sum", [dirichlet_partial_sum, dirichlet_partial_sum_grouped])
 def test_partial_sum_refuses_a_non_finite_point(s, partial_sum):
     spec = LengthTwistSpectrum([GeodesicEntry(Numeric(1.0), P)], Numeric(2.0))
@@ -421,6 +413,15 @@ def test_a_log_path_term_past_the_float_range_is_named(form, length, orientation
         warnings.simplefilter("ignore", ConvergenceWarning)
         with pytest.raises(OverflowError, match="^the partial sum is past the float range$"):
             form(spec, s)
+
+
+@pytest.mark.parametrize("form", [dirichlet_partial_sum, dirichlet_partial_sum_grouped])
+def test_a_phase_past_the_float_range_is_named(form):
+    # t * log cosh 5 is past the float range at t = 1.7e308, where cmath.exp raises ValueError
+    spec = LengthTwistSpectrum([GeodesicEntry(Numeric(5.0), P)], Numeric(10.0))
+    with pytest.raises(OverflowError, match="^the partial sum is past the float range$"):
+        form(spec, complex(2.0, 1.7e308))
+    assert form(spec, complex(2.0, 1e307)) == _series_term(5.0, complex(2.0, 1e307))
 
 
 def test_the_sums_build_neither_weights_nor_representatives(monkeypatch):

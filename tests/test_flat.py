@@ -203,6 +203,14 @@ def test_malformed_relations():
     assert (exc.type, str(exc.value)) == (MalformedRelation, "empty term in 'S1+=S2'")
 
 
+def test_a_coefficient_is_read_from_decimal_digits():
+    # "²" is a digit to str.isdigit but no int() literal: it starts the orbifold name
+    with pytest.raises(MalformedRelation) as exc:
+        parse_relation("²S1=S1")
+    assert (exc.type, str(exc.value)) == (MalformedRelation, "unknown orbifold '²S1' in '²S1=S1'")
+    assert str(parse_relation("٣S1=S1")) == "3S1=S1"  # a decimal digit of another script
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: norm_census(SQ, -1), "max_norm must be >= 0, got -1"),
     (lambda: vectors_with_norm(SQ, -1), "norm must be >= 0, got -1"),

@@ -267,6 +267,14 @@ def test_discrepancy_accepts_integral_floats():
     assert type(table.a_at(Exact(2, 1))) is int
 
 
+@pytest.mark.parametrize("entries, name", [("", "str"), ({}, "dict")], ids=["string", "object"])
+def test_discrepancy_entries_must_be_a_list(entries, name):
+    # an empty string or object would otherwise iterate as no entries
+    with pytest.raises(ValueError) as exc:
+        discrepancy_from_json({"horizon": {"numeric": 5.0}, "entries": entries})
+    assert (exc.type, str(exc.value)) == (ValueError, f"malformed document: entries must be a list, got {name}")
+
+
 @pytest.mark.parametrize("value", ["1.5", "  2.0 ", "inf"])
 def test_numeric_strings_are_no_numbers(value):
     message = f"numeric must be a number, got {value!r}"
