@@ -96,7 +96,7 @@ def length_from_json(doc: Dict[str, Any]) -> LengthValue:
 
 
 def _rows(spec: LengthTwistSpectrum) -> Iterable[tuple]:  # (approx, q, num, den, reversing, nu, multiplicity)
-    return zip(*(c.tolist() for c in (spec.approx, *spec.keys, spec.reversing)), spec.nu, spec.multiplicity)
+    return zip(*(c.tolist() for c in (spec.approx, *spec.keys, spec.reversing, spec.nu, spec.multiplicity)))
 
 
 def spectrum_to_json(spec: LengthTwistSpectrum) -> Dict[str, Any]:

@@ -336,9 +336,8 @@ class Clusters:
     """Length clusters over float columns, each given with its key rows (the
     float of an exact length is its approx()): the columns are merged by
     :func:`sorted_order` and split by :func:`cluster_ids`.  ``ids[k]`` holds the
-    cluster of each value of column k; ``lo`` and ``hi`` the least and greatest
-    value of each cluster, and ``rep_floats`` the float of each cluster's
-    representative (see :meth:`reps`), as an array."""
+    cluster of each value of column k, and ``rep_floats`` the float of each
+    cluster's representative row (see :meth:`reps`), as an array."""
 
     def __init__(self, columns: Sequence[Tuple[np.ndarray, ExactKeys]], tol: float):
         x = np.concatenate([c[0] for c in columns])
@@ -350,24 +349,18 @@ class Clusters:
         bounds = np.cumsum([0] + [len(c[0]) for c in columns]).tolist()
         self.ids = [ids[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         self.size = int(merged[-1]) + 1 if len(merged) else 0
-        starts = run_starts(merged)
-        last = np.append(starts, len(merged))[1:] - 1  # last merged position of each
-        self.rep_floats = x[order[starts]]
-        self.lo, self.hi = self.rep_floats.tolist(), x[order[last]].tolist()
-        # merged rows of the exact lengths; the first of each cluster is its least
-        pos = order[self._keys.base[order] != 0]
-        c = ids[pos]
-        first = run_starts(c)
-        self.rep_floats[c[first]] = x[pos[first]]
-        self._least = np.full(self.size, -1)  # each cluster's least exact row, -1 for none
-        self._least[c[first]] = pos[first]
+        self._rows = order[run_starts(merged)]  # each cluster's least row, then its least exact row
+        exact = order[self._keys.base[order] != 0]  # the exact rows in merged order
+        least = exact[run_starts(ids[exact])]  # the first, so the least, of each cluster holding one
+        self._rows[ids[least]] = least
+        self.rep_floats = x[self._rows]
 
     def reps(self, at: Sequence[int]) -> List[LengthValue]:
         """The representative of each cluster of at: its least exact length, else
-        its least length (lo holds checked column floats, so none is checked again)."""
+        its least length (rep_floats holds checked column floats, so none is checked again)."""
         at = np.asarray(at, dtype=np.intp)
-        rows, out = self._least[at], np.empty(len(at), dtype=object)
-        exact = rows >= 0
+        rows, out = self._rows[at], np.empty(len(at), dtype=object)
+        exact = self._keys.base[rows] != 0
         out[exact] = self._keys.lengths(rows[exact])
         out[~exact] = unchecked(Numeric, self.rep_floats[at[~exact]].tolist())
         return out.tolist()

@@ -109,10 +109,9 @@ class LengthTwistSpectrum:
     construction and held as columns in canonical order (ascending length,
     exact first on a tie, preserving before reversing, ascending nu):
     ``approx`` (float64), ``keys`` (the canonical key rows of the lengths,
-    :class:`~isogeo.lengths.ExactKeys`), ``reversing`` (int8), and ``counts``,
-    the nu and multiplicity columns as arrays (int64 unless a value is past it,
-    then Python ints), also held as the int lists ``nu`` and ``multiplicity``;
-    ``exact`` (Exact or None) and ``entries`` are views of them, built on first use.
+    :class:`~isogeo.lengths.ExactKeys`), ``reversing`` (int8), and the count
+    columns ``nu`` and ``multiplicity`` (int64 unless a value is past it, then
+    Python ints); ``exact`` (Exact or None) and ``entries`` are views of them, built on first use.
     """
 
     def __init__(self, entries: Iterable[GeodesicEntry], horizon: LengthValue,
@@ -151,8 +150,7 @@ class LengthTwistSpectrum:
         keep = run_starts(x, *keys, rev, nu)
         mult = np.add.reduceat(summable(int_column(mult))[order], keep)
         self.approx, self.keys, self.reversing = x[keep], keys.take(keep), rev[keep]
-        self.nu, self.multiplicity = nu[keep].tolist(), mult.tolist()
-        self.counts = nu[keep], int_column(self.multiplicity)
+        self.nu, self.multiplicity = nu[keep], int_column(mult)
         self.horizon, self.tolerance = horizon, tolerance
         # lengths below the horizon's float are within it; the top run needs length_le
         top = np.arange(int(np.searchsorted(self.approx, horizon.approx())), len(self))
@@ -171,13 +169,14 @@ class LengthTwistSpectrum:
         """The columns as entries, built by :func:`~isogeo.lengths.unchecked`: nothing is checked again."""
         numeric = iter(unchecked(Numeric, self.approx[self.keys.base == 0].tolist()))
         return tuple(unchecked(GeodesicEntry, [l or next(numeric) for l in self.exact],
-                               [ORIENTATIONS[r] for r in self.reversing.tolist()], self.nu, self.multiplicity))
+                               [ORIENTATIONS[r] for r in self.reversing.tolist()],
+                               self.nu.tolist(), self.multiplicity.tolist()))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LengthTwistSpectrum)
-                and all(map(np.array_equal, (self.approx, self.reversing, *self.keys),
-                            (other.approx, other.reversing, *other.keys)))
-                and (self.nu, self.multiplicity, self.horizon) == (other.nu, other.multiplicity, other.horizon))
+                and all(map(np.array_equal, (self.approx, self.reversing, self.nu, self.multiplicity, *self.keys),
+                            (other.approx, other.reversing, other.nu, other.multiplicity, *other.keys)))
+                and self.horizon == other.horizon)
 
     def __len__(self) -> int:
         return len(self.approx)
@@ -186,7 +185,7 @@ class LengthTwistSpectrum:
         return f"LengthTwistSpectrum({len(self)} types, horizon={self.horizon})"
 
     def total_multiplicity(self) -> int:
-        return sum(self.multiplicity)
+        return sum(self.multiplicity.tolist())
 
     def primitives(self) -> Tuple[GeodesicEntry, ...]:
         return tuple(e for e in self.entries if e.nu == 1)
@@ -204,7 +203,7 @@ class LengthTwistSpectrum:
         and halved when b is odd, int64 unless a q is past it; elsewhere the float
         t = math.tanh(l/2) (is_float, p = q = 1).  W, :attr:`term_floats` and
         :meth:`exact_terms` evaluate the weight formula from this column and
-        :attr:`counts` alone."""
+        the count columns alone."""
         (base, num, den), rev = self.keys, self.reversing.astype(bool)
         at = np.flatnonzero(rev & (base != 0) & (den == 1))
         runs = run_starts(base[at], num[at])  # equal keys are adjacent; b^n +- 1 share only 2, if b is odd
@@ -223,7 +222,7 @@ class LengthTwistSpectrum:
         (w is never built): an exact damping factor p/q over nu correctly rounded, as
         float(Fraction) rounds it, and a float factor t as t / nu.  NaN where m is past
         the float range: that entry's term is read from :meth:`exact_terms` instead."""
-        (p, q, t, is_float), (nu, m) = self._damping, self.counts
+        (p, q, t, is_float), nu, m = self._damping, self.nu, self.multiplicity
         if q.dtype == nu.dtype == np.int64 and (q * nu.astype(float) < 2**53).all():
             w = np.where(is_float, t / nu, p / (q * nu))  # ints below 2**53 convert exactly: one rounding
         else:
@@ -240,7 +239,7 @@ class LengthTwistSpectrum:
         columns: m*p / (nu*q) for an exact damping factor p/q, m*Fraction(t) / nu
         for a float factor t (the float tanh(l/2) taken exactly)."""
         p, q, t, is_float = self._damping
-        (nu, m), at = self.counts, np.asarray(at, dtype=np.intp)
+        nu, m, at = self.nu, self.multiplicity, np.asarray(at, dtype=np.intp)
         return [c * Fraction(x) / n if f else Fraction(c * a, b * n) for a, b, x, f, n, c in zip(
             p[at].tolist(), q[at].tolist(), t[at].tolist(), is_float[at].tolist(), nu[at].tolist(), m[at].tolist())]
 
@@ -312,8 +311,9 @@ class WeightColumns(NamedTuple):
     is_float: np.ndarray
 
     def values(self, at: np.ndarray | slice = slice(None)) -> List[Fraction | float]:
-        """W of the clusters at (of every cluster by default), each a Fraction or a float."""
-        return [f if x else Fraction(p, q) for p, q, f, x in
+        """W of the clusters at (of every cluster by default), each a float or a Fraction, one per distinct W."""
+        w = {}  # (num, den) -> its Fraction, for this call alone; an exact W may be 0, so no truth test
+        return [f if x else w[p, q] if (p, q) in w else w.setdefault((p, q), Fraction(p, q)) for p, q, f, x in
                 zip(self.num[at].tolist(), self.den[at].tolist(), self.flo[at].tolist(), self.is_float[at].tolist())]
 
     def floats(self, at: np.ndarray) -> np.ndarray:
@@ -345,11 +345,11 @@ def _cluster_weights(spec: LengthTwistSpectrum, ids: np.ndarray, size: int) -> W
     p/q or t of the spectrum's damping column, a term is m*p / (nu*q), so a
     cluster's exact prefix is one run sum, or m * (t/nu) in floats, the entry's
     :attr:`~LengthTwistSpectrum.term_floats` (for an m past the float range, the
-    exact m*Fraction(t) / nu rounded once).  Counts are int64 where, in every
-    cluster, the product over its entries of nu*q + m*p stays below 2**52:
-    that bounds every sum and product below, so each converts to a float
-    exactly.  Python ints (object arrays) hold them otherwise."""
-    n, (p, q, _, is_float), (nu, m) = len(spec), spec._damping, spec.counts
+    exact m*Fraction(t) / nu rounded once).  The count columns ``spec.nu`` and
+    ``spec.multiplicity`` are int64 where, in every cluster, the product over its
+    entries of nu*q + m*p stays below 2**52: that bounds every sum and product
+    below, so each converts to a float exactly.  Python ints hold them otherwise."""
+    n, (p, q, _, is_float), nu, m = len(spec), spec._damping, spec.nu, spec.multiplicity
     small = (nu.dtype == m.dtype == q.dtype == np.int64
              and np.bincount(ids, np.log2(nu * q.astype(float) + m * p.astype(float)), size).max(initial=0) < 52)
     if not small:
@@ -385,16 +385,21 @@ def _cluster_weights(spec: LengthTwistSpectrum, ids: np.ndarray, size: int) -> W
     return WeightColumns(num, den, flo, first < n)
 
 
+def _query_float(l: LengthValue, horizon: LengthValue, tol: float) -> float:
+    if not length_le(l, horizon, tol):  # past the horizon the spectrum is unknown
+        raise QueryBeyondHorizon(f"query {l} exceeds horizon {horizon}")
+    return l.approx()
+
+
 def total_weight(spec: LengthTwistSpectrum, l: LengthValue) -> Fraction | float:
     """W(l) as in :func:`weight_function`: the W of the first length cluster
-    whose span, widened by the tolerance on each side, contains l; 0 if none."""
-    if not length_le(l, spec.horizon, spec.tolerance):
-        raise QueryBeyondHorizon(f"query {l} exceeds horizon {spec.horizon}")
-    clusters, tol, x = spec.clusters, spec.tolerance, l.approx()
-    c = bisect_left(clusters.hi, x, key=lambda hi: hi + tol)
-    if c == clusters.size or clusters.lo[c] - tol > x:
+    whose span, widened by the tolerance on each side, contains l; 0 if none.
+    That is the cluster of the first entry with approx + tol >= l, if its approx - tol <= l."""
+    tol, x = spec.tolerance, _query_float(l, spec.horizon, spec.tolerance)
+    i = bisect_left(spec.approx, x, key=lambda v: v + tol)
+    if i == len(spec) or spec.approx[i] - tol > x:
         return Fraction(0)
-    return spec.weight_columns.values(slice(c, c + 1))[0]
+    return spec.weight_columns.values(spec.clusters.ids[0][i:i + 1])[0]  # the W of entry i's cluster
 
 
 def _require_common_horizon(a: LengthTwistSpectrum, b: LengthTwistSpectrum) -> float:
@@ -459,11 +464,10 @@ def almost_conjugate(
     """
     tol = _require_common_horizon(a, b)
     clusters = Clusters([(a.approx, a.keys), (b.approx, b.keys)], tol)
-    (nu_a, m_a), (nu_b, m_b) = a.counts, b.counts
-    keys = (np.concatenate((nu_a, nu_b)), np.concatenate((a.reversing, b.reversing)), np.concatenate(clusters.ids))
+    keys = (np.concatenate((a.nu, b.nu)), np.concatenate((a.reversing, b.reversing)), np.concatenate(clusters.ids))
     order = np.lexsort(keys)  # one pass over both sides, in (cluster, orientation, nu) order
     starts = run_starts(*(k[order] for k in keys))  # where a (cluster, orientation, nu) group starts
-    m, in_a = summable(np.concatenate((m_a, m_b))), np.arange(len(order)) < len(a)
+    m, in_a = summable(np.concatenate((a.multiplicity, b.multiplicity))), np.arange(len(order)) < len(a)
     va, vb = (np.add.reduceat(np.where(side, m, 0)[order], starts) for side in (in_a, ~in_a))
     differ = np.flatnonzero(va != vb)
     if not len(differ):
@@ -550,11 +554,11 @@ def discrepancy(a: LengthTwistSpectrum, b: LengthTwistSpectrum) -> DiscrepancyTa
     swapping the spectra negates both functions.
     """
     tol = _require_common_horizon(a, b)
-    sides = [(s, np.flatnonzero(s.counts[0] == 1)) for s in (a, b)]
+    sides = [(s, np.flatnonzero(s.nu == 1)) for s in (a, b)]
     clusters = Clusters([(s.approx[t], s.keys.take(t)) for s, t in sides], tol)
     rev = np.concatenate([s.reversing[t] for s, t in sides])
     # a(l): a's preserving count minus b's; b(l): b's reversing count minus a's
-    m = summable(np.concatenate([s.counts[1][t] for s, t in sides]))
+    m = summable(np.concatenate([s.multiplicity[t] for s, t in sides]))
     signed = np.where(rev == (np.arange(len(m)) >= len(sides[0][1])), m, -m)
     group = np.concatenate(clusters.ids) * 2 + rev  # (cluster, orientation), cluster-major
     order = np.argsort(group, kind="stable")
@@ -662,7 +666,7 @@ def forced_growth(table: DiscrepancyTable, l: LengthValue, p: int) -> ForcedGrow
     companion bound q**(p*n) / (2p) (for l = n*log q) is the scale the
     denominator forces on any solution; it is the reason W-equality
     without full matching demands unboundedly many equal-length
-    geodesics.
+    geodesics.  p*l must lie within the horizon, up to the table's tolerance.
     """
     if not _is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
@@ -671,7 +675,7 @@ def forced_growth(table: DiscrepancyTable, l: LengthValue, p: int) -> ForcedGrow
         if odd_prime_multiples(l, other, p) == {p}:
             raise PrimeCollision(f"p={p}: p*l is also a multiple of {other}")
     pl = l.scaled(p)
-    if not length_le(pl, table.horizon):
+    if not length_le(pl, table.horizon, table.tolerance):
         raise QueryBeyondHorizon(f"p*l = {pl} exceeds table horizon {table.horizon}")
     t = tanh_half(pl)
     residue = Fraction(table.b_at(pl) - table.a_at(pl))
@@ -683,7 +687,8 @@ class CountingFunction:
     """F(l) = oriented geodesics of length <= l, and its jumps f(l).
 
     Built over the spectrum's length clusters; F is a non-decreasing step
-    function whose jumps sum to F(horizon).
+    function whose jumps sum to F(horizon).  A query past the horizon (within
+    the tolerance) raises QueryBeyondHorizon: there F is unknown, not F(horizon).
     """
 
     __slots__ = ("_clusters", "_xs", "_jumps", "_cums", "horizon", "tolerance")
@@ -691,7 +696,7 @@ class CountingFunction:
     def __init__(self, spec: LengthTwistSpectrum):
         self.horizon, self.tolerance = spec.horizon, spec.tolerance
         clusters = spec.clusters
-        self._jumps = np.add.reduceat(summable(spec.counts[1]), run_starts(clusters.ids[0])).tolist()
+        self._jumps = np.add.reduceat(summable(spec.multiplicity), run_starts(clusters.ids[0])).tolist()
         self._cums = list(accumulate(self._jumps))
         self._clusters = clusters  # its representatives are built by jumps() alone
         self._xs = clusters.rep_floats.tolist()  # strictly ascending: clusters are more than tol apart
@@ -701,7 +706,7 @@ class CountingFunction:
 
     def jump(self, l: LengthValue) -> int:
         """f(l): the jump at the first representative within tol of l, else 0."""
-        x = l.approx()
+        x = _query_float(l, self.horizon, self.tolerance)
         # rep - x is monotone in rep, so the reps within tol form one run
         i = bisect_left(self._xs, -self.tolerance, key=lambda r: r - x)
         if i < len(self._xs) and abs(self._xs[i] - x) <= self.tolerance:
@@ -710,7 +715,7 @@ class CountingFunction:
 
     def count_up_to(self, l: LengthValue) -> int:
         """F(l): the oriented geodesics in clusters represented at or below l + tol."""
-        i = bisect_right(self._xs, l.approx() + self.tolerance)
+        i = bisect_right(self._xs, _query_float(l, self.horizon, self.tolerance) + self.tolerance)
         return self._cums[i - 1] if i else 0
 
     def total(self) -> int:

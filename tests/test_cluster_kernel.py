@@ -273,7 +273,8 @@ def spectrum_pair(draw):
         st.one_of(st.integers(1, 4), st.integers(2**62, 2**63 - 1), st.integers(2**63, 2**70)),
     )
     sides = [LengthTwistSpectrum(draw(st.lists(entry, max_size=14)), HORIZON, tol) for _ in "ab"]
-    queries = pool + [Numeric(v.approx() + d * tol) for v in pool for d in (-1.5, 0.5, 1.9)]
+    # +-1.0 * tol: the ends of a widened span, where total_weight's bisection must agree with the scan
+    queries = pool + [Numeric(v.approx() + d * tol) for v in pool for d in (-1.5, -1.0, 0.5, 1.0, 1.9)]
     return sides[0], sides[1], tol, [q for q in queries if q.approx() <= HORIZON.approx()]
 
 
@@ -335,10 +336,11 @@ def test_columns_round_trip_and_keep_the_canonical_form(case, rnd: random.Random
     a, b, tol, _ = case
     for spec in (a, b, a.union(b)):
         assert spec.approx.dtype == np.float64 and spec.reversing.dtype == np.int8
-        assert all(type(v) is int for v in spec.nu + spec.multiplicity)
-        # the multiplicity column is int64 unless a value is past it, then Python ints
-        assert spec.counts[1].tolist() == spec.multiplicity
-        assert spec.counts[1].dtype == (object if max(spec.multiplicity, default=0) >= 2**63 else np.int64)
+        # each count column is int64 unless a value is past it, then Python ints
+        for column, field in ((spec.nu, "nu"), (spec.multiplicity, "multiplicity")):
+            assert all(type(v) is int for v in column.tolist())
+            assert column.tolist() == [getattr(e, field) for e in spec.entries]
+            assert column.dtype == (object if max(column.tolist(), default=0) >= 2**63 else np.int64)
         assert all(l is None or isinstance(l, Exact) for l in spec.exact)
         loaded = spectrum_from_json(spectrum_to_json(spec), tol)
         assert loaded == spec and loaded.entries == spec.entries

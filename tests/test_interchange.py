@@ -207,7 +207,7 @@ def test_spellings_that_json_tells_apart_share_no_exact():
     doc = {"horizon": {"numeric": 5.0}, "entries": [
         {**entry, "length": {"exact": {"q": 2, "num": 1}}}, {**entry, "length": {"exact": {"q": 2.0, "num": 1.0}}}]}
     spec = spectrum_from_json(doc)
-    assert spec.multiplicity == [2] and spec.exact == [Exact(2, 1)]
+    assert spec.multiplicity.tolist() == [2] and spec.exact == [Exact(2, 1)]
     for fault in ({"q": True, "num": 1}, {"q": 2, "num": True}, {"q": 2, "num": 1, "den": True}):
         bad = copy.deepcopy(doc)
         bad["entries"].append({**entry, "length": {"exact": fault}})

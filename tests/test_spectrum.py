@@ -1,9 +1,11 @@
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +95,12 @@ def test_total_weight_reads_the_clustered_w():
     assert total_weight(s, Numeric(1.0 - 1.1e-9)) == 0
     assert total_weight(s, Numeric(1.0 + 2.7e-9)) == 0
     assert total_weight(s, Numeric(5.0)) == 0
+    # lo - tol and hi + tol, as floats, are in the span; the next float outwards is not
+    lo, hi = s.approx[0].item(), s.approx[-1].item()
+    for x in (lo - 1e-9, hi + 1e-9):
+        assert total_weight(s, Numeric(x)) == 3
+    assert total_weight(s, Numeric(math.nextafter(lo - 1e-9, 0.0))) == 0
+    assert total_weight(s, Numeric(math.nextafter(hi + 1e-9, 2.0))) == 0
 
 
 def test_entry_counts_must_be_integral():
@@ -129,7 +137,9 @@ def test_from_columns_converts_integral_float_counts():
     s = LengthTwistSpectrum.from_columns(([1.0, 1.5], [None, None], [0, 1], [2.0, 1], [1, 3.0]), Numeric(2.0))
     assert s == spec_of([GeodesicEntry(Numeric(1.0), P, nu=2), GeodesicEntry(Numeric(1.5), R, multiplicity=3)],
                         Numeric(2.0))
-    assert list(map(type, s.nu + s.multiplicity)) == [int] * 4
+    for column in (s.nu, s.multiplicity):
+        assert list(map(type, column.tolist())) == [int] * 2
+        assert column.dtype == (object if max(column.tolist()) >= 2**63 else np.int64)
 
 
 def test_total_weight_additive_over_union():
@@ -381,6 +391,24 @@ def test_counting_function_invariants():
             cur = counting.count_up_to(rep)
             assert cur >= prev
             prev = cur
+
+
+@pytest.mark.parametrize("horizon", [Numeric(2.0), Exact(2, 3)], ids=["numeric", "exact"])
+def test_counting_function_refuses_a_query_past_the_horizon(horizon):
+    # past the horizon F is unknown, not F(horizon)
+    counting = CountingFunction(spec_of([GeodesicEntry(Numeric(1.0), P, multiplicity=2)], horizon=horizon))
+    for query in (Numeric(50.0), Exact(2, 4)):
+        for ask in (counting.count_up_to, counting.jump):
+            with pytest.raises(QueryBeyondHorizon, match=f"^query {re.escape(str(query))} exceeds horizon "):
+                ask(query)
+    # at the horizon, and within the tolerance past a numeric one, they still answer
+    within = Numeric(horizon.approx() + 0.5e-9) if isinstance(horizon, Numeric) else horizon
+    for query in (horizon, within, Numeric(1.0)):
+        assert counting.count_up_to(query) == 2
+        assert counting.jump(query) == (2 if query == Numeric(1.0) else 0)
+    if isinstance(horizon, Exact):  # on the horizon's grid the order is exact: no tolerance
+        with pytest.raises(QueryBeyondHorizon):
+            counting.count_up_to(Exact(2, Fraction(3 * 10**9 + 1, 10**9)))
 
 
 def test_pgt_jump_report_empty_and_small():

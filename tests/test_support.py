@@ -1,5 +1,6 @@
 """Divisibility-minimal support analysis and the forced-growth identity."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from isogeo.lengths import Exact, Numeric
 from isogeo.scenario import build_scenario, necklace_count, to_discrepancy
 from isogeo.spectrum import (
     DiscrepancyTable,
+    ForcedGrowth,
     forced_growth,
     lemma1_residual,
     odd_prime_multiples,
@@ -233,6 +235,13 @@ def test_forced_growth_matches_necklace_counts():
 
     t3 = to_discrepancy(build_scenario(3, 16))
     assert forced_growth(t3, Exact(3, 1), 5).value == 48 == necklace_count(3, 5)
+
+
+def test_forced_growth_reads_the_horizon_within_the_table_tolerance():
+    # the table admits 3*log 2, 5e-4 past its horizon, within its tolerance 1e-3; so does forced_growth
+    t = DiscrepancyTable({Exact(2, 1): 1}, {Exact(2, 1): 3, Exact(2, 3): 1}, Numeric(3 * math.log(2) - 5e-4), 1e-3)
+    assert Exact(2, 3) in t.support()
+    assert forced_growth(t, Exact(2, 1), 3) == ForcedGrowth(Fraction(13, 2), Fraction(4, 3))
 
 
 def test_forced_growth_zero_table():
