@@ -26,7 +26,6 @@ from .lengths import (
     Numeric,
     cluster_lengths,
     exact_ratio,
-    integer_ratio,
     lengths_equal,
     tanh_half,
 )

@@ -191,9 +191,6 @@ class OrbifoldSpectrum:
     max_norm: int
     multiplicities: Dict[int, int]
 
-    def mult_at(self, n: int) -> int:
-        return self.multiplicities.get(n, 0)
-
 
 def orbifold_spectrum(orbifold: OrbifoldId, max_norm: int) -> OrbifoldSpectrum:
     """Quotient spectrum via one census pass; zero multiplicities omitted."""

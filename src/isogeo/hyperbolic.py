@@ -382,7 +382,7 @@ def enumerate_geodesics(
     bucket = np.lexsort((length, nu, reversing, cluster))
     starts = run_starts(cluster[bucket], reversing[bucket], nu[bucket])
     first = bucket[starts]
-    columns = (length[first], ExactKeys.numeric(len(first)), reversing[first], nu[first].tolist(),
-               np.diff(starts, append=len(bucket)).tolist())
+    columns = (length[first], ExactKeys.numeric(len(first)), reversing[first], nu[first],
+               np.diff(starts, append=len(bucket)))
     spectrum = LengthTwistSpectrum.from_columns(columns, Numeric(config.length_cutoff), tol)
     return EnumerationResult(spectrum, elliptic, dropped)

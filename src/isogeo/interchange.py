@@ -11,7 +11,8 @@ Spectrum document:
         "orientation": "preserving" | "reversing",
         "nu": 1, "multiplicity": 2}, ...]}
 
-Discrepancy document: same length encoding with integer "a"/"b" fields:
+Discrepancy document, written by ``compare --format json`` and never read back:
+the same length encoding with integer "a"/"b" fields:
 
     {"horizon": <length>, "entries": [{"length": <length>, "a": 1, "b": 3}]}
 
@@ -163,20 +164,6 @@ def discrepancy_to_json(table: DiscrepancyTable) -> Dict[str, Any]:
 
 
 @_document
-def discrepancy_from_json(doc: Dict[str, Any]) -> DiscrepancyTable:
-    if type(doc["entries"]) is not list:
-        raise TypeError(f"entries must be a list, got {type(doc['entries']).__name__}")
-    a: Dict[LengthValue, int] = {}
-    b: Dict[LengthValue, int] = {}
-    for row in doc["entries"]:
-        l = length_from_json(row["length"])
-        if l in a:  # also under another spelling: Exact(4, 1) == Exact(2, 2)
-            raise ValueError(f"length {l} is listed twice")
-        a[l], b[l] = as_integer(row.get("a", 0), "a"), as_integer(row.get("b", 0), "b")
-    return DiscrepancyTable(a, b, length_from_json(doc["horizon"]))
-
-
-@_document
 def load_spectrum(fp: IO[str], tolerance: float = DEFAULT_TOLERANCE) -> LengthTwistSpectrum:
     return spectrum_from_json(json.load(fp), tolerance)
 
@@ -216,7 +203,3 @@ def load_generators(fp: IO[str]) -> List[Isometry]:
     if type(generators) is not list:
         raise ValueError(f"generators must be a list of 2x2 matrices, got {generators!r}")
     return [Isometry.from_matrix(_matrix(rows, f"generators[{k}]")) for k, rows in enumerate(generators)]
-
-
-def dump_generators(generators: List[Isometry], fp: IO[str]):
-    dump_json({"generators": [[list(row) for row in g.rows()] for g in generators]}, fp)

@@ -272,14 +272,6 @@ def exact_ratio(a: LengthValue, b: LengthValue) -> Fraction | None:
     return None
 
 
-def integer_ratio(a: LengthValue, b: LengthValue) -> int | None:
-    """The positive integer k with a == k*b, if one exists exactly."""
-    r = exact_ratio(a, b)
-    if r is not None and r.denominator == 1 and r >= 1:
-        return int(r)
-    return None
-
-
 def tanh_half(l: LengthValue | float) -> Fraction | float:
     """tanh(l/2); exact (q**n - 1)/(q**n + 1) when l = n*log(q), n integer."""
     if isinstance(l, Exact):
@@ -293,13 +285,13 @@ def tanh_half(l: LengthValue | float) -> Fraction | float:
 def sorted_order(x: np.ndarray, keys: ExactKeys, *more: Sequence) -> np.ndarray:
     """Stable argsort of the float column x of lengths with the given key rows.
     Equal floats put exact lengths first, by base and then multiplier, then the
-    further columns decide: where floats tie, one lexsort over the key columns,
-    multipliers by (den, num).  That is their order by value unless two of one
-    base differ in den, and only a run of equal floats holding such a pair is
-    sorted again, in Python."""
+    further columns decide: where floats tie and a key row is exact or a further
+    column is given, one lexsort over the key columns, multipliers by (den, num).
+    That is their order by value unless two of one base differ in den, and only
+    a run of equal floats holding such a pair is sorted again, in Python."""
     order = np.argsort(x, kind="stable")
     xs = x[order]
-    if not (xs[1:] == xs[:-1]).any():
+    if not (more or keys.base.any()) or not (xs[1:] == xs[:-1]).any():  # nothing breaks a tie
         return order
     # a list column stays Python ints: numpy would round a mix of large ones to float
     cols = [k if isinstance(k, np.ndarray) else np.array(k, dtype=object) for k in reversed(more)]
@@ -364,9 +356,6 @@ class Clusters:
         out[exact] = self._keys.lengths(rows[exact])
         out[~exact] = unchecked(Numeric, self.rep_floats[at[~exact]].tolist())
         return out.tolist()
-
-    def rep(self, c: int) -> LengthValue:
-        return self.reps([c])[0]
 
 
 def cluster_lengths(

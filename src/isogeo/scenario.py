@@ -32,7 +32,7 @@ from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import BeyondHorizon, TooLarge
 from .hyperbolic import necklace_walk
-from .lengths import Exact, ExactKeys, canonical_power_root, exact_float, int_column, keyed_exact
+from .lengths import ExactKeys, canonical_power_root, exact_float, int_column, keyed_exact
 from .spectrum import DiscrepancyTable, LengthTwistSpectrum
 
 ORACLE_CAP = 10**7
@@ -132,10 +132,6 @@ class ScenarioSolution:
 
     def b_at(self, n: int) -> int:
         return self.b.get(n, 0)
-
-    def grid_length(self, n: int) -> Exact:
-        """The length n*l0 as an exact value."""
-        return Exact(self.q, n)
 
 
 def build_scenario(q: int, horizon: int) -> ScenarioSolution:

@@ -136,6 +136,7 @@ class LengthTwistSpectrum:
     def _build(self, approx, keys, reversing, nu, mult, horizon, tolerance):
         if not 0 < tolerance < math.inf:
             raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+        nu, mult = (c.tolist() if isinstance(c, np.ndarray) else c for c in (nu, mult))  # a NumPy scalar is no int
         counts = [*nu, *mult]
         if set(map(type, counts)) - {int} or min(counts, default=1) < 1:  # 2.0 converts, the rest raises
             nu, mult = map(list, zip(*map(entry_counts, nu, mult)))
@@ -186,9 +187,6 @@ class LengthTwistSpectrum:
 
     def total_multiplicity(self) -> int:
         return sum(self.multiplicity.tolist())
-
-    def primitives(self) -> Tuple[GeodesicEntry, ...]:
-        return tuple(e for e in self.entries if e.nu == 1)
 
     def union(self, other: "LengthTwistSpectrum") -> "LengthTwistSpectrum":
         """Disjoint union (models a disconnected surface); horizons must agree."""
@@ -473,7 +471,7 @@ def almost_conjugate(
     if not len(differ):
         return True, None
     g, i = differ[0], order[starts[differ[0]]]
-    length = clusters.rep(int(keys[2][i]))
+    length = clusters.reps([keys[2][i]])[0]
     return False, ConjugacyWitness(length, ORIENTATIONS[keys[1][i]], int(keys[0][i]), int(va[g]), int(vb[g]))
 
 

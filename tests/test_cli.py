@@ -18,8 +18,7 @@ import isogeo
 from isogeo import interchange
 from isogeo.cli import main
 from isogeo.dirichlet import _series_term
-from isogeo.hyperbolic import Isometry
-from isogeo.interchange import dump_generators, dump_spectrum
+from isogeo.interchange import dump_spectrum
 from isogeo.lengths import Exact, Numeric
 from isogeo.scenario import build_scenario, necklace_count, to_spectra
 from isogeo.spectrum import GeodesicEntry, LengthTwistSpectrum, Orientation
@@ -173,7 +172,7 @@ def test_dirichlet_digits(sample_spectrum, capsys):
 def test_enumerate_cli(tmp_path, capsys):
     gens = tmp_path / "gens.json"
     with open(gens, "w") as fp:
-        dump_generators([Isometry.diag(2.0, 0.5)], fp)
+        json.dump({"generators": [[[2.0, 0.0], [0.0, 0.5]]]}, fp)
     out = tmp_path / "spec.json"
     rc = main(
         [
@@ -478,7 +477,7 @@ def test_non_finite_epsilon_is_usage_error(tmp_path, capsys, command, message):
         dump_spectrum(LengthTwistSpectrum(entries, Numeric(5.0)), fp)
     gens = tmp_path / "gens.json"
     with open(gens, "w") as fp:
-        dump_generators([Isometry(2.0, 1.0, 1.0, 1.0)], fp)
+        json.dump({"generators": [[[2.0, 1.0], [1.0, 1.0]]]}, fp)
     inputs = ["--generators", str(gens)] if command[0] == "enumerate" else ["--spectrum", str(spec)]
     out = tmp_path / "out.csv"
     capsys.readouterr()
@@ -807,7 +806,7 @@ def _golden_inputs(tmp_path):
             dump_spectrum(spec, fp)
     paths["gens"] = str(tmp_path / "gens.json")
     with open(paths["gens"], "w") as fp:
-        dump_generators([Isometry(2.0, 1.0, 1.0, 1.0), Isometry.diag(3.0, -1.0 / 3.0)], fp)
+        json.dump({"generators": [[[2.0, 1.0], [1.0, 1.0]], [[3.0, 0.0], [0.0, -1.0 / 3.0]]]}, fp)
     paths["bad"] = str(tmp_path / "bad.json")
     with open(paths["bad"], "w") as fp:
         json.dump({"horizon": {"numeric": 4.0},

@@ -144,14 +144,14 @@ def oracle_almost_conjugate(a, b, tol):
 
 
 def oracle_discrepancy(a, b, tol):
-    prims = [e.length for e in a.primitives()] + [e.length for e in b.primitives()]
+    prims = [e.length for spec in (a, b) for e in spec.entries if e.nu == 1]
     clusters = oracle_clusters(prims, tol)
     spans = spans_of(clusters)
 
     def counts(spec, orient) -> List[int]:
         out = [0] * len(clusters)
-        for e in spec.primitives():
-            if e.orientation is not orient:
+        for e in spec.entries:
+            if e.nu != 1 or e.orientation is not orient:
                 continue
             x = e.length.approx()
             for i, (lo, hi) in enumerate(spans):

@@ -122,13 +122,13 @@ def test_incompatible_rotation():
 
 def test_orbifold_spectrum_values():
     s1 = orbifold_spectrum(OrbifoldId.S1, 10)
-    assert s1.mult_at(1) == 4
+    assert s1.multiplicities.get(1, 0) == 4
     s4 = orbifold_spectrum(OrbifoldId.S4, 10)
-    assert s4.mult_at(0) == 1 and s4.mult_at(1) == 1
+    assert s4.multiplicities.get(0, 0) == 1 and s4.multiplicities.get(1, 0) == 1
     h3 = orbifold_spectrum(OrbifoldId.H3, 10)
-    assert h3.mult_at(1) == 2
+    assert h3.multiplicities.get(1, 0) == 2
     # zero multiplicities are omitted but report as 0
-    assert s1.mult_at(3) == 0
+    assert s1.multiplicities.get(3, 0) == 0
     assert 3 not in s1.multiplicities
 
 
@@ -140,12 +140,16 @@ def test_quotient_monotonicity():
         for oid in (OrbifoldId.H1, OrbifoldId.H2, OrbifoldId.H3, OrbifoldId.H6)
     }
     for n in range(cutoff + 1):
-        assert sq[OrbifoldId.S1].mult_at(n) >= sq[OrbifoldId.S2].mult_at(n) >= sq[OrbifoldId.S4].mult_at(n)
         assert (
-            hx[OrbifoldId.H1].mult_at(n)
-            >= hx[OrbifoldId.H2].mult_at(n)
-            >= hx[OrbifoldId.H3].mult_at(n)
-            >= hx[OrbifoldId.H6].mult_at(n)
+            sq[OrbifoldId.S1].multiplicities.get(n, 0)
+            >= sq[OrbifoldId.S2].multiplicities.get(n, 0)
+            >= sq[OrbifoldId.S4].multiplicities.get(n, 0)
+        )
+        assert (
+            hx[OrbifoldId.H1].multiplicities.get(n, 0)
+            >= hx[OrbifoldId.H2].multiplicities.get(n, 0)
+            >= hx[OrbifoldId.H3].multiplicities.get(n, 0)
+            >= hx[OrbifoldId.H6].multiplicities.get(n, 0)
         )
 
 
@@ -160,13 +164,13 @@ def test_relation_spot_values():
     s1 = orbifold_spectrum(OrbifoldId.S1, 1)
     s2 = orbifold_spectrum(OrbifoldId.S2, 1)
     s4 = orbifold_spectrum(OrbifoldId.S4, 1)
-    assert s1.mult_at(0) + 2 * s4.mult_at(0) == 3 * s2.mult_at(0) == 3
-    assert s1.mult_at(1) + 2 * s4.mult_at(1) == 3 * s2.mult_at(1) == 6
+    assert s1.multiplicities.get(0, 0) + 2 * s4.multiplicities.get(0, 0) == 3 * s2.multiplicities.get(0, 0) == 3
+    assert s1.multiplicities.get(1, 0) + 2 * s4.multiplicities.get(1, 0) == 3 * s2.multiplicities.get(1, 0) == 6
     # H1+3H3 = 4H2 at n=1: 6+3*2 = 4*3
     h1 = orbifold_spectrum(OrbifoldId.H1, 1)
     h2 = orbifold_spectrum(OrbifoldId.H2, 1)
     h3 = orbifold_spectrum(OrbifoldId.H3, 1)
-    assert h1.mult_at(1) + 3 * h3.mult_at(1) == 4 * h2.mult_at(1) == 12
+    assert h1.multiplicities.get(1, 0) + 3 * h3.multiplicities.get(1, 0) == 4 * h2.multiplicities.get(1, 0) == 12
 
 
 def test_false_relation_witness():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from isogeo.lengths import (
     Clusters,
     Exact,
+    ExactKeys,
     Numeric,
     _integer_root,
     canonical_power_root,
@@ -18,7 +19,6 @@ from isogeo.lengths import (
     exact_float,
     exact_keys,
     exact_ratio,
-    integer_ratio,
     length_le,
     lengths_equal,
     run_starts,
@@ -179,9 +179,8 @@ def test_ratios():
     assert exact_ratio(Exact(2, 6), Exact(2, 2)) == Fraction(3)
     assert exact_ratio(Exact(4, 3), Exact(2, 2)) == Fraction(3)
     assert exact_ratio(Exact(2, 1), Exact(3, 1)) is None
-    assert integer_ratio(Exact(2, 6), Exact(2, 2)) == 3
-    assert integer_ratio(Exact(2, 2), Exact(2, 6)) is None
-    assert integer_ratio(Exact(2, 3), Exact(2, 2)) is None
+    assert exact_ratio(Exact(2, 2), Exact(2, 6)) == Fraction(1, 3)
+    assert exact_ratio(Exact(2, 3), Exact(2, 2)) == Fraction(3, 2)
 
 
 def test_tanh_half_exact_values():
@@ -220,8 +219,8 @@ def test_cluster_representative_prefers_exact():
     x = np.array([math.log(2), math.log(2), 1.5])
     clusters = Clusters([(x, exact_keys([None, Exact(2, 1), None]))], 1e-9)
     assert clusters.size == 2
-    assert clusters.rep(0) == Exact(2, 1)
-    assert clusters.rep(1) == Numeric(1.5)
+    assert clusters.reps([0])[0] == Exact(2, 1)
+    assert clusters.reps([1])[0] == Numeric(1.5)
 
 
 # lengths whose floats tie: Exact(2, 1) and the same value on base 4, two other
@@ -265,6 +264,18 @@ def test_sorted_order_matches_the_tiebreak_sort(case):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.5, 1.0, 1.0 + 2**-52, 2.0]), st.integers(0, 1), st.integers(1, 3)),
+                max_size=60))
+def test_sorted_order_of_numeric_columns_is_their_key_lexsort(rows):
+    # with no exact row and no further column the stable argsort is returned as it is
+    x, rev, nu = (np.array(c, dtype=t) for c, t in zip(zip(*rows) if rows else ((),) * 3, (float, np.int8, np.int64)))
+    keys = ExactKeys.numeric(len(x))
+    lexsort = lambda *more: np.lexsort((*more, keys.num, keys.den, keys.base, keys.base == 0, x)).tolist()
+    assert sorted_order(x, keys).tolist() == lexsort()
+    assert sorted_order(x, keys, rev, nu).tolist() == lexsort(nu, rev)
+
+
+@settings(max_examples=200, deadline=None)
 @given(tied_columns(), tied_columns())
 def test_clusters_represent_each_cluster_by_its_least_exact_length(a, b):
     columns = [(x, [l if isinstance(l, Exact) else None for l in lengths]) for x, lengths, _, _ in (a, b)]
@@ -277,7 +288,7 @@ def test_clusters_represent_each_cluster_by_its_least_exact_length(a, b):
     for c, m in members.items():
         exact = [l for _, l in m if l is not None]
         want = min(exact, key=lambda l: (l.approx(), l.base, l.mult)) if exact else Numeric(min(v for v, _ in m))
-        assert clusters.rep(c) == want
+        assert clusters.reps([c])[0] == want
 
 
 def test_clusters_least_exact_length_may_sit_in_a_later_column():
@@ -285,10 +296,10 @@ def test_clusters_least_exact_length_may_sit_in_a_later_column():
     below = Exact(2, Fraction(10**20 - 1, 10**20))
     x = np.array([ONE.approx()] * 2)
     clusters = Clusters([(x, exact_keys([above, None])), (x, exact_keys([ONE, below]))], 1e-9)
-    assert clusters.size == 1 and clusters.rep(0) == below
+    assert clusters.size == 1 and clusters.reps([0])[0] == below
     near = np.array([math.log(3) - 1e-10])
     clusters = Clusters([(near, exact_keys([None])), (np.array([math.log(3)]), exact_keys([Exact(3, 1)]))], 1e-9)
-    assert clusters.rep(0) == Exact(3, 1)
+    assert clusters.reps([0])[0] == Exact(3, 1)
 
 
 # key values that make runs: -0.0 and 0.0 are one value, and Python ints past 2**63 stay whole

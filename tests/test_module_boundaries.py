@@ -1,7 +1,9 @@
 """No module of the package reaches into another module's private names, writes
-a file outside the CLI's writer or states an invariant as an assert."""
+a file outside the CLI's writer or states an invariant as an assert, and every
+public name of the package has a caller outside the tests of its own."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -124,3 +126,65 @@ def test_the_assert_check_sees_an_assert():
         "    return 'assert x'",
     ])
     assert asserts(source) == [2, 4]
+
+
+ROOT = SRC.parent.parent
+
+
+def definitions(source: str) -> list:
+    """(name, first line, last line) of every public top-level function and class
+    and of every public method of a top-level class."""
+    body = ast.parse(source).body
+    members = [m for node in body if isinstance(node, ast.ClassDef) for m in node.body]
+    return [(node.name, node.lineno, node.end_lineno) for node in body + members
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+
+
+def references(source: str) -> list:
+    """(name, line) of every name and attribute that the source reads."""
+    return [(node.id if isinstance(node, ast.Name) else node.attr, node.lineno) for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+
+
+def uncalled(defining: dict, reading: dict, words: set) -> list:
+    """(file, name) of every public definition in the sources `defining` (file ->
+    source) that nothing calls: no reference in a source of `reading` (file ->
+    source) outside the definition itself, and no word of `words` is its name."""
+    read = [(file, name, line) for file, source in reading.items() for name, line in references(source)]
+    return sorted((file, name) for file, source in defining.items() for name, first, last in definitions(source)
+                  if name not in words and not any(n == name and (f != file or not first <= line <= last)
+                                                   for f, n, line in read))
+
+
+def test_every_public_name_has_a_caller():
+    # a caller is the package itself, the benchmark, the acceptance gate or the README;
+    # a name that only its own tests call is dead public API
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    reading = {name: source for name, source in sources.items() if name != "__init__.py"}
+    reading.update({f"bench/{path.name}": path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))})
+    reading["tests/test_acceptance.py"] = (ROOT / "tests" / "test_acceptance.py").read_text()
+    words = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    assert uncalled(sources, reading, words) == []
+
+
+def test_the_caller_check_sees_a_name_without_one():
+    source = "\n".join([
+        "def walk(n):",
+        "    return walk(n - 1) if n else 0",
+        "class Table:",
+        "    def lookup(self, k):",
+        "        return self.lookup(k)",
+        "    def size(self):",
+        "        return 0",
+        "    def _hidden(self):",
+        "        return 0",
+        "def documented(): ...",
+        "def used(): ...",
+        "def stored(): ...",
+        "x = Table().size() + used",
+        "stored = 1",
+    ])
+    assert uncalled({"m.py": source}, {"m.py": source}, {"documented"}) == [
+        ("m.py", "lookup"), ("m.py", "stored"), ("m.py", "walk")]
+    assert uncalled({"m.py": source}, {"m.py": source, "b.py": "m.walk(3)"}, set()) == [
+        ("m.py", "documented"), ("m.py", "lookup"), ("m.py", "stored")]

@@ -127,7 +127,7 @@ def test_verify_constraint_detects_violation():
 
 def oracle_verify_constraint(sol: ScenarioSolution, n: int) -> Fraction:
     """The weight-equality residual summed divisor by divisor in Fractions."""
-    t = tanh_half(sol.grid_length(n))
+    t = tanh_half(Exact(sol.q, n))
     lhs = Fraction(0)
     rhs = Fraction(0)
     for k in [k for k in range(1, n + 1) if n % k == 0]:
@@ -268,7 +268,7 @@ def test_to_discrepancy_matches_solution():
 
 def oracle_to_spectra(sol: ScenarioSolution):
     """The spectrum pair built entry by entry, each power its own GeodesicEntry."""
-    horizon = sol.grid_length(sol.horizon)
+    horizon = Exact(sol.q, sol.horizon)
     first: List[GeodesicEntry] = []
     second: List[GeodesicEntry] = []
 
@@ -279,7 +279,7 @@ def oracle_to_spectra(sol: ScenarioSolution):
             else:
                 power_orientation = orientation
             target.append(
-                GeodesicEntry(sol.grid_length(n * k), power_orientation, nu=k, multiplicity=count)
+                GeodesicEntry(Exact(sol.q, n * k), power_orientation, nu=k, multiplicity=count)
             )
 
     for n, v in sorted(sol.a.items()):

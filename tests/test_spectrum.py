@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isogeo import spectrum
 from isogeo.errors import HorizonMismatch, QueryBeyondHorizon
 from isogeo.lengths import Exact, Numeric
 from isogeo.scenario import build_scenario, to_spectra
@@ -140,6 +141,26 @@ def test_from_columns_converts_integral_float_counts():
     for column in (s.nu, s.multiplicity):
         assert list(map(type, column.tolist())) == [int] * 2
         assert column.dtype == (object if max(column.tolist()) >= 2**63 else np.int64)
+
+
+@pytest.mark.parametrize("big", [2, 2**70], ids=["int64", "object"])
+def test_from_columns_reads_count_arrays_as_python_ints(big, monkeypatch):
+    s = spec_of([GeodesicEntry(Numeric(1.0), P, nu=2), GeodesicEntry(Exact(2, 1), R, multiplicity=big)])
+    assert s.multiplicity.dtype == (object if big >= 2**63 else np.int64)
+
+    def refuse(*args):
+        raise AssertionError("the columns are ints: no count is checked row by row")
+
+    with monkeypatch.context() as m:
+        m.setattr(spectrum, "entry_counts", refuse)
+        assert LengthTwistSpectrum.from_columns((s.approx, s.keys, s.reversing, s.nu, s.multiplicity), s.horizon) == s
+    # a float array converts where integral, as a list of floats does; a bool or 1.5 raises
+    columns = lambda nu: ([1.0], [None], [0], nu, np.array([1]))
+    assert LengthTwistSpectrum.from_columns(columns(np.array([2.0])), Numeric(2.0)) == spec_of(
+        [GeodesicEntry(Numeric(1.0), P, nu=2)], Numeric(2.0))
+    for nu in (np.array([True]), np.array([1.5])):
+        with pytest.raises(ValueError, match=f"^nu must be an integer, got {nu[0].item()!r}$"):
+            LengthTwistSpectrum.from_columns(columns(nu), Numeric(2.0))
 
 
 def test_total_weight_additive_over_union():
